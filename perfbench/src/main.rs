@@ -4,13 +4,13 @@
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
 //!     --workload <scan|serve|stream> --seed <n> --seconds <s> --trace <0|1> \
-//!     --nominal-rps R --overload-rps R --serve-slo-ms MS --stream-slo-ms MS \
-//!     --scan-slo-ms MS --scan-chunk-len N --stream-chunk-len N
+//!     --nominal-rps R --overload-rps R --serve-slo-ms MS --stream-chunk-len N
 //! ```
 //!
-//! The rates, latency limits and chunk lengths are fixed constants of the
-//! benchmark, kept in the command line of `BENCHMARK.json` at the root of
-//! the repository; every flag is required.
+//! `serve`'s two arrival rates and latency limit and `stream`'s service
+//! chunk length are fixed constants of the benchmark, kept in the command
+//! line of `BENCHMARK.json` at the root of the repository; every flag is
+//! required.
 //!
 //! An untraced run (`--trace 0`) prints every end-to-end metric; a traced
 //! run (`--trace 1`) times each call into a layer from outside and prints
@@ -48,12 +48,6 @@ pub struct Args {
     pub overload_rps: f64,
     /// `serve` latency limit; also every overload request's deadline.
     pub serve_slo_ms: f64,
-    /// `stream` latency limit per frame.
-    pub stream_slo_ms: f64,
-    /// `scan` latency limit per file.
-    pub scan_slo_ms: f64,
-    /// Chunk length of `scan`'s `locate_streamed`.
-    pub scan_chunk_len: usize,
     /// The service `chunk_len` of `stream`.
     pub stream_chunk_len: usize,
     /// Per-run scratch directory for inputs and model files.
@@ -99,9 +93,6 @@ fn parse_args() -> Result<Args, String> {
         nominal_rps: parse("--nominal-rps", take("--nominal-rps")?)?,
         overload_rps: parse("--overload-rps", take("--overload-rps")?)?,
         serve_slo_ms: parse("--serve-slo-ms", take("--serve-slo-ms")?)?,
-        stream_slo_ms: parse("--stream-slo-ms", take("--stream-slo-ms")?)?,
-        scan_slo_ms: parse("--scan-slo-ms", take("--scan-slo-ms")?)?,
-        scan_chunk_len: parse("--scan-chunk-len", take("--scan-chunk-len")?)?,
         stream_chunk_len: parse("--stream-chunk-len", take("--stream-chunk-len")?)?,
         work: PathBuf::from(WORK_ROOT).join(format!("run-{}", std::process::id())),
         workload,
@@ -109,18 +100,12 @@ fn parse_args() -> Result<Args, String> {
     if let Some(unknown) = flags.keys().next() {
         return Err(format!("unknown flag {unknown}"));
     }
-    let limits = [
-        args.nominal_rps,
-        args.overload_rps,
-        args.serve_slo_ms,
-        args.stream_slo_ms,
-        args.scan_slo_ms,
-    ];
+    let limits = [args.nominal_rps, args.overload_rps, args.serve_slo_ms];
     if limits.iter().any(|v| !(v.is_finite() && *v > 0.0)) {
-        return Err("rates and latency limits must be positive".into());
+        return Err("the rates and the latency limit must be positive".into());
     }
-    if args.seconds == 0 || args.scan_chunk_len == 0 || args.stream_chunk_len == 0 {
-        return Err("--seconds and the chunk lengths must be positive".into());
+    if args.seconds == 0 || args.stream_chunk_len == 0 {
+        return Err("--seconds and --stream-chunk-len must be positive".into());
     }
     Ok(args)
 }

@@ -21,17 +21,21 @@ pub struct EndToEnd {
     /// schedule; stream: frames).
     pub goodput_per_s: f64,
     /// 90th-percentile latency of a unit of work (ms): serve's nominal
-    /// requests from their due time, stream's frames, scan's files.
+    /// requests from their due time, stream's frames, scan's files (three
+    /// per pass, so on one pass the slowest of them).
     pub p90_ms: f64,
     /// Units answered correctly within the workload's latency limit, of all
     /// attempted (errors and refusals miss it).
     pub slo_pct: f64,
-    /// Ground-truth COs located within half a mean CO length.
+    /// Ground-truth COs located within half a mean CO length, over a fixed
+    /// set of inputs (scan: every file; serve: the nominal phase; stream:
+    /// each input frame once).
     pub hits_pct: f64,
-    /// Located starts that match a CO, of all located starts.
+    /// Located starts that match a CO, of all located starts, over the same
+    /// inputs.
     pub precision_pct: f64,
-    /// Peak heap in use during the timed phase, less the generated inputs
-    /// the benchmark holds (MB).
+    /// Peak heap in use during the timed phase, not counting the
+    /// benchmark's input buffers while they live (MB).
     pub mem_peak_mb: f64,
 }
 

@@ -4,9 +4,10 @@
 //! cipher. One submitter thread sends every request at its due time; one
 //! collector thread redeems the tickets. Phase `nominal` runs at a fixed
 //! rate light enough that most requests find the service idle, without
-//! deadlines; phase `overload` offers more than the service can score (60
-//! requests/s is about 2.5x what two x86-64 cores serve) with the latency
-//! limit as every request's deadline. Both rates are fixed flags.
+//! deadlines; phase `overload` offers more than the service can score (at 60
+//! requests/s two x86-64 cores leave about one request in six refused or
+//! expired) with the latency limit as every request's deadline. Both rates
+//! are fixed flags. Requests spread evenly over the five models.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -60,7 +61,8 @@ enum Fate {
 }
 
 struct Served {
-    /// Submitter lateness behind the due time.
+    /// Submitter lateness behind the due time (in traced runs it includes
+    /// sampling `metrics()`).
     late: Duration,
     /// Duration of the `submit_trace` call.
     admit: Duration,
@@ -110,11 +112,11 @@ fn drive(
                 if due_at > now {
                     std::thread::sleep(due_at - now);
                 }
-                let call = Instant::now();
                 let sampled = traced.map(|_| {
                     let m = service.metrics();
                     (m.queue_depth, m.in_flight)
                 });
+                let call = Instant::now();
                 let ticket = service.submit_trace(&model_name(model), trace, opts);
                 let returned = Instant::now();
                 let root = traced.map(|rec| {
@@ -188,36 +190,6 @@ fn drive(
         });
         collector.join().expect("collector thread panicked")
     })
-}
-
-/// Hit rate and precision over the completed requests of both phases,
-/// weighted to the schedule's exact 9:1 mix of single- and multi-CO
-/// requests, so they do not drift with which requests overload refused.
-#[derive(Default)]
-struct MixQuality {
-    /// Per class (single, multi): requests, hits, ground-truth COs, starts.
-    sums: [[f64; 4]; 2],
-}
-
-impl MixQuality {
-    fn add(&mut self, multi: bool, (hits, cos, located): (u64, u64, u64)) {
-        let s = &mut self.sums[usize::from(multi)];
-        for (acc, v) in s.iter_mut().zip([1, hits, cos, located]) {
-            *acc += v as f64;
-        }
-    }
-
-    /// (hits %, precision %) of the 9:1 mix.
-    fn pcts(&self) -> (f64, f64) {
-        let weighted = |field: usize| {
-            [0.9, 0.1]
-                .iter()
-                .zip(&self.sums)
-                .map(|(w, s)| if s[0] == 0.0 { 0.0 } else { w * s[field] / s[0] })
-                .sum::<f64>()
-        };
-        (pct(weighted(1), weighted(2)), pct(weighted(1), weighted(3)))
-    }
 }
 
 pub fn run(args: &Args) -> Result<Outcome, String> {
@@ -309,32 +281,30 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
     out.layers.set_setup(&setup);
     drop((profilings, warmups));
 
-    // Keep the parity sample and the ground truth; hand the traces over.
+    // Keep the parity sample and the ground truth; hand the bare samples
+    // over. Every input buffer leaves the heap count until it is freed: a
+    // fed trace when the service drops it, a parity copy at the end.
     let split = |requests: Vec<ServeRequest>, phase: u64| {
         let mut parity = Vec::new();
         let mut truth = Vec::new();
         let mut feed = Vec::new();
         for (i, r) in requests.into_iter().enumerate() {
-            if mix(args.seed, 7 + phase, i as u64).is_multiple_of(PARITY_EVERY) {
-                parity.push((i, r.capture.trace.clone()));
-            }
             let c = r.capture;
-            truth.push((r.model, c.trace.len(), c.truth, c.tolerance, c.scored_len, r.multi));
-            feed.push((r.model, r.due, c.trace));
+            if mix(args.seed, 7 + phase, i as u64).is_multiple_of(PARITY_EVERY) {
+                let copy = Trace::from_samples(c.trace.samples().to_vec());
+                heap::exclude(copy.samples());
+                parity.push((i, copy));
+            }
+            truth.push((r.model, c.trace.len(), c.truth, c.tolerance, c.scored_len));
+            let mut samples = c.trace.into_samples();
+            samples.shrink_to_fit();
+            heap::exclude(&samples);
+            feed.push((r.model, r.due, Trace::from_samples(samples)));
         }
         (parity, truth, feed)
     };
     let (nominal_parity, nominal_truth, nominal_feed) = split(nominal, 0);
     let (overload_parity, overload_truth, overload_feed) = split(overload, 1);
-    let input_bytes: usize = [&nominal_feed, &overload_feed]
-        .iter()
-        .flat_map(|f| f.iter().map(|(_, _, t)| 4 * t.len()))
-        .chain(
-            [&nominal_parity, &overload_parity]
-                .iter()
-                .flat_map(|p| p.iter().map(|(_, t)| 4 * t.len())),
-        )
-        .sum();
 
     // Timed phases.
     let rec = Recorder::new();
@@ -362,17 +332,17 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
         ));
     }
 
-    // Outcomes, correctness and quality.
+    // Outcomes, correctness, and quality over the nominal phase, where
+    // every request completes: the same inputs on every run.
     let mut failed = 0u64;
-    let (mut quality, mut in_slo, mut useful_windows) = (MixQuality::default(), 0u64, 0u64);
+    let (mut hits, mut cos, mut located, mut in_slo, mut useful_windows) = (0, 0, 0, 0u64, 0u64);
     let mut latencies = Vec::new();
     let mut sojourns = Vec::new();
     for (phase, served, truth) in [
         ("nominal", &nominal_served, &nominal_truth),
         ("overload", &overload_served, &overload_truth),
     ] {
-        for (i, (s, (_, len, t, tol, scored, multi))) in served.iter().zip(truth.iter()).enumerate()
-        {
+        for (i, (s, (_, len, t, tol, scored))) in served.iter().zip(truth.iter()).enumerate() {
             match &s.fate {
                 Fate::Done(result) => {
                     check_starts(&result.starts, *len, &format!("{phase} request {i}"))?;
@@ -380,8 +350,9 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
                     if within {
                         useful_windows += result.windows as u64;
                     }
-                    quality.add(*multi, score(&result.starts, t, *tol, *scored));
                     if phase == "nominal" {
+                        let (h, c, l) = score(&result.starts, t, *tol, *scored);
+                        (hits, cos, located) = (hits + h, cos + c, located + l);
                         in_slo += u64::from(within);
                         latencies.push(s.latency.map_or(0.0, |l| l.as_secs_f64() * 1e3));
                         sojourns.push(result.latency.as_secs_f64() * 1e3);
@@ -419,9 +390,7 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
             let name = model_name(truth[*i].0);
             let engine: Arc<LocatorEngine> =
                 service.engine(&name).ok_or_else(|| format!("model {name} is not resident"))?;
-            let t = Instant::now();
             let reference = engine.locate(trace);
-            untraced_s += t.elapsed().as_secs_f64();
             if reference != result.starts {
                 return Err(format!(
                     "{phase} request {i} ({name}): served starts {:?} differ from locate {:?}",
@@ -429,11 +398,20 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
                 ));
             }
             if args.traced {
+                // The traced locate is `locate_streamed` with one chunk; its
+                // untraced twin prices the tracing.
+                let t = Instant::now();
+                let untraced = engine
+                    .locate_streamed(trace, trace.len())
+                    .map_err(|e| format!("{phase} request {i}: locate_streamed: {e}"))?;
+                untraced_s += t.elapsed().as_secs_f64();
                 let t = Instant::now();
                 let again = traced_locate(&engine, trace.len(), &rec, checked, || Ok(trace))?;
                 traced_s += t.elapsed().as_secs_f64();
-                if again != reference {
-                    return Err(format!("{phase} request {i}: traced locate diverged from locate"));
+                if again != reference || untraced != reference {
+                    return Err(format!(
+                        "{phase} request {i}: locate_streamed (traced or not) diverged from locate"
+                    ));
                 }
                 macs.push(macs_per_window(&engine));
             }
@@ -451,10 +429,12 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
     out.e2e.goodput_per_s = overload_in_slo as f64 / overload_span.as_secs_f64();
     out.e2e.p90_ms = p90(&latencies);
     out.e2e.slo_pct = pct(in_slo as f64, nominal_served.len() as f64);
-    (out.e2e.hits_pct, out.e2e.precision_pct) = quality.pcts();
-    out.e2e.mem_peak_mb = peak.saturating_sub(input_bytes) as f64 / 1e6;
+    out.e2e.hits_pct = pct(hits as f64, cos as f64);
+    out.e2e.precision_pct = pct(hits as f64, located as f64);
+    out.e2e.mem_peak_mb = peak as f64 / 1e6;
     out.notes.push(format!(
-        "nominal latency from due time: {}; {in_slo}/{} within {} ms",
+        "nominal latency from due time: {}; {in_slo}/{} within {} ms; {hits}/{cos} COs hit, \
+         {located} starts located",
         latency_note(&latencies),
         nominal_served.len(),
         args.serve_slo_ms
