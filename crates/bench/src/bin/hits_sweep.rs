@@ -3,9 +3,16 @@
 //! RD-4), consecutive and noise-interleaved scenarios. The paper reports
 //! 100 % hits in all of these cells.
 //!
-//! Also doubles as the ablation harness for the design choices discussed in
-//! DESIGN.md (pass `--ablation` to sweep the median-filter size and to compare
-//! the linear-score output against the softmax probability output).
+//! Also doubles as an ablation harness (pass `--ablation`): on AES RD-4
+//! consecutive COs it re-segments one trained locator's scores with median
+//! filters of 1 to 15 windows. The median filter is the segmentation stage's
+//! only smoothing (Section III-D): too short, and noise spikes in the score
+//! signal split one CO into several starts; too long, and the plateaus of
+//! neighbouring COs merge. The hit rate across sizes shows how much slack
+//! the profile's default leaves. The score signal itself is always the
+//! linear class-1 output, as Section III-C prescribes — the softmax
+//! probability saturates near 0 and 1 and flattens the margins the
+//! threshold has to separate — so the sweep does not vary it.
 //!
 //! Run with: `cargo run -p sca-bench --bin hits_sweep --release`
 

@@ -24,7 +24,11 @@
 //!   same operation profile, same data-dependent leakage structure), not
 //!   interoperable implementations. In the paper these three ciphers only
 //!   serve as *localisation targets*, never as CPA targets, so this
-//!   substitution does not affect any reproduced result. See `DESIGN.md`.
+//!   substitution does not affect any reproduced result: the locator sees
+//!   only the power profile a cipher leaves (round structure, operation
+//!   mix, data-dependent leakage), which the derived tables reproduce,
+//!   while bit-compatibility with the standards would only add large
+//!   transcribed constant blocks.
 //!
 //! ## Example
 //!

@@ -22,6 +22,18 @@
 //! explicit [`Workspace`], so one trained CNN can score windows from many
 //! threads (and many traces) concurrently — each thread brings its own cheap
 //! workspace instead of a clone of the weights.
+//!
+//! Inference (`training == false` in [`CoLocatorCnn::forward`] and
+//! [`CoLocatorCnn::pooled_features`], and always in
+//! [`CoLocatorCnn::class1_scores_into`] and [`CoLocatorCnn::predict_into`])
+//! runs the backbone as one fused channels-last chain
+//! ([`tinynn::fused::pooled_features`]): direct register-tiled
+//! convolutions with bias, batch norm, ReLU and the residual add fused into
+//! the tile epilogue, one window at a time. Training runs the layer chain
+//! (im2col convolutions and separate normalisation, activation and add
+//! passes), which records the backward caches. The two are bit-identical
+//! at inference, so epoch selection, head alignment and every located
+//! start are the same whichever ran.
 
 use serde::{Deserialize, Serialize};
 use tinynn::{
@@ -150,11 +162,25 @@ impl CoLocatorCnn {
     /// fully connected head sees. The quantiser compares these against its
     /// own pooled features to fold the quantised backbone's systematic
     /// offset into the head bias.
+    ///
+    /// Inference (`training == false`) runs the fused channels-last chain
+    /// of [`tinynn::fused::pooled_features`]: direct convolutions with
+    /// batch norm, ReLU and the residual add in the tile epilogue,
+    /// bit-identical to the layer chain. Training runs the layer chain
+    /// (im2col convolutions, one layer at a time), which records the
+    /// backward caches.
     pub fn pooled_features(&self, input: &Tensor, ws: &mut Workspace, training: bool) -> Tensor {
+        if !training {
+            return tinynn::fused::pooled_features(
+                &self.conv,
+                &self.bn,
+                &[&self.res1, &self.res2],
+                input,
+                ws,
+            );
+        }
         // Each dead intermediate returns to the workspace arena as soon as
-        // the next layer has consumed it (`forward_consuming`): after
-        // warm-up a full inference pass performs zero heap allocations (see
-        // `tinynn::Workspace`).
+        // the next layer has consumed it (`forward_consuming`).
         let x = self.conv.forward(input, ws, training);
         let x = forward_consuming(&self.bn, x, ws, training);
         let x = forward_consuming(&self.relu, x, ws, training);
@@ -438,21 +464,32 @@ mod tests {
     fn inference_forward_is_allocation_free_after_warmup() {
         // The output-activation arena contract: once the workspace has seen
         // the batch shape, repeated forwards must neither allocate (the
-        // arena-miss counter freezes) nor grow any retained scratch buffer.
-        let cnn = CoLocatorCnn::new(tiny_config());
-        let mut ws = Workspace::new();
-        let x = CoLocatorCnn::stack_windows(&vec![vec![0.25; 32]; 4]);
-        let mut scores = Vec::new();
-        for _ in 0..2 {
-            cnn.class1_scores_into(&x, &mut ws, &mut scores);
+        // arena-miss counter freezes) nor grow any retained scratch buffer —
+        // including the fused chain's weight packing, staging and
+        // per-window activations. The serial region keeps the batch on this
+        // thread, so every buffer comes from the workspace.
+        let served = CnnConfig { base_filters: 8, kernel_size: 9, seed: 3 };
+        for (config, batch, len) in [(tiny_config(), 4, 32), (served, 7, 230)] {
+            let _serial = tinynn::parallel::serial_region();
+            let cnn = CoLocatorCnn::new(config);
+            let mut ws = Workspace::new();
+            let x = CoLocatorCnn::stack_windows(&vec![vec![0.25; len]; batch]);
+            let mut scores = Vec::new();
+            for _ in 0..2 {
+                cnn.class1_scores_into(&x, &mut ws, &mut scores);
+            }
+            let misses = ws.arena_misses();
+            let retained = ws.retained_bytes();
+            // The staged input of the widest convolution alone is
+            // 2f channel rows of at least len + k - 1 samples.
+            let staged = 2 * config.base_filters * (len + config.kernel_size - 1) * 4;
+            assert!(retained > staged, "fused buffers missing from {retained} retained bytes");
+            for _ in 0..10 {
+                cnn.class1_scores_into(&x, &mut ws, &mut scores);
+            }
+            assert_eq!(ws.arena_misses(), misses, "steady-state forward must not allocate");
+            assert_eq!(ws.retained_bytes(), retained, "steady-state forward must not grow scratch");
         }
-        let misses = ws.arena_misses();
-        let retained = ws.retained_bytes();
-        for _ in 0..10 {
-            cnn.class1_scores_into(&x, &mut ws, &mut scores);
-        }
-        assert_eq!(ws.arena_misses(), misses, "steady-state forward must not allocate");
-        assert_eq!(ws.retained_bytes(), retained, "steady-state forward must not grow scratch");
     }
 
     #[test]

@@ -10,6 +10,10 @@
 //! are written straight from the trace into one reused `[B, 1, N]` batch
 //! tensor, standardised in place, and scored through
 //! [`CoLocatorCnn::class1_scores_into`] without any per-window allocation.
+//! For the `f32` network that call is the fused channels-last chain of
+//! [`tinynn::fused`] (direct convolutions with batch norm, ReLU and the
+//! residual add in the tile epilogue; im2col serves training only), whose
+//! scores are bit-identical to the layer-by-layer forward.
 //! Independent shards of the window list fan out across OS threads, every
 //! shard scoring through **one shared `&CoLocatorCnn`** with its own
 //! [`Workspace`] — the weights are never cloned. Per-window scores do not

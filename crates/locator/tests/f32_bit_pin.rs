@@ -25,8 +25,8 @@
 use std::path::PathBuf;
 
 use sca_locator::{
-    CnnConfig, CoLocatorCnn, LocatorEngine, SegmentationConfig, Segmenter,
-    SlidingWindowClassifier, ThresholdStrategy,
+    CnnConfig, CoLocatorCnn, LocatorEngine, SegmentationConfig, Segmenter, SlidingWindowClassifier,
+    ThresholdStrategy,
 };
 use sca_trace::Trace;
 
@@ -132,8 +132,8 @@ fn to_bytes(scores: &[f32]) -> Vec<u8> {
 }
 
 fn quantized_bytes(engine: &LocatorEngine, trace: &Trace) -> Vec<u8> {
-    let path = std::env::temp_dir()
-        .join(format!("sca_locator_f32_bit_pin_{}.scaloc", std::process::id()));
+    let path =
+        std::env::temp_dir().join(format!("sca_locator_f32_bit_pin_{}.scaloc", std::process::id()));
     engine.quantize_with_samples(&sample_windows(trace)).save(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
@@ -199,7 +199,10 @@ fn pinned_engines_cover_the_intended_shapes() {
             "paper" => {
                 let k = engine.model().config().kernel_size;
                 assert!(sliding.window_len() < k, "paper windows must be shorter than k");
-                assert!(engine.model().config().base_filters * k > 256, "depths must exceed one block");
+                assert!(
+                    engine.model().config().base_filters * k > 256,
+                    "depths must exceed one block"
+                );
             }
             _ => assert!(windows > 0),
         }

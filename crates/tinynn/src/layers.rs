@@ -21,14 +21,19 @@
 //! intermediates — a warm inference pass performs **zero heap
 //! allocations**.
 //!
-//! The forward hot paths run the packed register-tiled GEMM kernels of
-//! [`crate::matmul`]: `Conv1d` packs its weight block into `MR`-row strips
-//! once per call and lowers each item to im2col → [`matmul::matmul_packed_lhs`]
-//! (col2im for the input gradient), `Linear` packs `Wᵀ` into `NR`-column
-//! panels for [`matmul::matmul_packed_rhs`], and the normalisation/pooling
-//! layers operate on contiguous channel slices. The original scalar
-//! implementations survive as `*_reference` methods so parity tests can pin
-//! the optimised kernels against them.
+//! These `forward` methods form the **layer chain**: `Conv1d` packs its
+//! weight block into `MR`-row strips once per call and lowers each item to
+//! im2col → [`matmul::matmul_packed_lhs`] (col2im for the input gradient),
+//! `Linear` packs `Wᵀ` into `NR`-column panels for
+//! [`matmul::matmul_packed_rhs`], and the normalisation/pooling layers
+//! operate on contiguous channel slices. The layer chain serves training
+//! and is the test oracle of `f32` inference: a convolutional backbone
+//! built from these layers scores windows through the fused channels-last
+//! chain of [`crate::fused`] (direct convolutions with batch norm, ReLU
+//! and the residual add in the tile epilogue, no im2col), whose output is
+//! bit-identical to the layer chain's. The original scalar implementations
+//! survive as `*_reference` methods so parity tests can pin the optimised
+//! kernels against them.
 
 use std::cell::RefCell;
 
@@ -405,9 +410,10 @@ fn col2im_add(
 /// `[out_c, in_c, kernel]` weight tensor is row-major exactly the
 /// `[out_c, in_c*kernel]` GEMM operand, and the im2col matrix is built with
 /// contiguous row copies, so the whole convolution is three cache-blocked
-/// matrix products. Batches fan out across threads at inference; the im2col
+/// matrix products. Large batches fan out across threads; the im2col
 /// scratch comes from the workspace on the sequential paths and from a
-/// per-thread buffer inside the fan-out.
+/// per-thread buffer inside the fan-out. Inference of a whole backbone
+/// runs the direct convolution of [`crate::fused`] instead.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Conv1d {
     weight: Param, // [out_c, in_c, k]
@@ -558,15 +564,10 @@ impl Layer for Conv1d {
         // noise across the batch).
         matmul::pack_lhs(&mut ws.pack, self.weight.value.data(), out_c, ck);
         let flops = 2 * batch * out_c * ck * len;
-        let threads = if batch == 1 {
-            1
-        } else {
-            parallel::thread_count_for(batch, flops, CONV_PAR_MIN_FLOPS)
-        };
+        let threads = parallel::thread_count_for(batch, flops, CONV_PAR_MIN_FLOPS);
         if threads <= 1 {
             // Sequential over the batch: reuse the workspace im2col buffer
-            // across items (and across layers of the whole pass). A single
-            // window additionally parallelises inside the GEMM.
+            // across items (and across layers of the whole pass).
             let pack = &ws.pack;
             let col = &mut ws.col;
             for (b, out_b) in out.data_mut().chunks_mut(out_c * len).enumerate() {
@@ -574,11 +575,7 @@ impl Layer for Conv1d {
                 for (oc, out_row) in out_b.chunks_mut(len).enumerate() {
                     out_row.fill(bias[oc]);
                 }
-                if batch == 1 {
-                    matmul::matmul_packed_lhs_par(out_b, pack, col, out_c, ck, len);
-                } else {
-                    matmul::matmul_packed_lhs(out_b, pack, col, out_c, ck, len);
-                }
+                matmul::matmul_packed_lhs(out_b, pack, col, out_c, ck, len);
             }
         } else {
             let pack = &ws.pack;
@@ -697,14 +694,15 @@ impl BatchNorm1d {
     /// quantised layers absorb into a preceding convolution's per-channel
     /// scales and bias.
     pub fn inference_affine(&self) -> (Vec<f32>, Vec<f32>) {
-        let mut scale = vec![0.0f32; self.channels];
-        let mut shift = vec![0.0f32; self.channels];
-        for c in 0..self.channels {
-            let inv = 1.0 / (self.running_var[c] + self.eps).sqrt();
-            scale[c] = self.gamma.value.data()[c] * inv;
-            shift[c] = self.beta.value.data()[c] - self.running_mean[c] * scale[c];
-        }
-        (scale, shift)
+        (0..self.channels).map(|c| self.inference_scale_shift(c)).unzip()
+    }
+
+    /// Channel `c`'s `(scale, shift)` of [`Self::inference_affine`],
+    /// computed with exactly the operations of an inference `forward`.
+    pub(crate) fn inference_scale_shift(&self, c: usize) -> (f32, f32) {
+        let inv = 1.0 / (self.running_var[c] + self.eps).sqrt();
+        let scale = self.gamma.value.data()[c] * inv;
+        (scale, self.beta.value.data()[c] - self.running_mean[c] * scale)
     }
 
     #[inline]

@@ -50,6 +50,7 @@
 #![warn(missing_docs)]
 
 pub mod data;
+pub mod fused;
 pub mod init;
 pub mod layers;
 pub mod loss;

@@ -16,16 +16,18 @@
 //! threads (`std::thread::scope`; this workspace has no external thread-pool
 //! crate) for batched inference workloads.
 //!
-//! The *inference* hot path no longer uses these plain kernels directly: the
-//! packed register-tiled family ([`pack_lhs`] → [`matmul_packed_lhs`] for
-//! the convolution shape, [`pack_rhs_t`] → [`matmul_packed_rhs`] for the
+//! The layer forwards do not use these plain kernels directly: the packed
+//! register-tiled family ([`pack_lhs`] → [`matmul_packed_lhs`] for the
+//! im2col convolution shape, [`pack_rhs_t`] → [`matmul_packed_rhs`] for the
 //! fully connected shape) packs the weight operand once per layer call into
 //! cache-friendly [`MR`]/[`NR`] panels and accumulates every `MR × NR`
 //! output tile in registers with explicitly contracted FMA, flushing to `C`
 //! once per [`KC`] depth block instead of once per depth step — roughly
 //! double the throughput of the auto-vectorised loops on the network's
-//! small-`m` GEMMs. The plain kernels remain the training/backward and
-//! parity-reference paths.
+//! small-`m` GEMMs. The plain kernels remain the backward and
+//! parity-reference paths. (Backbone inference convolves directly, without
+//! im2col, in [`crate::fused`], reproducing [`matmul_packed_lhs`]'s
+//! per-block accumulation order bit for bit.)
 
 use crate::parallel;
 use crate::quant::Requantizer;
@@ -189,7 +191,7 @@ pub const KC: usize = 256;
 /// floating-point expressions. On targets without FMA it falls back to
 /// `mul + add` (a libm `fma` call would be orders of magnitude slower).
 #[inline(always)]
-fn fmadd(a: f32, b: f32, acc: f32) -> f32 {
+pub(crate) fn fmadd(a: f32, b: f32, acc: f32) -> f32 {
     if cfg!(target_feature = "fma") {
         a.mul_add(b, acc)
     } else {
@@ -348,37 +350,6 @@ pub fn matmul_packed_lhs(c: &mut [f32], pack: &[f32], b: &[f32], m: usize, k: us
             }
         }
     }
-}
-
-/// Like [`matmul_packed_lhs`] but splits the row strips across OS threads
-/// when the problem is large enough to amortise thread spawning. Each row
-/// of `C` is produced by exactly one thread with the same accumulation
-/// order as the sequential kernel, so the result is bit-identical to
-/// [`matmul_packed_lhs`].
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with its dimensions.
-pub fn matmul_packed_lhs_par(c: &mut [f32], pack: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    assert_eq!(pack.len(), packed_lhs_len(m, k), "pack must cover {}x{} in MR strips", m, k);
-    let strips = m.div_ceil(MR);
-    let threads = parallel::thread_count_for(strips, 2 * m * k * n, PAR_MIN_FLOPS);
-    if threads <= 1 {
-        matmul_packed_lhs(c, pack, b, m, k, n);
-        return;
-    }
-    let strips_per = strips.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (idx, c_chunk) in c.chunks_mut(strips_per * MR * n).enumerate() {
-            let rows = c_chunk.len() / n;
-            let p0 = idx * strips_per * MR * k;
-            let pack_chunk = &pack[p0..p0 + rows.div_ceil(MR) * MR * k];
-            scope.spawn(move || {
-                let _serial = parallel::serial_region();
-                matmul_packed_lhs(c_chunk, pack_chunk, b, rows, k, n)
-            });
-        }
-    });
 }
 
 /// Length of the pack produced by [`pack_rhs_t`] for an `[n, k]` transposed
@@ -1013,8 +984,7 @@ mod tests {
     }
 
     // The packed kernels' tile-boundary shape sweeps (sub-tile remainders,
-    // >KC depths, random odd shapes, `_par` bit-identity, the packed-rhs
-    // transpose equivalence) live in `tests/gemm_props.rs`; the tests here
+    // >KC depths, random odd shapes, the packed-rhs transpose equivalence) live in `tests/gemm_props.rs`; the tests here
     // only cover properties that sweep cannot express.
 
     #[test]

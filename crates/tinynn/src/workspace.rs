@@ -11,12 +11,15 @@
 //!   backward traverses the network in exactly the reverse order of forward,
 //!   a LIFO stack needs no layer identity bookkeeping at all. Inference
 //!   (`training == false`) pushes nothing.
-//! * **scratch buffers** — the f32 im2col pair (`col`, `dcol`), the packed
-//!   weight-panel buffer (`pack`, rebuilt per layer call and reused by the
-//!   register-tiled GEMM kernels) and the quantised-path buffers (`qx`
-//!   activation codes, `qcol` channels-last windows, `qrow`/`qscales`
-//!   per-row staging) — reused across layers and calls, so steady-state
-//!   inference performs no allocation for the lowerings;
+//! * **scratch buffers** — the f32 im2col pair (`col`, `dcol`) of the
+//!   layer chain, which serves training only; the packed weight-panel
+//!   buffer (`pack`, rebuilt per layer call and reused by the
+//!   register-tiled GEMM kernels); the fused `f32` inference chain's
+//!   per-call weight packing (`plan`) and per-window staging and
+//!   channels-last activations (`item`, see [`crate::fused`]); and the
+//!   quantised-path buffers (`qx` activation codes, `qcol` channels-last
+//!   windows, `qrow`/`qscales` per-row staging) — reused across layers and
+//!   calls, so steady-state inference performs no allocation;
 //! * an **output-activation arena**: a small free list of recycled tensor
 //!   storage. Layers draw their outputs from [`Workspace::uninit_tensor`]
 //!   and sequential containers hand dead intermediates back through
@@ -30,6 +33,7 @@
 //! scoring shares a single immutable network and gives every thread its own
 //! workspace.
 
+use crate::fused::{ItemScratch, Plan};
 use crate::tensor::Tensor;
 
 /// Upper bound on the number of buffers the arena retains; beyond it the
@@ -68,6 +72,11 @@ pub struct Workspace {
     /// `i64` per-channel accumulators of the integer global-average-pooling
     /// reduction of the fixed-point chain.
     pub(crate) qacc: Vec<i64>,
+    /// The fused `f32` inference chain's per-call weight packing
+    /// ([`crate::fused::pooled_features`]).
+    pub(crate) plan: Plan,
+    /// The fused chain's per-window staging and activation buffers.
+    pub(crate) item: ItemScratch,
     /// Free list of `i16` code buffers — the activation arena of the
     /// fixed-point chain, where whole inter-layer activations are `i16`
     /// codes instead of `f32` tensors ([`Self::take_i16`] /
@@ -214,7 +223,10 @@ impl Workspace {
     /// (lowering/packing buffers plus the arena). Stable across steady-state
     /// passes once warm.
     pub fn retained_bytes(&self) -> usize {
-        let f32s = self.col.capacity() + self.dcol.capacity() + self.pack.capacity();
+        let f32s = self.col.capacity()
+            + self.dcol.capacity()
+            + self.pack.capacity()
+            + self.item.capacity();
         let i16s = self.qx.capacity()
             + self.qcol.capacity()
             + self.qrow.capacity()
@@ -224,7 +236,12 @@ impl Workspace {
             .iter()
             .map(|(d, s)| d.capacity() * 4 + s.capacity() * std::mem::size_of::<usize>())
             .sum();
-        f32s * 4 + self.qscales.capacity() * 4 + i16s * 2 + self.qacc.capacity() * 8 + arena
+        f32s * 4
+            + self.plan.retained_bytes()
+            + self.qscales.capacity() * 4
+            + i16s * 2
+            + self.qacc.capacity() * 8
+            + arena
     }
 
     /// Number of layer caches currently recorded (0 outside a training
