@@ -33,10 +33,10 @@
 //! through this path, so any drift would change trained models. Every
 //! output therefore repeats the layer chain's exact operation sequence:
 //!
-//! * the depth is cut into the same [`matmul::KC`] blocks; each block is
-//!   accumulated from `0` in canonical `c·k + t` order with the same fused
-//!   multiply-add helper (zero padding included, read from the staged
-//!   zeros), and the block sums are added in turn onto the bias;
+//! * the depth is cut into the same [`crate::matmul::KC`] blocks; each
+//!   block is accumulated from `0` in canonical `c·k + t` order with the
+//!   same fused multiply-add helper (zero padding included, read from the
+//!   staged zeros), and the block sums are added in turn onto the bias;
 //! * batch norm is a separate multiply then add, `v · scale + shift`, with
 //!   `scale` and `shift` computed exactly as `BatchNorm1d::forward` does;
 //! * the residual add and ReLU are `y + r` and `y.max(0.0)`;
