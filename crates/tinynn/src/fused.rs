@@ -48,7 +48,7 @@
 
 use std::cell::RefCell;
 
-use crate::layers::{BatchNorm1d, Conv1d, ResidualBlock1d};
+use crate::layers::{BatchNorm1d, Conv1d, ResidualBlock1d, CONV_PAR_MIN_FLOPS};
 use crate::matmul::{fmadd, KC};
 use crate::parallel;
 use crate::tensor::Tensor;
@@ -67,10 +67,6 @@ const P_WIDE: usize = 6;
 /// signal's end can still read a full `P` samples (its extra outputs are
 /// never stored).
 const SLACK: usize = P_NARROW;
-
-/// Work threshold (in FLOPs) below which a batch stays on one thread — the
-/// same threshold the layer chain's convolution uses.
-const PAR_MIN_FLOPS: usize = 1 << 21;
 
 thread_local! {
     /// Per-window scratch of a fan-out worker (workers cannot share the
@@ -458,7 +454,8 @@ pub fn pooled_features(
     let plan = &ws.plan;
     let x = input.data();
     let item_len = in_c * len;
-    let threads = parallel::thread_count_for(batch, batch * plan.flops_per_item(), PAR_MIN_FLOPS);
+    let threads =
+        parallel::thread_count_for(batch, batch * plan.flops_per_item(), CONV_PAR_MIN_FLOPS);
     if threads <= 1 {
         let scratch = &mut ws.item;
         for (b, row) in pooled.data_mut().chunks_exact_mut(channels).enumerate() {

@@ -46,8 +46,9 @@ use crate::param::Param;
 use crate::tensor::Tensor;
 use crate::workspace::{LayerCache, Workspace};
 
-/// Work threshold (in FLOPs) below which convolution stays single-threaded.
-const CONV_PAR_MIN_FLOPS: usize = 1 << 21;
+/// Work threshold (in FLOPs) below which convolution stays single-threaded
+/// (also the batch fan-out threshold of the fused inference chain).
+pub(crate) const CONV_PAR_MIN_FLOPS: usize = 1 << 21;
 
 /// Panic for a cache entry that does not belong to the popping layer — a
 /// programming error in the forward/backward traversal order, not a user
