@@ -6,7 +6,12 @@
 //! run produces. These tests pin the exact `swc` score bits that
 //! `LocatorEngine::locate_detailed` returns for three seeded engines on one
 //! synthetic trace, plus the exact v4 bytes `quantize_with_samples` writes,
-//! against fixtures written by an earlier build:
+//! against fixtures written by an earlier build. Each engine's
+//! `quantize_with_samples` twin is pinned too: its calibrated activation
+//! grid bits and its i8 `swc` score bits on the same trace, so the
+//! calibration pass and the fixed-point chain cannot drift either.
+//!
+//! The pinned engines:
 //!
 //! * `golden` — the persistence fixtures' engine (2 filters, kernel 3);
 //! * `served` — the benchmark shape (8 filters, kernel 9, 230-sample
@@ -24,9 +29,10 @@
 
 use std::path::PathBuf;
 
+use sca_locator::qcnn::ACTIVATION_SCALE_COUNT;
 use sca_locator::{
-    CnnConfig, CoLocatorCnn, LocatorEngine, SegmentationConfig, Segmenter, SlidingWindowClassifier,
-    ThresholdStrategy,
+    CnnConfig, CoLocatorCnn, EngineModel, LocatorEngine, SegmentationConfig, Segmenter,
+    SlidingWindowClassifier, ThresholdStrategy,
 };
 use sca_trace::Trace;
 
@@ -111,10 +117,23 @@ fn trace() -> Trace {
     )
 }
 
-/// Fixed sample windows for `quantize_with_samples`: eight raw 230-sample
-/// slices of the trace.
-fn sample_windows(trace: &Trace) -> Vec<Vec<f32>> {
-    (0..8).map(|i| trace.samples()[i * 280..i * 280 + 230].to_vec()).collect()
+/// Fixed sample windows for `quantize_with_samples`: eight raw slices of
+/// the trace, `len` samples each (the engine's window length).
+fn sample_windows(trace: &Trace, len: usize) -> Vec<Vec<f32>> {
+    (0..8).map(|i| trace.samples()[i * 280..i * 280 + len].to_vec()).collect()
+}
+
+/// The engine's i8 twin, quantised from its own window-length samples.
+fn i8_twin(engine: &LocatorEngine, trace: &Trace) -> LocatorEngine {
+    engine.quantize_with_samples(&sample_windows(trace, engine.sliding().window_len()))
+}
+
+/// The twin's pinned bits: its six activation grid scales, then its `swc`
+/// scores on the trace.
+fn i8_pin_bits(twin: &LocatorEngine, trace: &Trace) -> Vec<u32> {
+    let EngineModel::Quantized(qcnn) = twin.model() else { panic!("the twin must be i8") };
+    let (scores, _) = twin.locate_detailed(trace);
+    qcnn.activation_scales().iter().chain(&scores).map(|v| v.to_bits()).collect()
 }
 
 fn fixture_path(name: &str) -> PathBuf {
@@ -123,6 +142,10 @@ fn fixture_path(name: &str) -> PathBuf {
 
 fn bits_fixture(name: &str) -> String {
     format!("swc_bits_{name}.bin")
+}
+
+fn i8_fixture(name: &str) -> String {
+    format!("i8_bits_{name}.bin")
 }
 
 const QUANT_FIXTURE: &str = "quant_samples_v4.scaloc";
@@ -134,7 +157,7 @@ fn to_bytes(scores: &[f32]) -> Vec<u8> {
 fn quantized_bytes(engine: &LocatorEngine, trace: &Trace) -> Vec<u8> {
     let path =
         std::env::temp_dir().join(format!("sca_locator_f32_bit_pin_{}.scaloc", std::process::id()));
-    engine.quantize_with_samples(&sample_windows(trace)).save(&path).unwrap();
+    i8_twin(engine, trace).save(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
     bytes
@@ -149,6 +172,11 @@ fn regenerate_bit_pins() {
     for (name, engine) in engines() {
         let (scores, _) = engine.locate_detailed(&trace);
         std::fs::write(fixture_path(&bits_fixture(name)), to_bytes(&scores)).unwrap();
+        let pin: Vec<u8> = i8_pin_bits(&i8_twin(&engine, &trace), &trace)
+            .iter()
+            .flat_map(|b| b.to_le_bytes())
+            .collect();
+        std::fs::write(fixture_path(&i8_fixture(name)), pin).unwrap();
         if name == "served" {
             std::fs::write(fixture_path(QUANT_FIXTURE), quantized_bytes(&engine, &trace)).unwrap();
         }
@@ -168,6 +196,32 @@ fn f32_scores_match_the_pinned_bits() {
                 s.to_bits(),
                 want,
                 "{name}: score {i} is {s}, pinned {}",
+                f32::from_bits(want)
+            );
+        }
+    }
+}
+
+#[test]
+fn i8_twins_match_the_pinned_grids_and_scores() {
+    let trace = trace();
+    for (name, engine) in engines() {
+        let got = i8_pin_bits(&i8_twin(&engine, &trace), &trace);
+        let pinned: Vec<u32> = std::fs::read(fixture_path(&i8_fixture(name)))
+            .unwrap()
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        assert_eq!(pinned.len(), got.len(), "{name}: score count changed");
+        let (pinned_scales, pinned_scores) = pinned.split_at(ACTIVATION_SCALE_COUNT);
+        let (scales, scores) = got.split_at(ACTIVATION_SCALE_COUNT);
+        assert_eq!(scales, pinned_scales, "{name}: calibrated activation grids drifted");
+        for (i, (&s, &want)) in scores.iter().zip(pinned_scores).enumerate() {
+            assert_eq!(
+                s,
+                want,
+                "{name}: i8 score {i} is {}, pinned {}",
+                f32::from_bits(s),
                 f32::from_bits(want)
             );
         }
