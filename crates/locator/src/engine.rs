@@ -195,17 +195,7 @@ impl LocatorEngine {
     /// quantising an already quantised engine shares the weights (a
     /// reference-count bump, not a deep copy).
     pub fn quantize(&self) -> LocatorEngine {
-        let model = match &*self.model {
-            EngineModel::F32(cnn) => {
-                let mut qcnn = QuantizedCoLocatorCnn::from_cnn(cnn);
-                qcnn.calibrate(&QuantizedCoLocatorCnn::synthetic_calibration_windows(
-                    self.sliding.window_len(),
-                ));
-                Arc::new(EngineModel::Quantized(qcnn))
-            }
-            EngineModel::Quantized(_) => Arc::clone(&self.model),
-        };
-        LocatorEngine { model, sliding: self.sliding, segmenter: self.segmenter }
+        self.quantize_with_samples(&[])
     }
 
     /// Like [`Self::quantize`], but calibrates the fixed-point chain on
@@ -224,26 +214,38 @@ impl LocatorEngine {
     /// already quantised engine recalibrates its grids on the samples but
     /// cannot re-align the head (the `f32` reference is gone).
     pub fn quantize_with_samples(&self, windows: &[Vec<f32>]) -> LocatorEngine {
-        let mut engine = self.quantize();
-        if windows.is_empty() {
-            return engine;
-        }
-        let mut prepared = windows.to_vec();
-        if self.sliding.standardize() {
-            for w in &mut prepared {
-                sca_trace::dsp::standardize_in_place(w);
+        let samples = (!windows.is_empty()).then(|| {
+            let mut prepared = windows.to_vec();
+            if self.sliding.standardize() {
+                for w in &mut prepared {
+                    sca_trace::dsp::standardize_in_place(w);
+                }
             }
-        }
-        let stacked = CoLocatorCnn::stack_windows(&prepared);
-        // `make_mut` is free for the fresh f32→i8 conversion (refcount 1)
-        // and deep-copies only when recalibrating an engine whose weights
-        // are still shared with `self`.
-        let EngineModel::Quantized(qcnn) = Arc::make_mut(&mut engine.model) else { unreachable!() };
-        qcnn.calibrate(&stacked);
-        if let EngineModel::F32(cnn) = &*self.model {
-            qcnn.align_head(cnn, &stacked);
-        }
-        engine
+            CoLocatorCnn::stack_windows(&prepared)
+        });
+        // Each path calibrates exactly once.
+        let model = match (&*self.model, &samples) {
+            (EngineModel::Quantized(_), None) => Arc::clone(&self.model),
+            (EngineModel::Quantized(qcnn), Some(stacked)) => {
+                let mut qcnn = qcnn.clone();
+                qcnn.calibrate(stacked);
+                Arc::new(EngineModel::Quantized(qcnn))
+            }
+            (EngineModel::F32(cnn), _) => {
+                let mut qcnn = QuantizedCoLocatorCnn::uncalibrated(cnn);
+                match &samples {
+                    Some(stacked) => {
+                        qcnn.calibrate(stacked);
+                        qcnn.align_head(cnn, stacked);
+                    }
+                    None => qcnn.calibrate(&QuantizedCoLocatorCnn::synthetic_calibration_windows(
+                        self.sliding.window_len(),
+                    )),
+                }
+                Arc::new(EngineModel::Quantized(qcnn))
+            }
+        };
+        LocatorEngine { model, sliding: self.sliding, segmenter: self.segmenter }
     }
 
     /// The sliding-window classifier parameters.

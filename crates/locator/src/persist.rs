@@ -494,8 +494,10 @@ fn load_quantized_payload<R: Read>(
     window_len: usize,
 ) -> Result<QuantizedCoLocatorCnn, PersistError> {
     // Build the architecture skeleton (the random init values are discarded;
-    // only the tensor geometry matters) and overwrite every payload.
-    let mut qcnn = QuantizedCoLocatorCnn::from_cnn(&CoLocatorCnn::new(config));
+    // only the tensor geometry matters) and overwrite every payload. The
+    // skeleton is not calibrated: the grids are installed or calibrated
+    // once, below, from the loaded payload.
+    let mut qcnn = QuantizedCoLocatorCnn::uncalibrated(&CoLocatorCnn::new(config));
 
     let expected_geoms: Vec<(usize, usize)> =
         qcnn.qgemms().iter().map(|g| (g.rows(), g.cols())).collect();
@@ -549,9 +551,8 @@ fn load_quantized_payload<R: Read>(
         param.value = value;
     }
 
-    // The fixed-point plans still reflect the discarded skeleton weights;
-    // installing the activation grids below rebuilds them from the loaded
-    // payload.
+    // Installing or calibrating the activation grids builds the fixed-point
+    // plans from the loaded payload.
     if version == FORMAT_VERSION_QUANTIZED_V3 {
         let n_scales = read_u32_le(&mut *r).map_err(io_err)? as usize;
         if n_scales != crate::qcnn::ACTIVATION_SCALE_COUNT {

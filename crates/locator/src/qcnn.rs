@@ -17,9 +17,10 @@
 //!
 //! Activations stay `i16` codes *between* layers. Each activation tensor
 //! lives on a static grid calibrated once, at quantisation time
-//! ([`Self::calibrate`]): the network is driven over a deterministic set of
-//! standardized probe windows, the per-tensor absolute maxima are recorded,
-//! and each grid's scale is `max · margin / 32767`. With the grids pinned,
+//! ([`QuantizedCoLocatorCnn::calibrate`]): the layers' calibration forward
+//! (`forward_dynamic`) is driven over a set of standardized probe windows,
+//! the per-tensor absolute maxima are recorded, and each grid's scale is
+//! `max · margin / 32767`. With the grids pinned,
 //! every layer's `i32` accumulators map to the next grid through a
 //! precomputed per-output-channel fixed-point multiplier
 //! ([`tinynn::Requantizer`]), so a forward pass performs **no `f32`
@@ -125,8 +126,18 @@ impl QuantizedCoLocatorCnn {
     /// precision is what holds the end-to-end score divergence inside the
     /// 1e-2 parity envelope.
     pub fn from_cnn(cnn: &CoLocatorCnn) -> Self {
+        let mut qcnn = Self::uncalibrated(cnn);
+        qcnn.calibrate(&Self::synthetic_calibration_windows(DEFAULT_CALIBRATION_LEN));
+        qcnn
+    }
+
+    /// Quantises the weights of `cnn` without calibrating: the activation
+    /// grids stay unset, so the caller must [`Self::calibrate`] or install
+    /// stored grids ([`Self::set_activation_scales`]) before scoring.
+    /// Quantisation and model loading choose their grids once this way.
+    pub(crate) fn uncalibrated(cnn: &CoLocatorCnn) -> Self {
         let (conv, bn, res1, res2, fc1, fc2) = cnn.parts();
-        let mut qcnn = Self {
+        Self {
             config: *cnn.config(),
             conv: QuantizedConv1d::from_conv_folded(conv, bn, true),
             res1: QuantizedResidualBlock1d::from_residual(res1),
@@ -135,9 +146,7 @@ impl QuantizedCoLocatorCnn {
             fc_relu: Relu::new(),
             fc2: fc2.clone(),
             act_scales: [1.0; ACTIVATION_SCALE_COUNT],
-        };
-        qcnn.calibrate(&Self::synthetic_calibration_windows(DEFAULT_CALIBRATION_LEN));
-        qcnn
+        }
     }
 
     /// Folds the quantised backbone's *systematic* feature offset into the
@@ -274,36 +283,27 @@ impl QuantizedCoLocatorCnn {
     /// standardized like inference inputs) plus this model's stem-matched
     /// probes, then rebuilds every layer's fixed-point plan.
     ///
-    /// The maxima are recorded from the quantised network's own dynamic
-    /// (per-window-scale) forward path, which is deterministic in the
-    /// quantised weights — so quantising a model and loading the same
-    /// persisted model calibrate to bit-identical grids. Non-finite
-    /// activations are ignored by the max fold, so a poisoned window
-    /// saturates at inference instead of destroying the grid.
+    /// The maxima are recorded from the quantised layers' calibration
+    /// forward (`forward_dynamic`: every window on its own grid, exact
+    /// integer dots), which is deterministic in the quantised weights — so
+    /// quantising a model and loading the same persisted model calibrate to
+    /// bit-identical grids. Non-finite activations are ignored by the max
+    /// fold, so a poisoned window saturates at inference instead of
+    /// destroying the grid.
     pub fn calibrate(&mut self, windows: &Tensor) {
         assert_eq!(windows.shape().len(), 3, "calibration windows must be [B, 1, N]");
         assert_eq!(windows.shape()[1], 1, "calibration windows must be single-channel");
         let (count, len) = (windows.shape()[0], windows.shape()[2]);
         assert!(count > 0 && len > 0, "calibration needs at least one non-empty window");
-        let mut all: Vec<Vec<f32>> = windows.data().chunks(len).map(|c| c.to_vec()).collect();
-        all.extend(self.stem_probe_windows(len));
-        let x = CoLocatorCnn::stack_windows(&all);
-        let mut ws = Workspace::new();
-        let s0 = grid_scale(finite_abs_max(x.data()));
-        let stem = self.conv.forward(&x, &mut ws, false);
-        let s1 = grid_scale(finite_abs_max(stem.data()));
-        let r1_mid = self.res1.conv1().forward(&stem, &mut ws, false);
-        let s2 = grid_scale(finite_abs_max(r1_mid.data()));
-        ws.recycle(r1_mid);
-        let r1 = forward_consuming(&self.res1, stem, &mut ws, false);
-        let s3 = grid_scale(finite_abs_max(r1.data()));
-        let r2_mid = self.res2.conv1().forward(&r1, &mut ws, false);
-        let s4 = grid_scale(finite_abs_max(r2_mid.data()));
-        ws.recycle(r2_mid);
-        let r2 = forward_consuming(&self.res2, r1, &mut ws, false);
-        let s5 = grid_scale(finite_abs_max(r2.data()));
-        ws.recycle(r2);
-        self.act_scales = [s0, s1, s2, s3, s4, s5];
+        let probes = self.stem_probe_windows(len);
+        let batch = count + probes.len();
+        let mut x = windows.data().to_vec();
+        x.extend(probes.into_iter().flatten());
+        let stem = self.conv.forward_dynamic(&x, batch, len);
+        let (r1_mid, r1) = self.res1.forward_dynamic(&stem, batch, len);
+        let (r2_mid, r2) = self.res2.forward_dynamic(&r1, batch, len);
+        self.act_scales =
+            [&x, &stem, &r1_mid, &r1, &r2_mid, &r2].map(|t| grid_scale(finite_abs_max(t)));
         self.rebuild_plans();
     }
 

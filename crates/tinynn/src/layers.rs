@@ -356,8 +356,8 @@ thread_local! {
 /// single contiguous `copy_from_slice` plus zero fills, and the row order
 /// matches the `[out_c, in_c, kernel]` weight layout so the weight tensor is
 /// usable as the GEMM left operand without repacking. (The quantised
-/// convolution does not lower at all — see `qlayers::transpose_pad_q` for
-/// its channels-last windowing.)
+/// convolution does not lower at all: it reads channels-last windows, see
+/// [`crate::quant::QuantActs`].)
 fn im2col(col: &mut Vec<f32>, x: &[f32], channels: usize, len: usize, kernel: usize, pad: usize) {
     col.resize(channels * kernel * len, 0.0);
     for c in 0..channels {
@@ -899,101 +899,6 @@ impl Layer for GlobalAvgPool1d {
 }
 
 // ---------------------------------------------------------------------------
-// Max pooling
-// ---------------------------------------------------------------------------
-
-/// 1-D max pooling: `[B, C, N] → [B, C, (N - k)/s + 1]` (valid windows only).
-///
-/// Operates on contiguous channel slices; during training the flat arg-max
-/// index of every window is cached so `backward` is a single scatter pass.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct MaxPool1d {
-    kernel_size: usize,
-    stride: usize,
-}
-
-impl MaxPool1d {
-    /// Creates a max-pooling layer with the given window and stride.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kernel_size` or `stride` is zero.
-    pub fn new(kernel_size: usize, stride: usize) -> Self {
-        assert!(kernel_size > 0, "kernel size must be non-zero");
-        assert!(stride > 0, "stride must be non-zero");
-        Self { kernel_size, stride }
-    }
-
-    /// Pooling window size.
-    pub fn kernel_size(&self) -> usize {
-        self.kernel_size
-    }
-
-    /// Pooling stride.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Output length for an input of `len` samples.
-    pub fn output_len(&self, len: usize) -> usize {
-        if len < self.kernel_size {
-            0
-        } else {
-            (len - self.kernel_size) / self.stride + 1
-        }
-    }
-}
-
-impl Layer for MaxPool1d {
-    fn forward(&self, input: &Tensor, ws: &mut Workspace, training: bool) -> Tensor {
-        assert_eq!(input.shape().len(), 3, "MaxPool1d expects a 3-D input [B, C, N]");
-        let (batch, channels, len) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-        let out_len = self.output_len(len);
-        assert!(out_len > 0, "MaxPool1d input shorter than the pooling window");
-        let mut out = ws.uninit_tensor(&[batch, channels, out_len]);
-        let mut argmax =
-            if training { vec![0usize; batch * channels * out_len] } else { Vec::new() };
-        let x = input.data();
-        for (bc, out_row) in out.data_mut().chunks_mut(out_len).enumerate() {
-            let x_row = &x[bc * len..(bc + 1) * len];
-            for (j, dst) in out_row.iter_mut().enumerate() {
-                let start = j * self.stride;
-                let window = &x_row[start..start + self.kernel_size];
-                let mut best = 0usize;
-                let mut best_v = window[0];
-                for (idx, &v) in window.iter().enumerate().skip(1) {
-                    if v > best_v {
-                        best = idx;
-                        best_v = v;
-                    }
-                }
-                *dst = best_v;
-                if training {
-                    argmax[bc * out_len + j] = bc * len + start + best;
-                }
-            }
-        }
-        if training {
-            ws.push(LayerCache::Argmax { argmax, input_shape: input.shape().to_vec() });
-        }
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Tensor, ws: &mut Workspace) -> Tensor {
-        let (argmax, input_shape) = match ws.pop("MaxPool1d") {
-            LayerCache::Argmax { argmax, input_shape } => (argmax, input_shape),
-            other => cache_mismatch("MaxPool1d", &other),
-        };
-        let mut grad_input = Tensor::zeros(&input_shape);
-        let gi = grad_input.data_mut();
-        for (&idx, &g) in argmax.iter().zip(grad_output.data().iter()) {
-            gi[idx] += g;
-        }
-        grad_input
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Residual block
 // ---------------------------------------------------------------------------
 
@@ -1491,40 +1396,6 @@ mod tests {
         assert_eq!(g.shape(), &[1, 2, 4]);
         assert_eq!(g.at3(0, 0, 0), 1.0);
         assert_eq!(g.at3(0, 1, 3), 2.0);
-    }
-
-    #[test]
-    fn max_pool_values_and_backward() {
-        let mut pool = MaxPool1d::new(2, 2);
-        let mut ws = Workspace::new();
-        let x = Tensor::from_vec(vec![1.0, 3.0, 2.0, 2.0, -1.0, 0.0, 5.0, 4.0], &[1, 2, 4]);
-        let y = pool.forward(&x, &mut ws, true);
-        assert_eq!(y.shape(), &[1, 2, 2]);
-        assert_eq!(y.data(), &[3.0, 2.0, 0.0, 5.0]);
-        let g = pool.backward(&Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 2, 2]), &mut ws);
-        // Ties resolve to the first index (sample 2 of channel 0).
-        assert_eq!(g.data(), &[0.0, 1.0, 2.0, 0.0, 0.0, 3.0, 4.0, 0.0]);
-    }
-
-    #[test]
-    fn max_pool_overlapping_windows() {
-        let pool = MaxPool1d::new(3, 1);
-        let mut ws = Workspace::new();
-        let x = Tensor::from_vec(vec![0.0, 2.0, 1.0, 4.0, 3.0], &[1, 1, 5]);
-        let y = pool.forward(&x, &mut ws, false);
-        assert_eq!(y.data(), &[2.0, 4.0, 4.0]);
-        assert_eq!(pool.output_len(5), 3);
-        assert_eq!(pool.output_len(2), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "backward called before forward")]
-    fn max_pool_backward_after_inference_panics() {
-        let mut pool = MaxPool1d::new(2, 2);
-        let mut ws = Workspace::new();
-        let x = Tensor::zeros(&[1, 1, 4]);
-        let y = pool.forward(&x, &mut ws, false);
-        let _ = pool.backward(&y, &mut ws);
     }
 
     #[test]

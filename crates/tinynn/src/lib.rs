@@ -18,6 +18,12 @@
 //! `&self` and one trained model can be shared across threads with a cheap
 //! per-thread workspace instead of a per-thread weight clone.
 //!
+//! Trained convolutions also serve quantised ([`qlayers`], [`quant`]):
+//! `i8` weights with batch norm folded in, run as one fixed-point chain of
+//! `i16` activation codes on calibrated grids. A quantised layer is not a
+//! [`Layer`]: it has the serving entry point `forward_fixed` and the
+//! calibration pass `forward_dynamic` that chooses the grids.
+//!
 //! ## Example: train a tiny classifier
 //!
 //! ```rust
@@ -66,14 +72,14 @@ pub mod workspace;
 
 pub use data::{Batch, DataLoader};
 pub use layers::{
-    forward_consuming, BatchNorm1d, Conv1d, GlobalAvgPool1d, Layer, Linear, MaxPool1d, Relu,
-    ResidualBlock1d, Sequential,
+    forward_consuming, BatchNorm1d, Conv1d, GlobalAvgPool1d, Layer, Linear, Relu, ResidualBlock1d,
+    Sequential,
 };
 pub use loss::CrossEntropyLoss;
 pub use metrics::{accuracy, ConfusionMatrix};
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 pub use param::Param;
-pub use qlayers::{QuantizedConv1d, QuantizedLinear, QuantizedResidualBlock1d};
+pub use qlayers::{QuantizedConv1d, QuantizedResidualBlock1d};
 pub use quant::{QuantActs, QuantPlan, QuantizedGemm, Requantizer};
 pub use tensor::Tensor;
 pub use workspace::Workspace;

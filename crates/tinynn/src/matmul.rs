@@ -12,9 +12,6 @@
 //! The inner loops run over contiguous slices only (no index arithmetic per
 //! element), which LLVM auto-vectorises, and the `k`/`n` dimensions are
 //! blocked so the working set of the streamed `B` panel stays inside L1/L2.
-//! [`matmul_par`] adds a deterministic split of the `m` dimension across OS
-//! threads (`std::thread::scope`; this workspace has no external thread-pool
-//! crate) for batched inference workloads.
 //!
 //! The layer forwards do not use these plain kernels directly: the packed
 //! register-tiled family ([`pack_lhs`] → [`matmul_packed_lhs`] for the
@@ -29,12 +26,7 @@
 //! im2col, in [`crate::fused`], reproducing [`matmul_packed_lhs`]'s
 //! per-block accumulation order bit for bit.)
 
-use crate::parallel;
 use crate::quant::Requantizer;
-
-/// Work threshold (in FLOPs) below which [`matmul_par`] stays sequential —
-/// spawning OS threads costs more than the multiply below this size.
-const PAR_MIN_FLOPS: usize = 1 << 21;
 
 /// Column-panel width: `NB` output columns are updated per pass so the `C`
 /// row segment and the `B` panel rows stay cache-resident.
@@ -134,37 +126,6 @@ pub fn matmul_at_b(c: &mut [f32], a: &[f32], b: &[f32], r: usize, m: usize, n: u
             }
         }
     }
-}
-
-/// Like [`matmul`] but splits the rows of `C` across OS threads when the
-/// problem is large enough to amortise thread spawning.
-///
-/// The row split is deterministic, and each row of `C` is produced by exactly
-/// one thread with the same accumulation order as the sequential kernel, so
-/// the result is bit-identical to [`matmul`].
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with its dimensions.
-pub fn matmul_par(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    check_dims(c, a, b, m, k, n);
-    let threads = parallel::thread_count_for(m, 2 * m * k * n, PAR_MIN_FLOPS);
-    if threads <= 1 {
-        matmul(c, a, b, m, k, n);
-        return;
-    }
-    let rows_per = m.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (chunk_idx, c_chunk) in c.chunks_mut(rows_per * n).enumerate() {
-            let rows = c_chunk.len() / n;
-            let row0 = chunk_idx * rows_per;
-            let a_chunk = &a[row0 * k..(row0 + rows) * k];
-            scope.spawn(move || {
-                let _serial = parallel::serial_region();
-                matmul(c_chunk, a_chunk, b, rows, k, n)
-            });
-        }
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -477,10 +438,12 @@ fn q_dot_any(a: &[i16], b: &[i16]) -> i32 {
     acc
 }
 
-/// Deep dot (`k > QK`): exact `i32` accumulation inside [`QK`]-element
-/// panels (constant-length, overflow-free), summed in `i64` across panels.
+/// Exact dot at any depth: `i32` accumulation inside [`QK`]-element panels
+/// (constant-length, overflow-free), summed in `i64` across panels. The
+/// deep (`k > QK`) path of the requantising kernel, and the one dot of the
+/// quantised layers' calibration forward.
 #[inline]
-fn q_dot_deep(a: &[i16], b: &[i16]) -> i64 {
+pub(crate) fn q_dot_deep(a: &[i16], b: &[i16]) -> i64 {
     let mut total = 0i64;
     let mut ita = a.chunks_exact(QK);
     let mut itb = b.chunks_exact(QK);
@@ -490,109 +453,10 @@ fn q_dot_deep(a: &[i16], b: &[i16]) -> i64 {
     total + q_dot_any(ita.remainder(), itb.remainder()) as i64
 }
 
-/// The convolution-shaped GEMM body, monomorphised per depth `K ≤ QK`. The
-/// `stride` between consecutive activation rows is independent of `K`, so
-/// the same body serves the packed `[n, K]` layout (`stride == K`) and the
-/// channels-last sliding-window layout (`stride == channels`, rows
-/// overlapping by `K - stride` codes).
-#[allow(clippy::too_many_arguments)] // GEMM shape: operands + dims
-fn gemm_q8_const<const K: usize>(
-    c: &mut [f32],
-    a: &[i16],
-    a_scales: &[f32],
-    b: &[i16],
-    b_scale: f32,
-    m: usize,
-    n: usize,
-    stride: usize,
-) {
-    // One vectorised constant-depth dot per output element. Measured dead
-    // end, twice: fusing 2 or 4 of these dots into one multi-accumulator
-    // loop (to share the `b_row` loads) breaks LLVM's `vpmaddwd` reduction
-    // pattern and costs ~1.7× throughput — the single-chain reduction *is*
-    // the widened-accumulate micro-kernel on this target.
-    for j in 0..n {
-        let b_row = &b[j * stride..j * stride + K];
-        for i in 0..m {
-            c[i * n + j] +=
-                a_scales[i] * b_scale * q_dot_const::<K>(&a[i * K..(i + 1) * K], b_row) as f32;
-        }
-    }
-}
-
-/// The convolution-shaped GEMM body for depths without a specialisation.
-#[allow(clippy::too_many_arguments)] // GEMM shape: operands + dims
-fn gemm_q8_any(
-    c: &mut [f32],
-    a: &[i16],
-    a_scales: &[f32],
-    b: &[i16],
-    b_scale: f32,
-    m: usize,
-    n: usize,
-    stride: usize,
-    k: usize,
-) {
-    let deep = k > QK;
-    for j in 0..n {
-        let b_row = &b[j * stride..j * stride + k];
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let dot = if deep { q_dot_deep(a_row, b_row) } else { q_dot_any(a_row, b_row) as i64 };
-            c[i * n + j] += a_scales[i] * b_scale * dot as f32;
-        }
-    }
-}
-
-/// The fully-connected-shaped GEMM body, monomorphised per depth `K ≤ QK`.
-fn gemm_q8_a_bt_const<const K: usize>(
-    c: &mut [f32],
-    a: &[i16],
-    a_scales: &[f32],
-    b: &[i16],
-    b_scales: &[f32],
-    m: usize,
-    n: usize,
-) {
-    for i in 0..m {
-        let a_row = &a[i * K..(i + 1) * K];
-        let c_row = &mut c[i * n..(i + 1) * n];
-        for (j, cv) in c_row.iter_mut().enumerate() {
-            *cv +=
-                a_scales[i] * b_scales[j] * q_dot_const::<K>(a_row, &b[j * K..(j + 1) * K]) as f32;
-        }
-    }
-}
-
-/// The fully-connected-shaped GEMM body for depths without a
-/// specialisation.
-#[allow(clippy::too_many_arguments)] // GEMM shape: operands + dims
-fn gemm_q8_a_bt_any(
-    c: &mut [f32],
-    a: &[i16],
-    a_scales: &[f32],
-    b: &[i16],
-    b_scales: &[f32],
-    m: usize,
-    n: usize,
-    k: usize,
-) {
-    let deep = k > QK;
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let c_row = &mut c[i * n..(i + 1) * n];
-        for (j, cv) in c_row.iter_mut().enumerate() {
-            let b_row = &b[j * k..(j + 1) * k];
-            let dot = if deep { q_dot_deep(a_row, b_row) } else { q_dot_any(a_row, b_row) as i64 };
-            *cv += a_scales[i] * b_scales[j] * dot as f32;
-        }
-    }
-}
-
 /// Expands a `match` over the depth dimension that routes the common
-/// conv/linear fan-ins (`in_c · kernel` and `2f` across the paper, scaled
-/// and test configurations) to their monomorphised constant-depth GEMM
-/// bodies, leaving every other depth on the runtime-length path.
+/// convolution fan-ins (`in_c · kernel` across the paper, scaled and test
+/// configurations) to their monomorphised constant-depth GEMM bodies,
+/// leaving every other depth on the runtime-length path.
 macro_rules! q8_dispatch {
     ($k:expr, $const_body:ident, $any_body:ident, ($($args:expr),*)) => {
         match $k {
@@ -622,84 +486,15 @@ macro_rules! q8_dispatch {
     };
 }
 
-/// Quantised convolution GEMM `C += diag(a_scales) · (A · Bᵀ) · b_scale`
-/// with `A: [m,k]` i8-range weight codes (per-row scales), `B: [n,k]` `i16`
-/// activation codes (one dynamic scale — the rows are the im2row lowering
-/// of one input signal), `C: [m,n]` `f32`, all row-major.
-///
-/// Every output element is one exact integer dot product rescaled into
-/// `f32`; the depth dimension dispatches to a constant-length body (see
-/// [`q_dot_const`]) for the architecture's common fan-ins. The loop nest
-/// streams one activation row against all weight rows (the weight block
-/// stays L1-resident), which is the locality that matters for the
-/// `[out_c, len]` convolution output shape.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with its dimensions.
-#[allow(clippy::too_many_arguments)] // GEMM shape: operands + dims
-pub fn matmul_q8(
-    c: &mut [f32],
-    a: &[i16],
-    a_scales: &[f32],
-    b: &[i16],
-    b_scale: f32,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(a.len(), m * k, "A must be m*k = {}x{}", m, k);
-    assert_eq!(a_scales.len(), m, "A needs one scale per row ({m})");
-    assert_eq!(b.len(), n * k, "B must be n*k = {}x{}", n, k);
-    assert_eq!(c.len(), m * n, "C must be m*n = {}x{}", m, n);
-    q8_dispatch!(k, gemm_q8_const, gemm_q8_any, (c, a, a_scales, b, b_scale, m, n, k));
-}
-
-/// Like [`matmul_q8`], but the activation rows are *overlapping windows* of
-/// one channels-last buffer: row `j` is `b[j·stride .. j·stride + k]`. This
-/// is the zero-materialisation convolution shape — with the input stored
-/// sample-major (`[len + kernel - 1, channels]`, zero-padded at both ends)
-/// and the weight columns permuted to match, every output position's
-/// receptive field is already one contiguous slice, so no im2col/im2row
-/// lowering exists at all.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with its dimensions.
-#[allow(clippy::too_many_arguments)] // GEMM shape: operands + dims
-pub fn matmul_q8_sliding(
-    c: &mut [f32],
-    a: &[i16],
-    a_scales: &[f32],
-    b: &[i16],
-    b_scale: f32,
-    m: usize,
-    k: usize,
-    n: usize,
-    stride: usize,
-) {
-    assert_eq!(a.len(), m * k, "A must be m*k = {}x{}", m, k);
-    assert_eq!(a_scales.len(), m, "A needs one scale per row ({m})");
-    assert_eq!(c.len(), m * n, "C must be m*n = {}x{}", m, n);
-    if n > 0 {
-        assert!(
-            b.len() >= (n - 1) * stride + k,
-            "B must cover {} windows of {} codes at stride {}",
-            n,
-            k,
-            stride
-        );
-    }
-    q8_dispatch!(k, gemm_q8_const, gemm_q8_any, (c, a, a_scales, b, b_scale, m, n, stride));
-}
-
 /// The fused requantising convolution GEMM body, monomorphised per depth
-/// `K ≤ QK`. Identical dot-product structure to [`gemm_q8_const`] (the
-/// single-chain constant-depth reduction — see the negative result there;
-/// this body deliberately does **not** re-tile), but instead of rescaling
-/// into `f32` it adds the accumulator-unit bias and maps each `i32` sum
-/// straight onto the consumer's `i16` grid with the per-channel fixed-point
-/// requantiser, clamped to `[lo, hi]` (`lo = 0` is the fused ReLU).
+/// `K ≤ QK`: one vectorised constant-depth dot per output element, then the
+/// accumulator-unit bias and the per-channel fixed-point requantiser onto
+/// the consumer's `i16` grid, clamped to `[lo, hi]` (`lo = 0` is the fused
+/// ReLU). Measured dead end, twice: fusing 2 or 4 of these dots into one
+/// multi-accumulator loop (to share the `b_row` loads) breaks LLVM's
+/// `vpmaddwd` reduction pattern and costs ~1.7× throughput — the
+/// single-chain reduction *is* the widened-accumulate micro-kernel on this
+/// target, so this body deliberately does **not** re-tile.
 ///
 /// The output is **position-major** `[n, m]` (`c[j·m + i]`): output position
 /// `j`'s channels are contiguous, which *is* the channels-last body layout
@@ -762,9 +557,11 @@ fn gemm_q8_requant_any(
     }
 }
 
-/// Fully fused integer convolution layer: the sliding-window GEMM of
-/// [`matmul_q8_sliding`] with bias add, per-channel fixed-point
-/// requantisation and output clamp folded into the accumulator store —
+/// Fully fused integer convolution layer: `A: [m,k]` i8-range weight codes
+/// against the overlapping activation windows of one channels-last buffer
+/// (window `j` is `b[j·stride .. j·stride + k]`, so no im2col lowering
+/// exists), with bias add, per-channel fixed-point requantisation and
+/// output clamp folded into the accumulator store —
 /// `c[j·m + i] = clamp(requant_i(dot_i(j) + bias_q[i]), lo, hi)`.
 ///
 /// This is the whole layer body of the fixed-point inference chain:
@@ -862,34 +659,6 @@ pub fn requantize_codes_into(dst: &mut [i16], src: &[i16], r: Requantizer, lo: i
     }
 }
 
-/// Quantised `C += diag(a_scales) · (A · Bᵀ) · diag(b_scales)` with
-/// `A: [m,k]` `i16` activation codes (per-row scales), `B: [n,k]` i8-range
-/// weight codes (per-row scales), `C: [m,n]` `f32`, all row-major — the
-/// fully connected shape (`y = x Wᵀ` with per-batch-row activation scales
-/// and per-output-channel weight scales).
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with its dimensions.
-#[allow(clippy::too_many_arguments)] // GEMM shape: operands + dims
-pub fn matmul_q8_a_bt(
-    c: &mut [f32],
-    a: &[i16],
-    a_scales: &[f32],
-    b: &[i16],
-    b_scales: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(a.len(), m * k, "A must be m*k = {}x{}", m, k);
-    assert_eq!(a_scales.len(), m, "A needs one scale per row ({m})");
-    assert_eq!(b.len(), n * k, "B must be n*k = {}x{}", n, k);
-    assert_eq!(b_scales.len(), n, "B needs one scale per row ({n})");
-    assert_eq!(c.len(), m * n, "C must be m*n = {}x{}", m, n);
-    q8_dispatch!(k, gemm_q8_a_bt_const, gemm_q8_a_bt_any, (c, a, a_scales, b, b_scales, m, n));
-}
-
 /// Reference (naive, exact `i64`) integer product `A[m,k] · B[n,k]ᵀ` of the
 /// quantised operands, kept for parity tests of the optimised kernels.
 pub fn matmul_q8_reference(a: &[i16], b: &[i16], m: usize, k: usize, n: usize) -> Vec<i64> {
@@ -941,9 +710,6 @@ mod tests {
             let mut c = vec![0.0f32; m * n];
             matmul(&mut c, &a, &b, m, k, n);
             assert!(max_abs_diff(&c, &expect) < 1e-4, "matmul {m}x{k}x{n}");
-            let mut cp = vec![0.0f32; m * n];
-            matmul_par(&mut cp, &a, &b, m, k, n);
-            assert_eq!(c, cp, "matmul_par must be bit-identical {m}x{k}x{n}");
         }
     }
 
@@ -1048,54 +814,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_q8_matches_exact_integer_reference() {
-        for &(m, k, n) in &[(1usize, 1usize, 1usize), (3, 5, 7), (8, 72, 130), (5, 300, 520)] {
-            let (a, b) = q_operands(m, k, n, 7 + (m * k * n) as u64);
-            let a_scales: Vec<f32> = (0..m).map(|i| 0.01 + i as f32 * 1e-3).collect();
-            let b_scale = 2.5e-4f32;
-            let exact = matmul_q8_reference(&a, &b, m, k, n);
-            let mut c = vec![0.0f32; m * n];
-            matmul_q8(&mut c, &a, &a_scales, &b, b_scale, m, k, n);
-            for (idx, (&got, &want)) in c.iter().zip(exact.iter()).enumerate() {
-                let expect = a_scales[idx / n] * b_scale * want as f32;
-                let tol = 1e-5 * (1.0 + expect.abs());
-                assert!((got - expect).abs() <= tol, "{m}x{k}x{n} at {idx}: {got} vs {expect}");
-            }
-        }
-    }
-
-    #[test]
-    fn matmul_q8_a_bt_is_exact_up_to_scaling() {
-        let (m, k, n) = (4usize, 300usize, 6usize);
-        let (bq, aq) = q_operands(n, k, m, 99);
-        let a_scales: Vec<f32> = (0..m).map(|i| 1e-4 + i as f32 * 1e-5).collect();
-        let b_scales: Vec<f32> = (0..n).map(|j| 0.02 + j as f32 * 1e-3).collect();
-        let mut c = vec![0.0f32; m * n];
-        matmul_q8_a_bt(&mut c, &aq, &a_scales, &bq, &b_scales, m, k, n);
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0i64;
-                for kk in 0..k {
-                    acc += aq[i * k + kk] as i64 * bq[j * k + kk] as i64;
-                }
-                let expect = a_scales[i] * b_scales[j] * acc as f32;
-                let got = c[i * n + j];
-                assert!((got - expect).abs() <= 1e-5 * (1.0 + expect.abs()), "{got} vs {expect}");
-            }
-        }
-    }
-
-    #[test]
-    fn matmul_q8_accumulates_instead_of_overwriting() {
-        // A = I (weight codes), B rows = [2,3] and [4,5]: C_ij = B[j][i].
-        let a = vec![1i16, 0, 0, 1];
-        let b = vec![2i16, 3, 4, 5];
-        let mut c = vec![10.0f32; 4];
-        matmul_q8(&mut c, &a, &[1.0, 1.0], &b, 1.0, 2, 2, 2);
-        assert_eq!(c, vec![12.0, 14.0, 13.0, 15.0]);
-    }
-
-    #[test]
     fn matmul_q8_deep_k_does_not_overflow() {
         // Worst-case magnitudes at a depth well past one i32 panel: the
         // panel-accumulation scheme must stay exact.
@@ -1103,43 +821,44 @@ mod tests {
         let a = vec![127i16; k];
         let b = vec![32767i16; k];
         let exact = matmul_q8_reference(&a, &b, 1, k, 1)[0];
-        let mut c = vec![0.0f32; 1];
-        matmul_q8(&mut c, &a, &[1.0], &b, 1.0, 1, k, 1);
-        let expect = exact as f32;
-        assert!((c[0] - expect).abs() <= 1e-4 * expect.abs(), "{} vs {expect}", c[0]);
-        let mut c2 = vec![0.0f32; 1];
-        matmul_q8_a_bt(&mut c2, &b, &[1.0], &a, &[1.0], 1, k, 1);
-        assert!((c2[0] - expect).abs() <= 1e-4 * expect.abs(), "{} vs {expect}", c2[0]);
+        assert!(exact > i32::MAX as i64, "the sum must exceed any single i32 accumulator");
+        assert_eq!(q_dot_deep(&a, &b), exact);
+        let neg: Vec<i16> = b.iter().map(|&v| -v).collect();
+        assert_eq!(q_dot_deep(&a, &neg), -exact);
     }
 
     #[test]
-    #[should_panic(expected = "A needs one scale per row")]
+    #[should_panic(expected = "A needs one requantiser per row")]
     fn matmul_q8_scale_mismatch_panics() {
-        let mut c = vec![0.0f32; 4];
-        matmul_q8(&mut c, &[1i16; 4], &[1.0; 1], &[1i16; 4], 1.0, 2, 2, 2);
+        let mut c = [0i16; 4];
+        let mults = [Requantizer::from_ratio(1.0)];
+        matmul_q8_requant_sliding(&mut c, &[1; 4], &[0; 2], &mults, &[1; 4], 2, 2, 2, 2, -1, 1);
     }
 
     #[test]
     fn matmul_q8_sliding_matches_packed_layout() {
         // A channels-last sliding buffer with stride < k produces the same
-        // products as explicitly materialising every overlapping window.
+        // codes as explicitly materialising every overlapping window.
         for &(m, stride, k, n) in
             &[(3usize, 2usize, 6usize, 17usize), (5, 1, 9, 30), (4, 16, 144, 12), (2, 4, 4, 9)]
         {
             let len_b = (n - 1) * stride + k;
             let (a, b_all) = q_operands(m, k, len_b.div_ceil(k), 31);
             let buf = &b_all[..len_b];
-            let a_scales: Vec<f32> = (0..m).map(|i| 0.01 + i as f32 * 1e-3).collect();
-            let b_scale = 3e-4f32;
+            let mults: Vec<Requantizer> =
+                (0..m).map(|i| Requantizer::from_ratio(1e-4 * (1.0 + i as f64))).collect();
+            let bias = vec![0i32; m];
+            let (lo, hi) = (-32767, 32767);
+            let run = |b: &[i16], stride: usize| {
+                let mut c = vec![0i16; m * n];
+                matmul_q8_requant_sliding(&mut c, &a, &bias, &mults, b, m, k, n, stride, lo, hi);
+                c
+            };
             let mut packed = Vec::with_capacity(n * k);
             for j in 0..n {
                 packed.extend_from_slice(&buf[j * stride..j * stride + k]);
             }
-            let mut c_packed = vec![0.0f32; m * n];
-            matmul_q8(&mut c_packed, &a, &a_scales, &packed, b_scale, m, k, n);
-            let mut c_sliding = vec![0.0f32; m * n];
-            matmul_q8_sliding(&mut c_sliding, &a, &a_scales, buf, b_scale, m, k, n, stride);
-            assert_eq!(c_packed, c_sliding, "m={m} stride={stride} k={k} n={n}");
+            assert_eq!(run(&packed, k), run(buf, stride), "m={m} stride={stride} k={k} n={n}");
         }
     }
 }

@@ -58,51 +58,12 @@ impl Adam {
     }
 }
 
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Sgd {
-    /// Learning rate.
-    pub learning_rate: f32,
-    /// Momentum coefficient (0 disables momentum; the `m` buffer of the
-    /// parameter is reused as the velocity).
-    pub momentum: f32,
-}
-
-impl Sgd {
-    /// Creates SGD without momentum.
-    pub fn new(learning_rate: f32) -> Self {
-        Self { learning_rate, momentum: 0.0 }
-    }
-
-    /// Creates SGD with momentum.
-    pub fn with_momentum(learning_rate: f32, momentum: f32) -> Self {
-        Self { learning_rate, momentum }
-    }
-
-    /// Applies one update step.
-    pub fn step(&mut self, params: &mut [&mut Param]) {
-        for param in params.iter_mut() {
-            for i in 0..param.value.len() {
-                let g = param.grad.data()[i];
-                let update = if self.momentum > 0.0 {
-                    let v = self.momentum * param.m.data()[i] + g;
-                    param.m.data_mut()[i] = v;
-                    v
-                } else {
-                    g
-                };
-                param.value.data_mut()[i] -= self.learning_rate * update;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tensor::Tensor;
 
-    /// Minimise f(x) = (x - 3)^2 with each optimiser; both must converge.
+    /// Minimise f(x) = (x - 3)^2 with the optimiser's update step.
     fn quadratic_descent<F: FnMut(&mut [&mut Param])>(mut step: F, iterations: usize) -> f32 {
         let mut p = Param::new(Tensor::from_vec(vec![0.0], &[1]));
         for _ in 0..iterations {
@@ -120,20 +81,6 @@ mod tests {
         let x = quadratic_descent(|p| adam.step(p), 500);
         assert!((x - 3.0).abs() < 1e-2, "x = {x}");
         assert_eq!(adam.steps(), 500);
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut sgd = Sgd::new(0.1);
-        let x = quadratic_descent(|p| sgd.step(p), 200);
-        assert!((x - 3.0).abs() < 1e-3, "x = {x}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let mut sgd = Sgd::with_momentum(0.05, 0.9);
-        let x = quadratic_descent(|p| sgd.step(p), 300);
-        assert!((x - 3.0).abs() < 1e-2, "x = {x}");
     }
 
     #[test]

@@ -1,18 +1,11 @@
-//! Inference-only quantised layer variants (`i8` weights, `f32` activations).
+//! Quantised convolution layers (`i8` weights, `i16` activation codes).
 //!
-//! Each quantised layer mirrors its `f32` counterpart behind the same
-//! [`Layer`] trait, so a quantised network slots into every generic forward
-//! path (sequential containers, shared-weight scoring) unchanged:
-//!
-//! * [`QuantizedConv1d`] — im2row on dynamically quantised `i16` activation
-//!   codes, then the [`crate::matmul::matmul_q8`] integer dot-product GEMM
-//!   with per-output-channel `i8` weights;
-//! * [`QuantizedLinear`] — per-batch-row activation quantisation and the
-//!   [`crate::matmul::matmul_q8_a_bt`] integer GEMM;
+//! * [`QuantizedConv1d`] — a convolution with per-output-channel `i8`
+//!   weights;
 //! * [`QuantizedResidualBlock1d`] — the residual block with both
 //!   convolutions (and the projection shortcut, when present) quantised.
 //!
-//! Two inference-graph folds keep the quantised path lean:
+//! Two inference-graph folds keep the quantised layers lean:
 //!
 //! * **Batch-norm folding** — at inference a batch-norm layer is a
 //!   per-channel affine `y = s·x + t`; [`QuantizedConv1d::from_conv_folded`]
@@ -20,81 +13,38 @@
 //!   quantisation, so the quantised network contains no separate batch-norm
 //!   passes at all (per-channel weight scales absorb the rescaling
 //!   exactly).
-//! * **ReLU fusing** — a following ReLU becomes an in-place clamp on the
-//!   layer output, saving one full tensor allocation and copy per layer.
+//! * **ReLU fusing** — a following ReLU becomes the clamp of the layer's
+//!   output store.
 //!
-//! Every layer offers **two forward paths**:
+//! Every layer has exactly two entry points:
 //!
-//! * the dynamic [`Layer`] path above (`f32` in, `f32` out, per-call
-//!   activation scales) — the calibration and parity-reference path;
-//! * the **fixed-point path** (`forward_fixed` / `forward_fixed_codes`):
-//!   once static activation scales are calibrated
-//!   ([`QuantizedConv1d::set_fixed_point`] builds a
+//! * `forward_fixed`, the serving path: once static activation scales are
+//!   calibrated ([`QuantizedConv1d::set_fixed_point`] builds a
 //!   [`crate::quant::QuantPlan`]), activations stay `i16` codes *between*
 //!   layers ([`crate::quant::QuantActs`]), each layer is one fused
 //!   requantising GEMM ([`matmul::matmul_q8_requant_sliding`]) writing
 //!   position-major codes directly into the next layer's channels-last
 //!   window layout, ReLU is the output clamp and the residual add is an
 //!   integer add of same-grid codes. No `f32` roundtrip, scale scan or
-//!   transpose exists between layers — this is the serving hot path.
+//!   transpose exists between layers.
+//! * `forward_dynamic`, the calibration pass that chooses those static
+//!   scales: `f32` in and out, every window quantised on its own grid, one
+//!   exact integer dot per output. It records the activation ranges the
+//!   grids must cover and is deterministic in the quantised weights alone.
 //!
-//! Quantised layers are **inference-only**: `forward` with `training ==
-//! true` and `backward` panic. They hold no gradient or optimiser state —
-//! quantise a trained `f32` network, never train a quantised one.
+//! Quantised layers hold no gradient or optimiser state: quantise a trained
+//! `f32` network, never train a quantised one.
 
-use crate::layers::{forward_consuming, BatchNorm1d, Conv1d, Layer, Linear, ResidualBlock1d};
+use crate::layers::{BatchNorm1d, Conv1d, ResidualBlock1d};
 use crate::matmul;
 use crate::quant::{
     quantize_activations_into, QuantActs, QuantPlan, QuantizedGemm, Requantizer, ACT_QMAX,
 };
-use crate::tensor::Tensor;
 use crate::workspace::Workspace;
-
-/// Panic helper for the unsupported training entry points.
-fn inference_only(layer: &str) -> ! {
-    panic!("{layer} is inference-only: quantise a trained f32 network instead of training it")
-}
-
-/// Re-lays one quantised `[C, len]` signal as a zero-padded channels-last
-/// buffer: row `r` of the `[len + kernel - 1, C]` output holds the codes of
-/// sample `r - pad` across all channels (zeros where the index overhangs
-/// the signal).
-///
-/// In this orientation the receptive field of output position `j` is the
-/// contiguous slice `xt[j*C .. (j + kernel)*C]` — sample-major,
-/// channel-minor, exactly the `[kernel, in_c]` order the permuted quantised
-/// weight rows use — so the convolution needs **no im2col/im2row lowering
-/// at all**: the GEMM ([`matmul::matmul_q8_sliding`]) walks overlapping
-/// windows of this one small buffer. The build moves `C*len` codes (one
-/// transpose pass), a factor `kernel` less data than an im2col-style
-/// lowering.
-fn transpose_pad_q(
-    xt: &mut Vec<i16>,
-    x: &[i16],
-    channels: usize,
-    len: usize,
-    kernel: usize,
-    pad: usize,
-) {
-    let rows = len + kernel - 1;
-    xt.resize(rows * channels, 0);
-    xt[..pad * channels].fill(0);
-    xt[(pad + len) * channels..].fill(0);
-    let body = &mut xt[pad * channels..(pad + len) * channels];
-    if channels == 1 {
-        body.copy_from_slice(x);
-    } else {
-        for (c, x_c) in x.chunks_exact(len).enumerate() {
-            for (j, &v) in x_c.iter().enumerate() {
-                body[j * channels + c] = v;
-            }
-        }
-    }
-}
 
 /// Permutes a `[out, in_c, kernel]` weight matrix's columns from the
 /// canonical `c*kernel + t` order to the sample-major `t*in_c + c` order of
-/// the channels-last activation windows (see [`transpose_pad_q`]). A pure
+/// the channels-last activation windows (see [`QuantActs`]). A pure
 /// per-row column permutation: the per-row quantisation scales and the
 /// serialised block geometry are unaffected, and the integer dot products
 /// are exact whatever the summation order, so scores are bit-identical to a
@@ -112,14 +62,6 @@ fn permute_weights_sample_major(weights: &[f32], in_c: usize, kernel: usize) -> 
     permuted
 }
 
-/// In-place fused ReLU on a freshly produced output block.
-#[inline]
-fn relu_in_place(out: &mut [f32]) {
-    for v in out.iter_mut() {
-        *v = v.max(0.0);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // QuantizedConv1d
 // ---------------------------------------------------------------------------
@@ -127,9 +69,9 @@ fn relu_in_place(out: &mut [f32]) {
 /// Quantised 1-D convolution with stride 1 and "same" zero padding.
 ///
 /// Weights are the per-output-channel `i8` block of a trained [`Conv1d`]
-/// (optionally with a following batch-norm folded in); activations are
-/// quantised to `i16` per batch item (one dynamic scale), so the conv
-/// lowers to an integer GEMM with exact `i32` panel accumulation.
+/// with the following batch-norm folded in; activations are `i16` codes,
+/// so the conv lowers to an integer GEMM with exact `i32` panel
+/// accumulation.
 #[derive(Debug, Clone)]
 pub struct QuantizedConv1d {
     gemm: QuantizedGemm,
@@ -138,26 +80,12 @@ pub struct QuantizedConv1d {
     kernel_size: usize,
     fused_relu: bool,
     /// Fixed-point execution plan (set by [`Self::set_fixed_point`] once the
-    /// activation scales are calibrated). `None` means only the dynamic
-    /// [`Layer`] path is available.
+    /// activation scales are calibrated). `None` means only
+    /// [`Self::forward_dynamic`] is available.
     plan: Option<QuantPlan>,
 }
 
 impl QuantizedConv1d {
-    /// Quantises a trained convolution layer as-is (no folds).
-    pub fn from_conv(conv: &Conv1d) -> Self {
-        let (in_c, out_c, k) = (conv.in_channels(), conv.out_channels(), conv.kernel_size());
-        let permuted = permute_weights_sample_major(conv.weight().data(), in_c, k);
-        Self {
-            gemm: QuantizedGemm::from_f32(&permuted, conv.bias().data(), out_c, in_c * k),
-            in_channels: in_c,
-            out_channels: out_c,
-            kernel_size: k,
-            fused_relu: false,
-            plan: None,
-        }
-    }
-
     /// Quantises a trained convolution with the *following* batch-norm
     /// folded into the weights and bias (`w' = s_c · w`, `b' = s_c · b +
     /// t_c` from [`BatchNorm1d::inference_affine`]), optionally fusing the
@@ -309,205 +237,49 @@ impl QuantizedConv1d {
             }
         }
     }
-}
 
-impl Layer for QuantizedConv1d {
-    fn forward(&self, input: &Tensor, ws: &mut Workspace, training: bool) -> Tensor {
-        if training {
-            inference_only("QuantizedConv1d");
-        }
-        assert_eq!(input.shape().len(), 3, "QuantizedConv1d expects a 3-D input [B, C, N]");
-        assert_eq!(input.shape()[1], self.in_channels, "QuantizedConv1d channel mismatch");
-        let (batch, len) = (input.shape()[0], input.shape()[2]);
-        let (in_c, out_c, k) = (self.in_channels, self.out_channels, self.kernel_size);
-        let ck = in_c * k;
-        let pad = self.pad_left();
-        let mut out = ws.uninit_tensor(&[batch, out_c, len]);
-        let x = input.data();
-        let bias = self.gemm.bias();
-        for (b, out_b) in out.data_mut().chunks_mut(out_c * len).enumerate() {
-            // Quantise the item once ([C, len] codes), then re-lay the codes
-            // channels-last with the padding baked in: every output
-            // position's receptive field becomes one contiguous slice, so
-            // the GEMM slides over this buffer with no lowering matrix.
-            let x_scale =
-                quantize_activations_into(&x[b * in_c * len..(b + 1) * in_c * len], &mut ws.qx);
-            transpose_pad_q(&mut ws.qcol, &ws.qx, in_c, len, k, pad);
-            for (oc, out_row) in out_b.chunks_mut(len).enumerate() {
-                out_row.fill(bias[oc]);
-            }
-            matmul::matmul_q8_sliding(
-                out_b,
-                self.gemm.data16(),
-                self.gemm.scales(),
-                &ws.qcol,
-                x_scale,
-                out_c,
-                ck,
-                len,
-                in_c,
-            );
-            if self.fused_relu {
-                relu_in_place(out_b);
-            }
-        }
-        out
-    }
-
-    fn backward(&mut self, _grad_output: &Tensor, _ws: &mut Workspace) -> Tensor {
-        inference_only("QuantizedConv1d")
-    }
-}
-
-// ---------------------------------------------------------------------------
-// QuantizedLinear
-// ---------------------------------------------------------------------------
-
-/// Quantised fully connected layer: `y = x Wᵀ + b` with `W` stored as
-/// per-output-channel `i8` rows and `x` quantised to `i16` per batch row.
-#[derive(Debug, Clone)]
-pub struct QuantizedLinear {
-    gemm: QuantizedGemm,
-    in_features: usize,
-    out_features: usize,
-    fused_relu: bool,
-    /// Fixed-point execution plan (set by [`Self::set_fixed_point`]).
-    plan: Option<QuantPlan>,
-}
-
-impl QuantizedLinear {
-    /// Quantises a trained fully connected layer.
-    pub fn from_linear(linear: &Linear) -> Self {
-        Self {
-            gemm: QuantizedGemm::from_tensor(linear.weight(), linear.bias().data()),
-            in_features: linear.in_features(),
-            out_features: linear.out_features(),
-            fused_relu: false,
-            plan: None,
-        }
-    }
-
-    /// Fuses a following ReLU into this layer's output.
-    pub fn with_fused_relu(mut self, fused_relu: bool) -> Self {
-        self.fused_relu = fused_relu;
-        self
-    }
-
-    /// The quantised weight block (`[out, in]`).
-    pub fn gemm(&self) -> &QuantizedGemm {
-        &self.gemm
-    }
-
-    /// Mutable access to the quantised weight block (model loading).
-    pub fn gemm_mut(&mut self) -> &mut QuantizedGemm {
-        &mut self.gemm
-    }
-
-    /// Number of output features.
-    pub fn out_features(&self) -> usize {
-        self.out_features
-    }
-
-    /// `true` if a following ReLU is fused into this layer's output.
-    pub fn fused_relu(&self) -> bool {
-        self.fused_relu
-    }
-
-    /// Builds the fixed-point execution plan for calibrated input/output
-    /// activation grids, enabling [`Self::forward_fixed_codes`].
-    pub fn set_fixed_point(&mut self, in_scale: f32, out_scale: f32) {
-        self.plan = Some(QuantPlan::new(&self.gemm, in_scale, out_scale, self.fused_relu));
-    }
-
-    /// Fixed-point forward pass on raw codes: `x` holds `[batch,
-    /// in_features]` `i16` activation codes on the plan's input grid, `out`
-    /// receives `[batch, out_features]` codes on its output grid. The row
-    /// dot products, bias add, requantisation and (fused-ReLU) clamp are one
-    /// kernel call — a linear layer is the sliding GEMM with non-overlapping
-    /// windows (`stride == k`).
+    /// Calibration forward pass: `x` holds `[batch, in_c, len]` `f32`
+    /// activations, the result is `[batch, out_c, len]`. Each window is
+    /// quantised on its own grid ([`quantize_activations_into`]), every
+    /// output is one exact integer dot of the weight codes with the
+    /// zero-padded window, rescaled as `bias + (s_row · s_x) · dot`, and a
+    /// fused ReLU clamps at zero. The result depends on the quantised
+    /// weights and the window alone (not on batch composition), so the
+    /// activation ranges calibration records from it are reproducible
+    /// wherever the weights are.
     ///
     /// # Panics
     ///
-    /// Panics if no plan is set or a slice length disagrees.
-    pub fn forward_fixed_codes(&self, x: &[i16], batch: usize, out: &mut [i16]) {
-        let plan = self.plan.as_ref().expect("set_fixed_point before forward_fixed_codes");
-        assert_eq!(x.len(), batch * self.in_features, "input must be batch x in_features");
-        assert_eq!(out.len(), batch * self.out_features, "output must be batch x out_features");
-        // SIMD fast path on the packed weights; scalar fallback computes the
-        // same codes bit for bit.
-        if !matmul::matmul_q8_requant_sliding_packed(
-            out,
-            self.gemm.packed16(),
-            &plan.bias_q,
-            &plan.mults_i32,
-            plan.shift,
-            x,
-            self.out_features,
-            self.in_features,
-            batch,
-            self.in_features,
-            plan.lo,
-            plan.hi,
-        ) {
-            matmul::matmul_q8_requant_sliding(
-                out,
-                self.gemm.data16(),
-                &plan.bias_q,
-                &plan.mults,
-                x,
-                self.out_features,
-                self.in_features,
-                batch,
-                self.in_features,
-                plan.lo,
-                plan.hi,
-            );
-        }
-    }
-}
-
-impl Layer for QuantizedLinear {
-    fn forward(&self, input: &Tensor, ws: &mut Workspace, training: bool) -> Tensor {
-        if training {
-            inference_only("QuantizedLinear");
-        }
-        assert_eq!(input.shape().len(), 2, "QuantizedLinear expects a 2-D input");
-        assert_eq!(input.shape()[1], self.in_features, "QuantizedLinear feature mismatch");
-        let batch = input.shape()[0];
-        let mut out = ws.uninit_tensor(&[batch, self.out_features]);
-        // Per-row activation scales: every batch row is quantised on its own
-        // grid, so one outlier row cannot coarsen the others (and window
-        // scores stay independent of batch composition). Staging lives in
-        // the workspace, so a warm pass allocates nothing.
-        ws.qx.clear();
-        ws.qscales.clear();
-        for row in input.data().chunks(self.in_features) {
-            let scale = quantize_activations_into(row, &mut ws.qrow);
-            ws.qscales.push(scale);
-            let qrow = &ws.qrow;
-            ws.qx.extend_from_slice(qrow);
-        }
-        for row in out.data_mut().chunks_mut(self.out_features) {
-            row.copy_from_slice(self.gemm.bias());
-        }
-        matmul::matmul_q8_a_bt(
-            out.data_mut(),
-            &ws.qx,
-            &ws.qscales,
-            self.gemm.data16(),
-            self.gemm.scales(),
-            batch,
-            self.in_features,
-            self.out_features,
-        );
-        if self.fused_relu {
-            relu_in_place(out.data_mut());
+    /// Panics if `x.len() != batch * in_c * len`.
+    pub fn forward_dynamic(&self, x: &[f32], batch: usize, len: usize) -> Vec<f32> {
+        let (in_c, out_c, ck) = (self.in_channels, self.out_channels, self.gemm.cols());
+        assert_eq!(x.len(), batch * in_c * len, "input must be [batch, in_c, len]");
+        let (weights, scales, bias) = (self.gemm.data16(), self.gemm.scales(), self.gemm.bias());
+        let pad = self.pad_left();
+        let mut out = vec![0.0f32; batch * out_c * len];
+        let mut codes = Vec::new();
+        // Channels-last with the padding baked in (pad rows stay zero), so
+        // output position `j` reads the contiguous window `xt[j·in_c..][..ck]`.
+        let mut xt = vec![0i16; (len + self.kernel_size - 1) * in_c];
+        for (x_b, out_b) in x.chunks_exact(in_c * len).zip(out.chunks_exact_mut(out_c * len)) {
+            let s_x = quantize_activations_into(x_b, &mut codes);
+            for (c, row) in codes.chunks_exact(len).enumerate() {
+                for (j, &v) in row.iter().enumerate() {
+                    xt[(pad + j) * in_c + c] = v;
+                }
+            }
+            for (oc, out_row) in out_b.chunks_exact_mut(len).enumerate() {
+                let w_row = &weights[oc * ck..(oc + 1) * ck];
+                for (j, y) in out_row.iter_mut().enumerate() {
+                    let dot = matmul::q_dot_deep(w_row, &xt[j * in_c..j * in_c + ck]);
+                    *y = bias[oc] + scales[oc] * s_x * dot as f32;
+                    if self.fused_relu {
+                        *y = y.max(0.0);
+                    }
+                }
+            }
         }
         out
-    }
-
-    fn backward(&mut self, _grad_output: &Tensor, _ws: &mut Workspace) -> Tensor {
-        inference_only("QuantizedLinear")
     }
 }
 
@@ -542,12 +314,6 @@ impl QuantizedResidualBlock1d {
             projection: projection.map(|(c, b)| QuantizedConv1d::from_conv_folded(c, b, false)),
             shortcut: None,
         }
-    }
-
-    /// The first (ReLU-fused) convolution — exposed so scale calibration can
-    /// observe the block's *mid* activations.
-    pub fn conv1(&self) -> &QuantizedConv1d {
-        &self.conv1
     }
 
     /// Builds the fixed-point plans of the whole block: `conv1` maps the
@@ -657,32 +423,19 @@ impl QuantizedResidualBlock1d {
         }
         gemms
     }
-}
 
-impl Layer for QuantizedResidualBlock1d {
-    fn forward(&self, input: &Tensor, ws: &mut Workspace, training: bool) -> Tensor {
-        if training {
-            inference_only("QuantizedResidualBlock1d");
+    /// Calibration forward pass of the whole block on `[batch, in_c, len]`
+    /// `f32` activations (see [`QuantizedConv1d::forward_dynamic`]):
+    /// returns the mid activations (conv1 with its ReLU) and the block
+    /// output `(conv2 + shortcut).max(0)`, both `[batch, out_c, len]`.
+    pub fn forward_dynamic(&self, x: &[f32], batch: usize, len: usize) -> (Vec<f32>, Vec<f32>) {
+        let mid = self.conv1.forward_dynamic(x, batch, len);
+        let mut out = self.conv2.forward_dynamic(&mid, batch, len);
+        let projected = self.projection.as_ref().map(|conv| conv.forward_dynamic(x, batch, len));
+        for (y, &r) in out.iter_mut().zip(projected.as_deref().unwrap_or(x)) {
+            *y = (*y + r).max(0.0);
         }
-        // conv1 carries bn1 + relu1 folded; conv2 carries bn2. Dead
-        // intermediates return to the workspace arena immediately.
-        let main = self.conv1.forward(input, ws, false);
-        let mut sum = forward_consuming(&self.conv2, main, ws, false);
-        match self.projection.as_ref() {
-            Some(conv) => {
-                let proj = conv.forward(input, ws, false);
-                sum.add_assign(&proj);
-                ws.recycle(proj);
-            }
-            None => sum.add_assign(input),
-        }
-        // The final ReLU of the block, in place on the sum.
-        relu_in_place(sum.data_mut());
-        sum
-    }
-
-    fn backward(&mut self, _grad_output: &Tensor, _ws: &mut Workspace) -> Tensor {
-        inference_only("QuantizedResidualBlock1d")
+        (mid, out)
     }
 }
 
@@ -690,20 +443,28 @@ impl Layer for QuantizedResidualBlock1d {
 mod tests {
     use super::*;
     use crate::init;
+    use crate::layers::Layer;
+    use crate::tensor::Tensor;
 
     fn max_abs(v: &[f32]) -> f32 {
         v.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
     }
 
-    fn assert_quant_close(fast: &Tensor, reference: &Tensor, tol: f32, what: &str) {
-        assert_eq!(fast.shape(), reference.shape(), "{what}: shape mismatch");
+    fn assert_quant_close(fast: &[f32], reference: &Tensor, tol: f32, what: &str) {
+        assert_eq!(fast.len(), reference.len(), "{what}: shape mismatch");
         let scale = max_abs(reference.data()).max(1.0);
-        for (i, (a, b)) in fast.data().iter().zip(reference.data().iter()).enumerate() {
+        for (i, (a, b)) in fast.iter().zip(reference.data().iter()).enumerate() {
             assert!(
                 (a - b).abs() <= tol * scale,
                 "{what}: mismatch at {i}: quantised {a} vs f32 {b} (scale {scale})"
             );
         }
+    }
+
+    /// A convolution quantised with a freshly initialised (near-identity)
+    /// batch norm folded in and no ReLU.
+    fn quantize_plain(conv: &Conv1d) -> QuantizedConv1d {
+        QuantizedConv1d::from_conv_folded(conv, &BatchNorm1d::new(conv.out_channels()), false)
     }
 
     #[test]
@@ -713,10 +474,11 @@ mod tests {
             &[(1usize, 4usize, 3usize, 32usize, 2usize), (2, 3, 9, 40, 3), (3, 2, 4, 16, 1)]
         {
             let conv = Conv1d::new(in_c, out_c, k, 31);
-            let qconv = QuantizedConv1d::from_conv(&conv);
+            let bn = BatchNorm1d::new(out_c);
+            let qconv = quantize_plain(&conv);
             let x = init::uniform(&[batch, in_c, len], -1.0, 1.0, 17);
-            let fast = qconv.forward(&x, &mut ws, false);
-            let slow = conv.forward(&x, &mut ws, false);
+            let fast = qconv.forward_dynamic(x.data(), batch, len);
+            let slow = bn.forward(&conv.forward(&x, &mut ws, false), &mut ws, false);
             assert_quant_close(&fast, &slow, 2e-2, &format!("conv {in_c}->{out_c} k{k}"));
         }
     }
@@ -736,29 +498,12 @@ mod tests {
         let qconv = QuantizedConv1d::from_conv_folded(&conv, &bn, true);
         assert!(qconv.fused_relu());
         let x = init::uniform(&[2, 2, 24], -1.0, 1.0, 21);
-        let fast = qconv.forward(&x, &mut ws, false);
+        let fast = qconv.forward_dynamic(x.data(), 2, 24);
         let conv_out = conv.forward(&x, &mut ws, false);
         let bn_out = bn.forward(&conv_out, &mut ws, false);
         let relu_out =
             Tensor::from_vec(bn_out.data().iter().map(|&v| v.max(0.0)).collect(), bn_out.shape());
         assert_quant_close(&fast, &relu_out, 2e-2, "conv+bn+relu fold");
-    }
-
-    #[test]
-    fn quantized_linear_tracks_f32_linear() {
-        let mut ws = Workspace::new();
-        let lin = Linear::new(24, 10, 5);
-        let qlin = QuantizedLinear::from_linear(&lin);
-        let x = init::uniform(&[6, 24], -2.0, 2.0, 23);
-        let fast = qlin.forward(&x, &mut ws, false);
-        let slow = lin.forward(&x, &mut ws, false);
-        assert_quant_close(&fast, &slow, 2e-2, "linear");
-        // Fused-relu variant clamps exactly where the f32 ReLU would.
-        let qrelu = QuantizedLinear::from_linear(&lin).with_fused_relu(true);
-        let fast_relu = qrelu.forward(&x, &mut ws, false);
-        for (a, b) in fast_relu.data().iter().zip(fast.data().iter()) {
-            assert_eq!(*a, b.max(0.0));
-        }
     }
 
     #[test]
@@ -769,7 +514,9 @@ mod tests {
             let qblock = QuantizedResidualBlock1d::from_residual(&block);
             assert_eq!(qblock.out_channels(), out_c);
             let x = init::uniform(&[2, in_c, 20], -1.0, 1.0, 9);
-            let fast = qblock.forward(&x, &mut ws, false);
+            let (mid, fast) = qblock.forward_dynamic(x.data(), 2, 20);
+            assert_eq!(mid.len(), fast.len());
+            assert!(mid.iter().all(|&v| v >= 0.0), "mid activations carry conv1's ReLU");
             let slow = block.forward(&x, &mut ws, false);
             assert_quant_close(&fast, &slow, 5e-2, &format!("res {in_c}->{out_c}"));
             let expected_gemms = if in_c == out_c { 2 } else { 3 };
@@ -779,40 +526,18 @@ mod tests {
 
     #[test]
     fn quantized_forward_is_deterministic_and_batch_independent() {
-        // Per-item activation scales make every window's score independent
-        // of how the batch is composed — the property the sliding-window
-        // thread sharding relies on for bit-identical scores.
-        let conv = Conv1d::new(1, 3, 5, 3);
-        let qconv = QuantizedConv1d::from_conv(&conv);
-        let mut ws = Workspace::new();
+        // Per-item activation scales make every window's calibration
+        // activations independent of how the probe batch is composed.
+        let qconv = quantize_plain(&Conv1d::new(1, 3, 5, 3));
         let a = init::uniform(&[1, 1, 16], -1.0, 1.0, 1);
         let b = init::uniform(&[1, 1, 16], -1.0, 1.0, 2);
-        let mut stacked_data = a.data().to_vec();
-        stacked_data.extend_from_slice(b.data());
-        let stacked = Tensor::from_vec(stacked_data, &[2, 1, 16]);
-        let ya = qconv.forward(&a, &mut ws, false);
-        let yb = qconv.forward(&b, &mut ws, false);
-        let y2 = qconv.forward(&stacked, &mut ws, false);
+        let mut stacked = a.data().to_vec();
+        stacked.extend_from_slice(b.data());
+        let ya = qconv.forward_dynamic(a.data(), 1, 16);
+        let yb = qconv.forward_dynamic(b.data(), 1, 16);
+        let y2 = qconv.forward_dynamic(&stacked, 2, 16);
         let half = y2.len() / 2;
-        assert_eq!(&y2.data()[..half], ya.data());
-        assert_eq!(&y2.data()[half..], yb.data());
-    }
-
-    #[test]
-    #[should_panic(expected = "inference-only")]
-    fn quantized_training_forward_panics() {
-        let conv = Conv1d::new(1, 1, 3, 1);
-        let qconv = QuantizedConv1d::from_conv(&conv);
-        let mut ws = Workspace::new();
-        let _ = qconv.forward(&Tensor::zeros(&[1, 1, 8]), &mut ws, true);
-    }
-
-    #[test]
-    #[should_panic(expected = "inference-only")]
-    fn quantized_backward_panics() {
-        let lin = Linear::new(2, 2, 1);
-        let mut qlin = QuantizedLinear::from_linear(&lin);
-        let mut ws = Workspace::new();
-        let _ = qlin.backward(&Tensor::zeros(&[1, 2]), &mut ws);
+        assert_eq!(&y2[..half], &ya[..]);
+        assert_eq!(&y2[half..], &yb[..]);
     }
 }

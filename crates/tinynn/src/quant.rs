@@ -9,26 +9,24 @@
 //!   stored as `i8` values `q = round(w / s_r)`. Per-channel scales bound the
 //!   roundtrip error of every weight by `s_r / 2` — one badly scaled channel
 //!   cannot poison the rest.
-//! * **Activations** are `i16` codes. The legacy per-call path quantises
-//!   dynamically (scale `max|x| / 32767`, [`quantize_activations_into`]);
-//!   the fixed-point path quantises the network *input* once against a
-//!   statically calibrated scale ([`quantize_with_scale_into`]) and then
-//!   keeps every inter-layer activation in `i16` — no f32 roundtrip between
-//!   layers.
-//! * **Accumulation** is integer (`i32` within depth panels). The legacy
-//!   path rescales panel sums into `f32` with `s_row · s_act`; the
-//!   fixed-point path maps them straight onto the next layer's `i16` input
-//!   grid with a precomputed per-channel [`Requantizer`] (`acc · m ≫ shift`,
+//! * **Activations** are `i16` codes. Serving quantises the network
+//!   *input* once against a statically calibrated scale
+//!   ([`quantize_with_scale`]) and then keeps every inter-layer activation
+//!   in `i16` — no f32 roundtrip between layers. Calibration, which chooses
+//!   those static scales, quantises each window on its own grid (scale
+//!   `max|x| / 32767`, [`quantize_activations_into`]).
+//! * **Accumulation** is integer (`i32` within depth panels). Serving maps
+//!   the sums straight onto the next layer's `i16` input grid with a
+//!   precomputed per-channel [`Requantizer`] (`acc · m ≫ shift`,
 //!   round-to-nearest-even — the Jacob et al. integer-only recipe), with
-//!   ReLU fused as the `[0, 32767]` clamp of that same store.
+//!   ReLU fused as the `[0, 32767]` clamp of that same store; calibration
+//!   rescales them into `f32` with `s_row · s_act`.
 //!
 //! Biases on the fixed-point path are pre-quantised to accumulator units
 //! (`round(b / (s_row · s_in))`, a [`QuantPlan`]); everything non-GEMM that
 //! remains (global pooling, the tiny fully connected head) stays `f32`.
 
 use serde::{Deserialize, Serialize};
-
-use crate::tensor::Tensor;
 
 /// Largest magnitude representable by the `i8` weight grid.
 pub const WEIGHT_QMAX: f32 = 127.0;
@@ -39,9 +37,8 @@ pub const ACT_QMAX: f32 = 32767.0;
 /// A per-row (per-output-channel) symmetrically quantised GEMM operand:
 /// `i8` weights, one `f32` scale per row, and the `f32` bias of the layer.
 ///
-/// This is the shared storage of [`crate::qlayers::QuantizedConv1d`] and
-/// [`crate::qlayers::QuantizedLinear`], and the unit the versioned model
-/// format serialises.
+/// This is the weight storage of [`crate::qlayers::QuantizedConv1d`] and the
+/// unit the versioned model format serialises.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QuantizedGemm {
     data: Vec<i8>,
@@ -106,19 +103,6 @@ impl QuantizedGemm {
         let mut packed16 = Vec::new();
         qsimd::pack_weight_pairs(&mut packed16, &data16, rows, cols);
         Self { data, data16, packed16, scales, bias: bias.to_vec(), rows, cols }
-    }
-
-    /// Quantises a weight tensor whose first dimension is the output-channel
-    /// (row) dimension; the remaining dimensions are flattened into columns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is empty or `bias` does not match the first
-    /// dimension.
-    pub fn from_tensor(weights: &Tensor, bias: &[f32]) -> Self {
-        let rows = weights.shape()[0];
-        let cols = weights.len() / rows.max(1);
-        Self::from_f32(weights.data(), bias, rows, cols)
     }
 
     /// Number of rows (output channels).
@@ -562,7 +546,7 @@ mod tests {
     #[test]
     fn roundtrip_error_is_bounded_by_half_scale() {
         let w = init::uniform(&[4, 33], -0.7, 0.7, 42);
-        let g = QuantizedGemm::from_tensor(&w, &[0.0; 4]);
+        let g = QuantizedGemm::from_f32(w.data(), &[0.0; 4], 4, 33);
         let back = g.dequantize();
         for (r, (orig_row, deq_row)) in w.data().chunks(33).zip(back.chunks(33)).enumerate() {
             let half = g.scales()[r] / 2.0;

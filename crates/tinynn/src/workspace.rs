@@ -17,9 +17,8 @@
 //!   register-tiled GEMM kernels); the fused `f32` inference chain's
 //!   per-call weight packing (`plan`) and per-window staging and
 //!   channels-last activations (`item`, see [`crate::fused`]); and the
-//!   quantised-path buffers (`qx` activation codes, `qcol` channels-last
-//!   windows, `qrow`/`qscales` per-row staging) — reused across layers and
-//!   calls, so steady-state inference performs no allocation;
+//!   fixed-point chain's `i64` pooling accumulators (`qacc`) — reused across
+//!   layers and calls, so steady-state inference performs no allocation;
 //! * an **output-activation arena**: a small free list of recycled tensor
 //!   storage. Layers draw their outputs from [`Workspace::uninit_tensor`]
 //!   and sequential containers hand dead intermediates back through
@@ -58,17 +57,6 @@ pub struct Workspace {
     /// rebuilt per layer call (weights may change between calls during
     /// training) into this one reused buffer.
     pub(crate) pack: Vec<f32>,
-    /// Quantised activation buffer of the quantised layers (`i16` codes of
-    /// the current input), reused across layers and calls.
-    pub(crate) qx: Vec<i16>,
-    /// Channels-last zero-padded window buffer of
-    /// [`crate::qlayers::QuantizedConv1d`] (built by its `transpose_pad_q`).
-    pub(crate) qcol: Vec<i16>,
-    /// Single-row staging of the quantised linear layer (codes of one batch
-    /// row before they are appended to `qx`).
-    pub(crate) qrow: Vec<i16>,
-    /// Per-row activation scales of the quantised linear layer.
-    pub(crate) qscales: Vec<f32>,
     /// `i64` per-channel accumulators of the integer global-average-pooling
     /// reduction of the fixed-point chain.
     pub(crate) qacc: Vec<i64>,
@@ -227,21 +215,13 @@ impl Workspace {
             + self.dcol.capacity()
             + self.pack.capacity()
             + self.item.capacity();
-        let i16s = self.qx.capacity()
-            + self.qcol.capacity()
-            + self.qrow.capacity()
-            + self.qpool.iter().map(|b| b.capacity()).sum::<usize>();
+        let i16s = self.qpool.iter().map(|b| b.capacity()).sum::<usize>();
         let arena: usize = self
             .arena
             .iter()
             .map(|(d, s)| d.capacity() * 4 + s.capacity() * std::mem::size_of::<usize>())
             .sum();
-        f32s * 4
-            + self.plan.retained_bytes()
-            + self.qscales.capacity() * 4
-            + i16s * 2
-            + self.qacc.capacity() * 8
-            + arena
+        f32s * 4 + self.plan.retained_bytes() + i16s * 2 + self.qacc.capacity() * 8 + arena
     }
 
     /// Number of layer caches currently recorded (0 outside a training
@@ -295,13 +275,6 @@ pub(crate) enum LayerCache {
         /// backward).
         var: Vec<f32>,
     },
-    /// Flat arg-max indices and input shape of a max-pooling layer.
-    Argmax {
-        /// Flat input index of the maximum of every pooling window.
-        argmax: Vec<usize>,
-        /// Shape of the pooled input.
-        input_shape: Vec<usize>,
-    },
     /// The input shape (global average pooling).
     Shape(Vec<usize>),
 }
@@ -313,7 +286,6 @@ impl LayerCache {
             LayerCache::Input(_) => "Input",
             LayerCache::Mask(_) => "Mask",
             LayerCache::Bn { .. } => "Bn",
-            LayerCache::Argmax { .. } => "Argmax",
             LayerCache::Shape(_) => "Shape",
         }
     }

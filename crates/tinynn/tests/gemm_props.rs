@@ -7,14 +7,15 @@
 //! (`k = 0`, `n = 1`, single rows, exact tile multiples, one-off remainders)
 //! against the naive references — [`matmul_reference`] for the `f32` paths
 //! (relative tolerance: the tiled kernels contract to FMA) and the exact
-//! integer [`matmul_q8_reference`] for the quantised paths (bit-exact, with
-//! code magnitudes kept small enough that the rescaled `f32` result is an
-//! exactly representable integer).
+//! integer [`matmul_q8_reference`] for the quantised path (bit-exact, with
+//! code magnitudes kept small enough that every dot fits the `i16` output
+//! grid of a unit requantiser).
 
 use tinynn::matmul::{
-    matmul_packed_lhs, matmul_packed_rhs, matmul_q8, matmul_q8_a_bt, matmul_q8_reference,
-    matmul_q8_sliding, matmul_reference, pack_lhs, pack_rhs_t, packed_lhs_len, packed_rhs_len,
+    matmul_packed_lhs, matmul_packed_rhs, matmul_q8_reference, matmul_q8_requant_sliding,
+    matmul_reference, pack_lhs, pack_rhs_t, packed_lhs_len, packed_rhs_len,
 };
+use tinynn::Requantizer;
 
 /// Small deterministic LCG (same recipe as the quantisation property tests).
 struct Rng(u64);
@@ -132,13 +133,21 @@ fn packed_kernels_accumulate_into_nonzero_c() {
 }
 
 /// Draws quantised operands with code magnitudes small enough that every
-/// rescaled dot (with unit scales) is an integer below 2²⁴ — exactly
-/// representable in `f32`, so the comparison against the `i64` reference
-/// can demand bit equality.
+/// dot (|a| ≤ 3, |b| ≤ 9, depth ≤ 600) stays below the `i16` grid limit, so
+/// a unit requantiser reproduces the exact `i64` reference bit for bit.
 fn small_q_operands(rng: &mut Rng, len_a: usize, len_b: usize) -> (Vec<i16>, Vec<i16>) {
     let a: Vec<i16> = (0..len_a).map(|_| (rng.next_u64() % 7) as i16 - 3).collect();
     let b: Vec<i16> = (0..len_b).map(|_| (rng.next_u64() % 19) as i16 - 9).collect();
     (a, b)
+}
+
+/// The requantising kernel with unit ratios, zero biases and the full
+/// signed clamp: every output code is the plain integer dot.
+fn unit_requant(a: &[i16], b: &[i16], m: usize, k: usize, n: usize, stride: usize) -> Vec<i16> {
+    let mults = vec![Requantizer::from_ratio(1.0); m];
+    let mut c = vec![0i16; n * m];
+    matmul_q8_requant_sliding(&mut c, a, &vec![0; m], &mults, b, m, k, n, stride, -32767, 32767);
+    c
 }
 
 #[test]
@@ -149,17 +158,16 @@ fn q8_kernels_match_exact_reference_over_shape_sweep() {
     for (m, k, n) in shapes {
         let (a, b) = small_q_operands(&mut rng, m * k, n * k);
         let exact = matmul_q8_reference(&a, &b, m, k, n);
-        let ones = vec![1.0f32; m];
-        let mut c = vec![0.0f32; m * n];
-        matmul_q8(&mut c, &a, &ones, &b, 1.0, m, k, n);
-        for (i, (&got, &want)) in c.iter().zip(exact.iter()).enumerate() {
-            assert_eq!(got, want as f32, "matmul_q8 {m}x{k}x{n} at {i}");
-        }
-        let b_scales = vec![1.0f32; n];
-        let mut cbt = vec![0.0f32; m * n];
-        matmul_q8_a_bt(&mut cbt, &a, &ones, &b, &b_scales, m, k, n);
-        for (i, (&got, &want)) in cbt.iter().zip(exact.iter()).enumerate() {
-            assert_eq!(got, want as f32, "matmul_q8_a_bt {m}x{k}x{n} at {i}");
+        // Position-major output: c[j * m + i].
+        let c = unit_requant(&a, &b, m, k, n, k);
+        for i in 0..m {
+            for j in 0..n {
+                assert_eq!(
+                    c[j * m + i] as i64,
+                    exact[i * n + j],
+                    "matmul_q8_requant_sliding {m}x{k}x{n} at ({i},{j})"
+                );
+            }
         }
     }
 }
@@ -174,16 +182,15 @@ fn q8_sliding_matches_packed_windows_over_stride_sweep() {
         let stride = rng.usize_in(1, k);
         let len_b = (n - 1) * stride + k;
         let (a, buf) = small_q_operands(&mut rng, m * k, len_b);
-        let ones = vec![1.0f32; m];
         // Materialise every overlapping window for the packed layout.
         let mut packed = Vec::with_capacity(n * k);
         for j in 0..n {
             packed.extend_from_slice(&buf[j * stride..j * stride + k]);
         }
-        let mut c_packed = vec![0.0f32; m * n];
-        matmul_q8(&mut c_packed, &a, &ones, &packed, 1.0, m, k, n);
-        let mut c_sliding = vec![0.0f32; m * n];
-        matmul_q8_sliding(&mut c_sliding, &a, &ones, &buf, 1.0, m, k, n, stride);
-        assert_eq!(c_packed, c_sliding, "m={m} k={k} n={n} stride={stride}");
+        assert_eq!(
+            unit_requant(&a, &packed, m, k, n, k),
+            unit_requant(&a, &buf, m, k, n, stride),
+            "m={m} k={k} n={n} stride={stride}"
+        );
     }
 }

@@ -9,12 +9,14 @@
 //! ```text
 //! cargo run -p xcheck -- lint              # human-readable file:line diagnostics
 //! cargo run -p xcheck -- lint --format json
+//! cargo run -p xcheck -- loc               # code lines per crate
 //! ```
 //!
 //! The scanner ([`scan`]) is a comment/string-aware lexer — not a parser —
 //! so the whole crate stays std-only, consistent with the repo's offline
 //! shim policy. The rules ([`rules`]) are individually testable and run
-//! against fixture workspaces under `fixtures/` in `cargo test -p xcheck`.
+//! against fixture workspaces under `fixtures/` in `cargo test -p xcheck`;
+//! [`loc`] reuses the same scan to count each crate's code lines.
 //!
 //! Exit codes of the `lint` subcommand: `0` clean, `1` violations found,
 //! `2` the lint itself failed (unreadable tree, bad arguments).
@@ -23,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod json;
+pub mod loc;
 pub mod rules;
 pub mod scan;
 

@@ -1,7 +1,8 @@
-//! CLI for the workspace invariant linter.
+//! CLI for the workspace invariant linter and line counter.
 //!
 //! ```text
 //! cargo run -p xcheck -- lint [--root <dir>] [--format json|text]
+//! cargo run -p xcheck -- loc [--root <dir>]
 //! ```
 
 use std::path::PathBuf;
@@ -9,25 +10,38 @@ use std::process::ExitCode;
 
 fn usage() -> &'static str {
     "usage: xcheck lint [--root <dir>] [--format json|text]\n\
+     \x20      xcheck loc [--root <dir>]\n\
      \n\
-     Lints the workspace at <dir> (default: this repository) against the\n\
-     repo invariants: unsafe confinement, SAFETY comments, crate-root\n\
+     `lint` checks the workspace at <dir> (default: this repository) against\n\
+     the repo invariants: unsafe confinement, SAFETY comments, crate-root\n\
      attributes, service lock discipline, debug escapes and bench-baseline\n\
-     metric hygiene. Exit codes: 0 clean, 1 violations, 2 lint failure."
+     metric hygiene. Exit codes: 0 clean, 1 violations, 2 lint failure.\n\
+     \n\
+     `loc` prints the code lines (neither blank nor comment-only) of every\n\
+     workspace crate: library code, #[cfg(test)] items, tests/ and\n\
+     examples/ + benches/."
+}
+
+#[derive(PartialEq)]
+enum Command {
+    Lint,
+    Loc,
 }
 
 struct Args {
+    command: Command,
     root: PathBuf,
     json: bool,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut it = argv.iter();
-    match it.next().map(String::as_str) {
-        Some("lint") => {}
+    let command = match it.next().map(String::as_str) {
+        Some("lint") => Command::Lint,
+        Some("loc") => Command::Loc,
         Some(other) => return Err(format!("unknown subcommand `{other}`")),
         None => return Err("missing subcommand".into()),
-    }
+    };
     // The manifest dir of this crate is <root>/crates/xcheck; default to the
     // workspace that contains it so `cargo run -p xcheck -- lint` needs no
     // arguments from anywhere inside the repo.
@@ -39,7 +53,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 root =
                     PathBuf::from(it.next().ok_or_else(|| "--root needs a directory".to_string())?);
             }
-            "--format" => match it.next().map(String::as_str) {
+            "--format" if command == Command::Lint => match it.next().map(String::as_str) {
                 Some("json") => json = true,
                 Some("text") => json = false,
                 _ => return Err("--format needs `json` or `text`".into()),
@@ -47,7 +61,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    Ok(Args { root, json })
+    Ok(Args { command, root, json })
 }
 
 fn main() -> ExitCode {
@@ -66,6 +80,18 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if args.command == Command::Loc {
+        return match xcheck::loc::count(&root) {
+            Ok(crates) => {
+                print!("{}", xcheck::loc::render_table(&crates));
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("xcheck: {e}");
+                ExitCode::from(2)
+            }
+        };
+    }
     match xcheck::rules::run_all(&root) {
         Ok(diags) => {
             if args.json {

@@ -89,7 +89,7 @@ pub fn load_workspace(root: &Path) -> Result<Workspace, LintError> {
     let manifest = std::fs::read_to_string(&manifest_path)
         .map_err(|e| LintError(format!("cannot read {}: {e}", manifest_path.display())))?;
     let mut rels = parse_members(&manifest);
-    if manifest.contains("[package]") {
+    if manifest.contains("[package]") && !rels.iter().any(|r| r == Path::new(".")) {
         rels.push(PathBuf::from("."));
     }
     if rels.is_empty() {

@@ -29,12 +29,22 @@ pub struct Line {
     /// The concatenated text of every comment on the line (without the
     /// `//`/`/*` markers' text removed — the raw comment characters).
     pub comment: String,
+    /// Whether the line holds non-blank string or character literal text
+    /// (blanked out of `code`, so a line inside a multi-line string literal
+    /// has a blank `code` but is still a line of code).
+    pub literal: bool,
 }
 
 impl Line {
     /// Whether the line carries no code at all (blank, or comment-only).
     pub fn is_code_blank(&self) -> bool {
         self.code.trim().is_empty()
+    }
+
+    /// Whether the line counts as a line of code: it is neither blank nor
+    /// comment-only (literal text counts as code).
+    pub fn is_code(&self) -> bool {
+        !self.is_code_blank() || self.literal
     }
 
     /// Whether the line's code is exactly an attribute (`#[…]` / `#![…]`),
@@ -72,6 +82,7 @@ pub fn scan(source: &str) -> Scanned {
     let mut lines = Vec::new();
     let mut code = String::new();
     let mut comment = String::new();
+    let mut literal = false;
     let mut state = State::Code;
     let chars: Vec<char> = source.chars().collect();
     let mut i = 0usize;
@@ -85,9 +96,13 @@ pub fn scan(source: &str) -> Scanned {
             lines.push(Line {
                 code: std::mem::take(&mut code),
                 comment: std::mem::take(&mut comment),
+                literal: std::mem::take(&mut literal),
             });
             i += 1;
             continue;
+        }
+        if matches!(state, State::Str(_) | State::RawStr(_) | State::CharLit(_)) {
+            literal |= !c.is_whitespace();
         }
         match state {
             State::Code => {
@@ -219,7 +234,7 @@ pub fn scan(source: &str) -> Scanned {
         }
     }
     if !code.is_empty() || !comment.is_empty() {
-        lines.push(Line { code, comment });
+        lines.push(Line { code, comment, literal });
     }
     Scanned { lines }
 }
@@ -396,6 +411,13 @@ mod tests {
         assert!(!lines[0].contains("dbg"));
         assert!(lines[0].contains('"'));
         assert!(find_token(&lines[0], "t").is_some());
+    }
+
+    #[test]
+    fn code_lines_include_literal_text_but_not_comments_or_blanks() {
+        let src = "let s = \"a\n  text // inside\n\n\";\n// note\n/* block\n  still */\n  \n";
+        let flags: Vec<bool> = scan(src).lines.iter().map(Line::is_code).collect();
+        assert_eq!(flags, vec![true, true, false, true, false, false, false, false]);
     }
 
     #[test]
