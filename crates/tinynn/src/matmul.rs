@@ -25,6 +25,12 @@
 //! parity-reference paths. (Backbone inference convolves directly, without
 //! im2col, in [`crate::fused`], reproducing [`matmul_packed_lhs`]'s
 //! per-block accumulation order bit for bit.)
+//!
+//! The quantised convolution has one kernel: [`matmul_q8_requant_sliding`]
+//! (with its SIMD fast path [`matmul_q8_requant_sliding_packed`]) maps
+//! exact integer dots of `i8`-range weight codes and `i16` activation
+//! windows straight onto the next layer's `i16` grid. The quantised layers'
+//! calibration forward reuses its exact dot.
 
 use crate::quant::Requantizer;
 
@@ -811,6 +817,22 @@ mod tests {
         let a: Vec<i16> = (0..m * k).map(|_| ((next() % 255) as i64 - 127) as i16).collect();
         let b: Vec<i16> = (0..n * k).map(|_| ((next() % 65535) as i64 - 32767) as i16).collect();
         (a, b)
+    }
+
+    #[test]
+    fn matmul_q8_matches_exact_integer_reference() {
+        // The exact dot behind the calibration forward, at shallow and deep
+        // (k > QK) depths, against the i64 reference product.
+        for &(m, k, n) in &[(1usize, 1usize, 1usize), (3, 5, 7), (8, 72, 130), (5, 300, 520)] {
+            let (a, b) = q_operands(m, k, n, 7 + (m * k * n) as u64);
+            let exact = matmul_q8_reference(&a, &b, m, k, n);
+            for i in 0..m {
+                for j in 0..n {
+                    let dot = q_dot_deep(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+                    assert_eq!(dot, exact[i * n + j], "{m}x{k}x{n} at ({i},{j})");
+                }
+            }
+        }
     }
 
     #[test]
