@@ -24,6 +24,14 @@
 //! parameters, and every convolution a non-zero bias, so each stage of the
 //! inference chain shows in the bits.
 //!
+//! Training is pinned too: `LocatorBuilder::fit` on seeded synthetic
+//! captures must write the exact v4 model bytes and training-loss bits of
+//! the fixtures, at the served shape (8 filters, kernel 9, 256-sample
+//! windows, batches of 32 over a training split that is not a multiple of
+//! 32) and at 2 filters with kernel 3 (convolution depths 3 and 6, below
+//! one 8-lane vector). The served fit runs once on one thread and once with
+//! the convolution fan-out free to use every core; both must match.
+//!
 //! Regenerate the fixtures only after an *intentional* numerical change
 //! with `cargo test -p sca-locator --test f32_bit_pin -- --ignored`.
 
@@ -31,10 +39,10 @@ use std::path::PathBuf;
 
 use sca_locator::qcnn::ACTIVATION_SCALE_COUNT;
 use sca_locator::{
-    CnnConfig, CoLocatorCnn, EngineModel, LocatorEngine, SegmentationConfig, Segmenter,
-    SlidingWindowClassifier, ThresholdStrategy,
+    CnnConfig, CoLocatorCnn, DatasetBuilder, EngineModel, LocatorBuilder, LocatorEngine,
+    SegmentationConfig, Segmenter, SlidingWindowClassifier, ThresholdStrategy, TrainingConfig,
 };
-use sca_trace::Trace;
+use sca_trace::{SplitRatios, Trace, TraceMeta};
 
 fn xorshift(state: &mut u64) -> f32 {
     *state ^= *state << 13;
@@ -154,13 +162,125 @@ fn to_bytes(scores: &[f32]) -> Vec<u8> {
     scores.iter().flat_map(|s| s.to_bits().to_le_bytes()).collect()
 }
 
-fn quantized_bytes(engine: &LocatorEngine, trace: &Trace) -> Vec<u8> {
-    let path =
-        std::env::temp_dir().join(format!("sca_locator_f32_bit_pin_{}.scaloc", std::process::id()));
-    i8_twin(engine, trace).save(&path).unwrap();
+/// The v4 bytes `engine.save` writes (`tag` keeps concurrent tests' temp
+/// files apart).
+fn saved_bytes(engine: &LocatorEngine, tag: &str) -> Vec<u8> {
+    let path = std::env::temp_dir()
+        .join(format!("sca_locator_f32_bit_pin_{tag}_{}.scaloc", std::process::id()));
+    engine.save(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
     bytes
+}
+
+fn quantized_bytes(engine: &LocatorEngine, trace: &Trace) -> Vec<u8> {
+    saved_bytes(&i8_twin(engine, trace), "quant")
+}
+
+/// One pinned training run: the builder's settings and its material.
+struct FitCase {
+    name: &'static str,
+    window: usize,
+    cnn: CnnConfig,
+    training: TrainingConfig,
+    /// Dataset limits: `(cipher start, cipher rest, noise)` windows.
+    limits: (usize, usize, usize),
+    seed: u64,
+    captures: Vec<Trace>,
+    noise: Trace,
+}
+
+impl FitCase {
+    fn builder(&self) -> LocatorBuilder {
+        let (start, rest, noise) = self.limits;
+        LocatorBuilder::new(self.window, self.window * 9 / 10, self.window / 16)
+            .cnn_config(self.cnn)
+            .training_config(self.training)
+            .dataset_limits(start, rest, noise)
+            .seed(self.seed)
+    }
+}
+
+/// Seeded single-CO captures: a noisy idle lead of varying length, a CO
+/// whose first samples carry a burst over an oscillation, and an idle tail.
+fn fit_captures(count: usize, co_len: usize, seed: u64) -> Vec<Trace> {
+    let mut state = 0xF17C_A97E_0000_0001 ^ seed;
+    (0..count)
+        .map(|i| {
+            let lead = 40 + 7 * (i % 5);
+            let samples = (0..lead + co_len + 64)
+                .map(|j| {
+                    let noise = 0.25 * xorshift(&mut state);
+                    if j < lead || j >= lead + co_len {
+                        return noise;
+                    }
+                    let t = (j - lead) as f32;
+                    let burst = if t < 24.0 { 2.0 } else { 0.0 };
+                    burst + (t * 0.3).sin() + noise
+                })
+                .collect();
+            let meta = TraceMeta {
+                co_starts: vec![lead],
+                co_ends: vec![lead + co_len],
+                ..Default::default()
+            };
+            Trace::with_meta(samples, meta)
+        })
+        .collect()
+}
+
+/// A seeded noise trace of non-cryptographic activity.
+fn fit_noise(len: usize, seed: u64) -> Trace {
+    let mut state = 0x0015_E7EA_CE00_0001 ^ seed;
+    Trace::from_samples(
+        (0..len).map(|i| 0.5 * (i as f32 * 0.11).sin() + 0.25 * xorshift(&mut state)).collect(),
+    )
+}
+
+fn fit_cases() -> Vec<FitCase> {
+    vec![
+        FitCase {
+            name: "served",
+            window: 256,
+            cnn: CnnConfig { base_filters: 8, kernel_size: 9, seed: 1 },
+            training: TrainingConfig { epochs: 2, batch_size: 32, learning_rate: 2e-3, seed: 1 },
+            limits: (30, 60, 40),
+            seed: 11,
+            captures: fit_captures(30, 700, 1),
+            noise: fit_noise(6_000, 1),
+        },
+        FitCase {
+            name: "small",
+            window: 48,
+            cnn: CnnConfig { base_filters: 2, kernel_size: 3, seed: 1 },
+            training: TrainingConfig { epochs: 3, batch_size: 16, learning_rate: 5e-3, seed: 2 },
+            limits: (24, 40, 32),
+            seed: 13,
+            captures: fit_captures(24, 160, 2),
+            noise: fit_noise(2_000, 2),
+        },
+    ]
+}
+
+/// The pinned outputs of one fit: the saved v4 model bytes, and the bits of
+/// every epoch's training loss followed by every epoch's validation loss.
+fn fit_pin(case: &FitCase) -> (Vec<u8>, Vec<u8>) {
+    let (locator, report) = case.builder().fit(&case.captures, &case.noise);
+    let losses = report
+        .train_losses
+        .iter()
+        .chain(&report.validation_losses)
+        .flat_map(|l| l.to_bits().to_le_bytes())
+        .collect();
+    (saved_bytes(&locator.into_engine(), &format!("fit_{}", case.name)), losses)
+}
+
+fn fit_model_fixture(name: &str) -> String {
+    format!("fit_{name}.scaloc")
+}
+
+fn fit_losses_fixture(name: &str) -> String {
+    format!("fit_losses_{name}.bin")
 }
 
 /// One-time fixture writer (run explicitly with `--ignored` after an
@@ -180,6 +300,14 @@ fn regenerate_bit_pins() {
         if name == "served" {
             std::fs::write(fixture_path(QUANT_FIXTURE), quantized_bytes(&engine, &trace)).unwrap();
         }
+    }
+    for case in fit_cases() {
+        let (model, losses) = {
+            let _serial = tinynn::parallel::serial_region();
+            fit_pin(&case)
+        };
+        std::fs::write(fixture_path(&fit_model_fixture(case.name)), model).unwrap();
+        std::fs::write(fixture_path(&fit_losses_fixture(case.name)), losses).unwrap();
     }
 }
 
@@ -259,6 +387,53 @@ fn pinned_engines_cover_the_intended_shapes() {
                 );
             }
             _ => assert!(windows > 0),
+        }
+    }
+}
+
+#[test]
+fn fit_writes_the_pinned_model_bytes() {
+    for case in fit_cases() {
+        let pinned_model = std::fs::read(fixture_path(&fit_model_fixture(case.name))).unwrap();
+        let pinned_losses = std::fs::read(fixture_path(&fit_losses_fixture(case.name))).unwrap();
+        let serial = {
+            let _serial = tinynn::parallel::serial_region();
+            fit_pin(&case)
+        };
+        let mut runs = vec![("one thread", serial)];
+        if case.name == "served" {
+            runs.push(("every core", fit_pin(&case)));
+        }
+        for (threads, (model, losses)) in runs {
+            assert_eq!(losses, pinned_losses, "{} fit on {threads}: loss bits drifted", case.name);
+            assert!(
+                model == pinned_model,
+                "{} fit on {threads}: the trained model drifted from its pinned v4 bytes",
+                case.name
+            );
+        }
+    }
+}
+
+#[test]
+fn pinned_fits_cover_the_intended_shapes() {
+    for case in fit_cases() {
+        let (start, rest, noise) = case.limits;
+        // The dataset and split `LocatorBuilder::fit` builds for this case.
+        let split = DatasetBuilder::new(case.window)
+            .with_limits(start, rest, noise)
+            .with_seed(case.seed)
+            .build(&case.captures, &case.noise)
+            .split(SplitRatios::paper(), case.seed);
+        assert!(!split.validation.is_empty(), "{}: epoch selection needs validation", case.name);
+        if case.name == "served" {
+            assert_ne!(
+                split.train.len() % case.training.batch_size,
+                0,
+                "served needs a ragged training batch"
+            );
+        } else {
+            assert!(case.cnn.base_filters * case.cnn.kernel_size < 8, "depths below one vector");
         }
     }
 }
