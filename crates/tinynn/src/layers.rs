@@ -23,17 +23,27 @@
 //!
 //! These `forward` methods form the **layer chain**: `Conv1d` packs its
 //! weight block into `MR`-row strips once per call and lowers each item to
-//! im2col → [`matmul::matmul_packed_lhs`] (col2im for the input gradient),
-//! `Linear` packs `Wᵀ` into `NR`-column panels for
-//! [`matmul::matmul_packed_rhs`], and the normalisation/pooling layers
-//! operate on contiguous channel slices. The layer chain serves training
-//! and is the test oracle of `f32` inference: a convolutional backbone
-//! built from these layers scores windows through the fused channels-last
-//! chain of [`crate::fused`] (direct convolutions with batch norm, ReLU
-//! and the residual add in the tile epilogue, no im2col), whose output is
-//! bit-identical to the layer chain's. The original scalar implementations
-//! survive as `*_reference` methods so parity tests can pin the optimised
-//! kernels against them.
+//! im2col → [`matmul::matmul_packed_lhs`], `Linear` packs `Wᵀ` into
+//! `NR`-column panels for [`matmul::matmul_packed_rhs`], and the
+//! normalisation/pooling layers operate on contiguous channel slices.
+//!
+//! `Conv1d::backward` fans out over the batch: each item computes its
+//! weight-gradient partial with [`matmul::matmul_weight_grad`] (lanes over
+//! output channels), its column gradient with [`matmul::matmul_at_b`] and a
+//! col2im scatter into its own slice of the input gradient, and the caller
+//! adds the partials in item order. `BatchNorm1d` forms its training sums
+//! (batch statistics, `Σdy`, `Σdy·x̂`) several channels at a time. Both
+//! keep every gradient element's floating-point operations and their order
+//! exactly as in a plain sequential loop, so trained weights are the same
+//! bits whatever the thread count.
+//!
+//! The layer chain serves training and is the test oracle of `f32`
+//! inference: a convolutional backbone built from these layers scores
+//! windows through the fused channels-last chain of [`crate::fused`]
+//! (direct convolutions with batch norm, ReLU and the residual add in the
+//! tile epilogue, no im2col), whose output is bit-identical to the layer
+//! chain's. The original scalar implementations survive as `*_reference`
+//! methods so parity tests can pin the optimised kernels against them.
 
 use std::cell::RefCell;
 
@@ -344,9 +354,13 @@ impl Layer for Linear {
 // ---------------------------------------------------------------------------
 
 thread_local! {
-    /// Per-thread im2col scratch used only when the batch fans out across
-    /// threads (worker threads cannot share the caller's workspace buffer).
+    /// Per-thread im2col scratch of the batch fan-outs (worker threads
+    /// cannot share the caller's workspace buffer). The backward also reuses
+    /// it for the item's column gradient once the weight gradient is done.
     static COL_BUF: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread positions-major copy of one item's output gradient: the
+    /// lanes of [`matmul::matmul_weight_grad`].
+    static DY_T_BUF: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Writes the im2col lowering of one `[C, len]` input signal into `col`.
@@ -373,6 +387,16 @@ fn im2col(col: &mut Vec<f32>, x: &[f32], channels: usize, len: usize, kernel: us
                 let s0 = (j0 as isize + shift) as usize;
                 row[j0..j1].copy_from_slice(&x_row[s0..s0 + (j1 - j0)]);
             }
+        }
+    }
+}
+
+/// Writes the `[len, rows]` transpose of a row-major `[rows, len]` block.
+fn transpose_into(dst: &mut Vec<f32>, src: &[f32], rows: usize, len: usize) {
+    dst.resize(rows * len, 0.0);
+    for (r, src_row) in src.chunks_exact(len).enumerate() {
+        for (j, &v) in src_row.iter().enumerate() {
+            dst[j * rows + r] = v;
         }
     }
 }
@@ -410,11 +434,14 @@ fn col2im_add(
 /// The forward and backward passes lower to im2col → GEMM: the
 /// `[out_c, in_c, kernel]` weight tensor is row-major exactly the
 /// `[out_c, in_c*kernel]` GEMM operand, and the im2col matrix is built with
-/// contiguous row copies, so the whole convolution is three cache-blocked
-/// matrix products. Large batches fan out across threads; the im2col
-/// scratch comes from the workspace on the sequential paths and from a
-/// per-thread buffer inside the fan-out. Inference of a whole backbone
-/// runs the direct convolution of [`crate::fused`] instead.
+/// contiguous row copies, so the whole convolution is three matrix
+/// products. Large batches fan out across threads in both passes; the
+/// im2col scratch comes from the workspace on the sequential forward and
+/// from per-thread buffers otherwise. The backward's items each write
+/// their own input gradient and weight/bias-gradient partials, which are
+/// added into the gradients in item order, so the gradient bits do not
+/// depend on the thread count. Inference of a whole backbone runs the
+/// direct convolution of [`crate::fused`] instead.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Conv1d {
     weight: Param, // [out_c, in_c, k]
@@ -605,33 +632,58 @@ impl Layer for Conv1d {
         let (in_c, out_c, k) = (self.in_channels, self.out_channels, self.kernel_size);
         let ck = in_c * k;
         let pad = self.pad_left();
-        let mut grad_input = Tensor::zeros(&[batch, in_c, len]);
-        let col = &mut ws.col;
-        let dcol = &mut ws.dcol;
-        dcol.resize(ck * len, 0.0);
-        let w = self.weight.value.data();
-        for b in 0..batch {
-            let g_b = &grad_output.data()[b * out_c * len..(b + 1) * out_c * len];
-            let x_b = &input.data()[b * in_c * len..(b + 1) * in_c * len];
-            im2col(col, x_b, in_c, len, k, pad);
-            // db += row sums of dY
-            let grad_bias = self.bias.grad.data_mut();
-            for (oc, g_row) in g_b.chunks(len).enumerate() {
-                grad_bias[oc] += g_row.iter().sum::<f32>();
+        // Each item's outputs, side by side: its weight-gradient partial
+        // [out_c, ck], its bias-gradient partial [out_c] and its input
+        // gradient [in_c, len].
+        let (dw_len, dx_len) = (out_c * ck, in_c * len);
+        let item_len = dw_len + out_c + dx_len;
+        let items = &mut ws.grad_items;
+        items.resize(batch * item_len, 0.0);
+        let (x, dy, w) = (input.data(), grad_output.data(), self.weight.value.data());
+        let flops = 4 * batch * out_c * ck * len;
+        let threads = parallel::thread_count_for(batch, flops, CONV_PAR_MIN_FLOPS);
+        parallel::for_each_item_mut(items, item_len, threads, |b, out| {
+            let (dw, rest) = out.split_at_mut(dw_len);
+            let (db, dx) = rest.split_at_mut(out_c);
+            let g_b = &dy[b * out_c * len..(b + 1) * out_c * len];
+            for (d, g_row) in db.iter_mut().zip(g_b.chunks_exact(len)) {
+                *d = g_row.iter().sum::<f32>();
             }
-            // dW += dY · colᵀ
-            matmul::matmul_a_bt(self.weight.grad.data_mut(), g_b, col, out_c, len, ck);
-            // dcol = Wᵀ · dY, then scatter back onto the input gradient.
-            dcol[..ck * len].fill(0.0);
-            matmul::matmul_at_b(&mut dcol[..ck * len], w, g_b, out_c, ck, len);
-            col2im_add(
-                &mut grad_input.data_mut()[b * in_c * len..(b + 1) * in_c * len],
-                &dcol[..ck * len],
-                in_c,
-                len,
-                k,
-                pad,
-            );
+            COL_BUF.with_borrow_mut(|col| {
+                im2col(col, &x[b * in_c * len..(b + 1) * in_c * len], in_c, len, k, pad);
+                // dW partial = dY · colᵀ. `-0.0` is the exact additive
+                // identity, so the kernel's single add leaves each partial
+                // equal to its sum.
+                dw.fill(-0.0);
+                DY_T_BUF.with_borrow_mut(|g_t| {
+                    transpose_into(g_t, g_b, out_c, len);
+                    matmul::matmul_weight_grad(dw, g_t, col, len, out_c, ck);
+                });
+                // dcol = Wᵀ · dY in the im2col buffer, then scatter it back
+                // onto the item's input gradient.
+                let dcol = &mut col[..ck * len];
+                dcol.fill(0.0);
+                matmul::matmul_at_b(dcol, w, g_b, out_c, ck, len);
+                dx.fill(0.0);
+                col2im_add(dx, dcol, in_c, len, k, pad);
+            });
+        });
+        // Add the partials into the gradients in item order: each gradient
+        // element receives exactly the adds of a sequential batch loop.
+        let mut grad_input = Tensor::zeros(&[batch, in_c, len]);
+        let (grad_w, grad_b) = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
+        for (out, gx) in
+            items.chunks_exact(item_len).zip(grad_input.data_mut().chunks_exact_mut(dx_len))
+        {
+            let (dw, rest) = out.split_at(dw_len);
+            let (db, dx) = rest.split_at(out_c);
+            for (g, &d) in grad_w.iter_mut().zip(dw) {
+                *g += d;
+            }
+            for (g, &d) in grad_b.iter_mut().zip(db) {
+                *g += d;
+            }
+            gx.copy_from_slice(dx);
         }
         grad_input
     }
@@ -705,11 +757,77 @@ impl BatchNorm1d {
         let scale = self.gamma.value.data()[c] * inv;
         (scale, self.beta.value.data()[c] - self.running_mean[c] * scale)
     }
+}
 
-    #[inline]
-    fn channel_slice(data: &[f32], b: usize, c: usize, channels: usize, len: usize) -> &[f32] {
-        &data[(b * channels + c) * len..(b * channels + c + 1) * len]
+/// Channels whose batch-norm sums run side by side in [`channel_sums`].
+const BN_LANES: usize = 4;
+
+/// Per-channel `f64` sums of `S` terms over two `[batch, channels, len]`
+/// tensors `a` and `b` (`b` may be `a`): `term(c, a_i, b_i)` gives channel
+/// `c`'s terms at each element, and each channel's sums add them in
+/// batch-then-position order from `0.0` — the order of a plain loop over
+/// one channel at a time. [`BN_LANES`] channels are summed at once, so
+/// their serial add chains overlap.
+fn channel_sums<const S: usize>(
+    a: &[f32],
+    b: &[f32],
+    (batch, channels, len): (usize, usize, usize),
+    term: impl Fn(usize, f32, f32) -> [f64; S],
+) -> Vec<[f64; S]> {
+    let mut sums = Vec::with_capacity(channels);
+    let mut c0 = 0;
+    while c0 + BN_LANES <= channels {
+        let lanes = sum_lanes::<BN_LANES, S>(a, b, c0, (batch, channels, len), &term);
+        sums.extend((0..BN_LANES).map(|l| std::array::from_fn(|s| lanes[s][l])));
+        c0 += BN_LANES;
     }
+    for c in c0..channels {
+        let lane = sum_lanes::<1, S>(a, b, c, (batch, channels, len), &term);
+        sums.push(std::array::from_fn(|s| lane[s][0]));
+    }
+    sums
+}
+
+/// Channels `c0 .. c0 + L` of [`channel_sums`], as `sums[term][lane]`.
+/// Positions are read four at a time from each channel row and then added
+/// one position after another, so each lane's order stays sequential.
+fn sum_lanes<const L: usize, const S: usize>(
+    a: &[f32],
+    b: &[f32],
+    c0: usize,
+    (batch, channels, len): (usize, usize, usize),
+    term: &impl Fn(usize, f32, f32) -> [f64; S],
+) -> [[f64; L]; S] {
+    let mut acc = [[0.0f64; L]; S];
+    let mut add = |l: usize, av: f32, bv: f32| {
+        for (acc_s, t) in acc.iter_mut().zip(term(c0 + l, av, bv)) {
+            acc_s[l] += t;
+        }
+    };
+    for item in 0..batch {
+        let base = (item * channels + c0) * len;
+        let rows_a: [&[f32]; L] = std::array::from_fn(|l| &a[base + l * len..][..len]);
+        let rows_b: [&[f32]; L] = std::array::from_fn(|l| &b[base + l * len..][..len]);
+        let mut j = 0;
+        while j + 4 <= len {
+            let block_a: [[f32; 4]; L] =
+                std::array::from_fn(|l| rows_a[l][j..j + 4].try_into().expect("4 positions"));
+            let block_b: [[f32; 4]; L] =
+                std::array::from_fn(|l| rows_b[l][j..j + 4].try_into().expect("4 positions"));
+            for t in 0..4 {
+                for l in 0..L {
+                    add(l, block_a[l][t], block_b[l][t]);
+                }
+            }
+            j += 4;
+        }
+        for j in j..len {
+            for l in 0..L {
+                add(l, rows_a[l][j], rows_b[l][j]);
+            }
+        }
+    }
+    acc
 }
 
 impl Layer for BatchNorm1d {
@@ -721,52 +839,40 @@ impl Layer for BatchNorm1d {
         let m = (batch * len) as f32;
         let x = input.data();
 
-        // Per-channel statistics over contiguous [b, c] slices.
-        let mut mean_c = vec![0.0f32; channels];
-        let mut var_c = vec![0.0f32; channels];
-        let mut std_inv = vec![0.0f32; channels];
-        for c in 0..channels {
-            let (mean, var) = if training {
-                let mut sum = 0.0f64;
-                for b in 0..batch {
-                    for &v in Self::channel_slice(x, b, c, channels, len) {
-                        sum += v as f64;
-                    }
-                }
-                let mean = (sum / m as f64) as f32;
-                let mut var_sum = 0.0f64;
-                for b in 0..batch {
-                    for &v in Self::channel_slice(x, b, c, channels, len) {
-                        var_sum += ((v - mean) as f64).powi(2);
-                    }
-                }
-                (mean, (var_sum / m as f64) as f32)
-            } else {
-                (self.running_mean[c], self.running_var[c])
-            };
-            mean_c[c] = mean;
-            var_c[c] = var;
-            std_inv[c] = 1.0 / (var + self.eps).sqrt();
-        }
+        // Per-channel statistics: the mean, then the variance about it, each
+        // an f64 sum over the channel's [b, c] slices in batch order.
+        let (mean_c, var_c): (Vec<f32>, Vec<f32>) = if training {
+            let dims = (batch, channels, len);
+            let mean_c: Vec<f32> = channel_sums(x, x, dims, |_, v, _| [v as f64])
+                .iter()
+                .map(|[sum]| (sum / m as f64) as f32)
+                .collect();
+            let var_c = channel_sums(x, x, dims, |c, v, _| [((v - mean_c[c]) as f64).powi(2)])
+                .iter()
+                .map(|[var_sum]| (var_sum / m as f64) as f32)
+                .collect();
+            (mean_c, var_c)
+        } else {
+            (self.running_mean.clone(), self.running_var.clone())
+        };
+        let std_inv: Vec<f32> = var_c.iter().map(|&var| 1.0 / (var + self.eps).sqrt()).collect();
 
         let mut out = ws.uninit_tensor(input.shape());
         if training {
             let mut x_hat = Tensor::zeros(input.shape());
-            {
-                let out_data = out.data_mut();
-                let hat_data = x_hat.data_mut();
-                for b in 0..batch {
-                    for c in 0..channels {
-                        let base = (b * channels + c) * len;
-                        let g = self.gamma.value.data()[c];
-                        let be = self.beta.value.data()[c];
-                        let (mean, inv) = (mean_c[c], std_inv[c]);
-                        for j in base..base + len {
-                            let xh = (x[j] - mean) * inv;
-                            hat_data[j] = xh;
-                            out_data[j] = g * xh + be;
-                        }
-                    }
+            let rows = out
+                .data_mut()
+                .chunks_exact_mut(len)
+                .zip(x_hat.data_mut().chunks_exact_mut(len))
+                .zip(x.chunks_exact(len));
+            for (row, ((out_row, hat_row), x_row)) in rows.enumerate() {
+                let c = row % channels;
+                let (g, be) = (self.gamma.value.data()[c], self.beta.value.data()[c]);
+                let (mean, inv) = (mean_c[c], std_inv[c]);
+                for ((o, h), &v) in out_row.iter_mut().zip(hat_row.iter_mut()).zip(x_row) {
+                    let xh = (v - mean) * inv;
+                    *h = xh;
+                    *o = g * xh + be;
                 }
             }
             ws.push(LayerCache::Bn { x_hat, std_inv, mean: mean_c, var: var_c });
@@ -808,27 +914,29 @@ impl Layer for BatchNorm1d {
         let dy = grad_output.data();
         let hat = x_hat.data();
         let mut grad_input = Tensor::zeros(grad_output.shape());
-        let gi = grad_input.data_mut();
-        for (c, &inv) in std_inv.iter().enumerate() {
-            let mut sum_dy = 0.0f64;
-            let mut sum_dy_xhat = 0.0f64;
-            for b in 0..batch {
-                let base = (b * channels + c) * len;
-                for j in base..base + len {
-                    sum_dy += dy[j] as f64;
-                    sum_dy_xhat += dy[j] as f64 * hat[j] as f64;
-                }
-            }
+        let sums = channel_sums(dy, hat, (batch, channels, len), |_, d, h| {
+            [d as f64, d as f64 * h as f64]
+        });
+        // Per channel: `(gamma · inv, mean of dy, mean of dy·x̂)`.
+        let mut coef = Vec::with_capacity(channels);
+        for (c, (&inv, &[sum_dy, sum_dy_xhat])) in std_inv.iter().zip(&sums).enumerate() {
             self.beta.grad.data_mut()[c] += sum_dy as f32;
             self.gamma.grad.data_mut()[c] += sum_dy_xhat as f32;
-            let g = self.gamma.value.data()[c];
-            let mean_dy = sum_dy as f32 / m;
-            let mean_dy_xhat = sum_dy_xhat as f32 / m;
-            for b in 0..batch {
-                let base = (b * channels + c) * len;
-                for j in base..base + len {
-                    gi[j] = g * inv * (dy[j] - mean_dy - hat[j] * mean_dy_xhat);
-                }
+            coef.push((
+                self.gamma.value.data()[c] * inv,
+                sum_dy as f32 / m,
+                sum_dy_xhat as f32 / m,
+            ));
+        }
+        let rows = grad_input
+            .data_mut()
+            .chunks_exact_mut(len)
+            .zip(dy.chunks_exact(len))
+            .zip(hat.chunks_exact(len));
+        for (row, ((gi_row, dy_row), hat_row)) in rows.enumerate() {
+            let (g_inv, mean_dy, mean_dy_xhat) = coef[row % channels];
+            for ((gi, &d), &h) in gi_row.iter_mut().zip(dy_row).zip(hat_row) {
+                *gi = g_inv * (d - mean_dy - h * mean_dy_xhat);
             }
         }
         grad_input
@@ -1376,6 +1484,40 @@ mod tests {
             before,
             "backward must commit the batch statistics"
         );
+    }
+
+    #[test]
+    fn channel_sums_keep_the_plain_loop_order() {
+        // Huge values that cancel make any change of summation order show
+        // in the bits; 6 channels and 7 positions exercise both tails.
+        let (batch, channels, len) = (3usize, 6usize, 7usize);
+        let spiky = |seed: u64| -> Vec<f32> {
+            init::uniform(&[batch * channels * len], -1.0, 1.0, seed)
+                .data()
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| match i % 7 {
+                    1 => 3e12,
+                    5 => -3e12,
+                    _ => v,
+                })
+                .collect()
+        };
+        let (a, b) = (spiky(1), spiky(2));
+        let term = |c: usize, x: f32, y: f32| [x as f64 + c as f64, x as f64 * y as f64];
+        let got = channel_sums(&a, &b, (batch, channels, len), term);
+        for (c, sums) in got.iter().enumerate() {
+            let mut want = [0.0f64; 2];
+            for item in 0..batch {
+                let base = (item * channels + c) * len;
+                for i in base..base + len {
+                    for (w, t) in want.iter_mut().zip(term(c, a[i], b[i])) {
+                        *w += t;
+                    }
+                }
+            }
+            assert_eq!(sums.map(f64::to_bits), want.map(f64::to_bits), "channel {c}");
+        }
     }
 
     #[test]

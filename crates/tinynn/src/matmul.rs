@@ -1,30 +1,37 @@
-//! Cache-blocked `f32` matrix multiplication kernels.
+//! Cache-blocked and register-tiled `f32` matrix multiplication kernels.
 //!
 //! These are the GEMM primitives behind the im2col convolution and the
-//! vectorised fully connected layer. Three data layouts cover every use in
-//! the library without ever materialising a transpose:
+//! vectorised fully connected layer. Three layouts serve the layer chain's
+//! training passes:
 //!
-//! * [`matmul`]      — `C[m,n] += A[m,k] · B[k,n]` (row-major everywhere);
-//! * [`matmul_a_bt`] — `C[m,n] += A[m,k] · B[n,k]ᵀ` (dot products of rows);
-//! * [`matmul_at_b`] — `C[m,n] += A[r,m]ᵀ · B[r,n]` (sum of row outer
-//!   products — the gradient accumulation shape).
+//! * [`matmul`]             — `C[m,n] += A[m,k] · B[k,n]` (row-major
+//!   everywhere; `Linear`'s input gradient);
+//! * [`matmul_at_b`]        — `C[m,n] += A[r,m]ᵀ · B[r,n]` (sum of row outer
+//!   products — `Linear`'s weight gradient and the conv column gradient);
+//! * [`matmul_weight_grad`] — `C[m,n] += Σₚ Aᵀ[p,m] · B[n,p]` (one dot
+//!   product over positions per element — the conv weight gradient, with
+//!   the output gradient stored positions-major).
 //!
-//! The inner loops run over contiguous slices only (no index arithmetic per
-//! element), which LLVM auto-vectorises, and the `k`/`n` dimensions are
-//! blocked so the working set of the streamed `B` panel stays inside L1/L2.
+//! The two gradient kernels are register-tiled, yet every element gets
+//! exactly the operations of the plain scalar loop they replace, in the
+//! same order: each product is rounded before its add (no fused
+//! multiply-add), `matmul_at_b` adds row by row straight into `C` and
+//! skips zero `A` entries, and `matmul_weight_grad` sums each element from
+//! `0.0` over positions and adds the total once. Only independent elements
+//! run side by side, so trained weights do not depend on the tiling, nor
+//! on the thread count of the convolution backward that calls them.
 //!
-//! The layer forwards do not use these plain kernels directly: the packed
-//! register-tiled family ([`pack_lhs`] → [`matmul_packed_lhs`] for the
-//! im2col convolution shape, [`pack_rhs_t`] → [`matmul_packed_rhs`] for the
-//! fully connected shape) packs the weight operand once per layer call into
-//! cache-friendly [`MR`]/[`NR`] panels and accumulates every `MR × NR`
-//! output tile in registers with explicitly contracted FMA, flushing to `C`
-//! once per [`KC`] depth block instead of once per depth step — roughly
-//! double the throughput of the auto-vectorised loops on the network's
-//! small-`m` GEMMs. The plain kernels remain the backward and
-//! parity-reference paths. (Backbone inference convolves directly, without
-//! im2col, in [`crate::fused`], reproducing [`matmul_packed_lhs`]'s
-//! per-block accumulation order bit for bit.)
+//! The layer forwards use the packed register-tiled family instead
+//! ([`pack_lhs`] → [`matmul_packed_lhs`] for the im2col convolution shape,
+//! [`pack_rhs_t`] → [`matmul_packed_rhs`] for the fully connected shape):
+//! it packs the weight operand once per layer call into cache-friendly
+//! [`MR`]/[`NR`] panels and accumulates every `MR × NR` output tile in
+//! registers with explicitly contracted FMA, flushing to `C` once per
+//! [`KC`] depth block instead of once per depth step — roughly double the
+//! throughput of the auto-vectorised loops on the network's small-`m`
+//! GEMMs. (Backbone inference convolves directly, without im2col, in
+//! [`crate::fused`], reproducing [`matmul_packed_lhs`]'s per-block
+//! accumulation order bit for bit.)
 //!
 //! The quantised convolution has one kernel: [`matmul_q8_requant_sliding`]
 //! (with its SIMD fast path [`matmul_q8_requant_sliding_packed`]) maps
@@ -79,38 +86,18 @@ pub fn matmul(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize)
     }
 }
 
-/// `C += A · Bᵀ` with `A: [m,k]`, `B: [n,k]`, `C: [m,n]`, all row-major.
-///
-/// Every output element is a dot product of two contiguous rows, the natural
-/// layout for `Linear` (`y = x Wᵀ`) and for the conv weight gradient
-/// (`dW = dY · colᵀ`).
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with its dimensions.
-pub fn matmul_a_bt(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "A must be m*k = {}x{}", m, k);
-    assert_eq!(b.len(), n * k, "B must be n*k = {}x{}", n, k);
-    assert_eq!(c.len(), m * n, "C must be m*n = {}x{}", m, n);
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let c_row = &mut c[i * n..(i + 1) * n];
-        for (j, cv) in c_row.iter_mut().enumerate() {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in a_row.iter().zip(b_row.iter()) {
-                acc += av * bv;
-            }
-            *cv += acc;
-        }
-    }
-}
-
 /// `C += Aᵀ · B` with `A: [r,m]`, `B: [r,n]`, `C: [m,n]`, all row-major.
 ///
-/// Computed as a sum of per-row outer products so the inner loop still runs
-/// over the contiguous `B` rows. This is the gradient shape: for `Linear`,
-/// `dW = dYᵀ · X`; for the conv input gradient, `dcol = Wᵀ · dY`.
+/// A sum of per-row outer products: `C[i,j]` gains `A[row,i] · B[row,j]`
+/// for `row = 0, 1, …` in turn, each product rounded and then added
+/// straight into `C`, and rows whose `A[row,i]` is zero are skipped. This
+/// is the gradient shape: for `Linear`, `dW = dYᵀ · X`; for the conv input
+/// gradient, `dcol = Wᵀ · dY`.
+///
+/// Register-tiled: each tile of up to 4 rows × 16 columns of `C` is loaded
+/// into registers once, accumulates every `row` in order and is stored
+/// once, so every element gets exactly the operations of the plain
+/// row-by-row loop, in the same order.
 ///
 /// # Panics
 ///
@@ -119,17 +106,163 @@ pub fn matmul_at_b(c: &mut [f32], a: &[f32], b: &[f32], r: usize, m: usize, n: u
     assert_eq!(a.len(), r * m, "A must be r*m = {}x{}", r, m);
     assert_eq!(b.len(), r * n, "B must be r*n = {}x{}", r, n);
     assert_eq!(c.len(), m * n, "C must be m*n = {}x{}", m, n);
+    let mut j0 = 0;
+    while j0 + 16 <= n {
+        at_b_strip::<16>(c, a, b, r, m, n, j0);
+        j0 += 16;
+    }
+    if j0 + 8 <= n {
+        at_b_strip::<8>(c, a, b, r, m, n, j0);
+        j0 += 8;
+    }
+    while j0 < n {
+        at_b_strip::<1>(c, a, b, r, m, n, j0);
+        j0 += 1;
+    }
+}
+
+/// The column strip `j0 .. j0 + W` of [`matmul_at_b`], four rows of `C` at
+/// a time, then one.
+fn at_b_strip<const W: usize>(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    r: usize,
+    m: usize,
+    n: usize,
+    j0: usize,
+) {
+    let mut i0 = 0;
+    while i0 + 4 <= m {
+        at_b_tile::<4, W>(c, a, b, r, m, n, i0, j0);
+        i0 += 4;
+    }
+    while i0 < m {
+        at_b_tile::<1, W>(c, a, b, r, m, n, i0, j0);
+        i0 += 1;
+    }
+}
+
+/// One `R × W` register tile of [`matmul_at_b`] at `C[i0.., j0..]`.
+#[allow(clippy::too_many_arguments)] // GEMM tile: operands + geometry
+#[inline]
+fn at_b_tile<const R: usize, const W: usize>(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    r: usize,
+    m: usize,
+    n: usize,
+    i0: usize,
+    j0: usize,
+) {
+    let mut acc: [[f32; W]; R] = std::array::from_fn(|i| {
+        c[(i0 + i) * n + j0..(i0 + i) * n + j0 + W].try_into().expect("W columns")
+    });
     for row in 0..r {
-        let a_row = &a[row * m..(row + 1) * m];
-        let b_row = &b[row * n..(row + 1) * n];
-        for (i, &av) in a_row.iter().enumerate() {
+        let brow: &[f32; W] = b[row * n + j0..row * n + j0 + W].try_into().expect("W columns");
+        for (acc_i, &av) in acc.iter_mut().zip(&a[row * m + i0..row * m + i0 + R]) {
             if av == 0.0 {
                 continue;
             }
-            let c_row = &mut c[i * n..(i + 1) * n];
-            for (cv, &bv) in c_row.iter_mut().zip(b_row.iter()) {
+            for (cv, &bv) in acc_i.iter_mut().zip(brow) {
                 *cv += av * bv;
             }
+        }
+    }
+    for (i, acc_i) in acc.iter().enumerate() {
+        c[(i0 + i) * n + j0..(i0 + i) * n + j0 + W].copy_from_slice(acc_i);
+    }
+}
+
+/// The weight-gradient product `C[i,j] += Σₚ Aᵀ[p,i] · B[j,p]` with
+/// `Aᵀ: [p,m]` (an output gradient stored positions-major), `B: [n,p]` (the
+/// channel-major im2col of the input) and `C: [m,n]` (the weight
+/// gradient), all row-major.
+///
+/// Every element's sum starts from `0.0` and adds its `p` products in
+/// position order, each product rounded before its add (no fused
+/// multiply-add), and the finished sum is added to `C` once — the order of
+/// a plain dot product per element. The kernel computes many such sums at
+/// once: the lanes of a register tile are up to 16 consecutive rows of `C`
+/// (output channels, contiguous in each row of `Aᵀ`), and each of the
+/// tile's columns broadcasts one `B` value per position, so the serial add
+/// chains of neighbouring elements overlap instead of waiting on each
+/// other.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with its dimensions.
+pub fn matmul_weight_grad(c: &mut [f32], at: &[f32], b: &[f32], p: usize, m: usize, n: usize) {
+    assert_eq!(at.len(), p * m, "Aᵀ must be p*m = {}x{}", p, m);
+    assert_eq!(b.len(), n * p, "B must be n*p = {}x{}", n, p);
+    assert_eq!(c.len(), m * n, "C must be m*n = {}x{}", m, n);
+    let mut i0 = 0;
+    while i0 + 16 <= m {
+        weight_grad_strip::<16, 4>(c, at, b, p, m, n, i0);
+        i0 += 16;
+    }
+    if i0 + 8 <= m {
+        weight_grad_strip::<8, 8>(c, at, b, p, m, n, i0);
+        i0 += 8;
+    }
+    while i0 < m {
+        weight_grad_strip::<1, 8>(c, at, b, p, m, n, i0);
+        i0 += 1;
+    }
+}
+
+/// The row strip `i0 .. i0 + W` of [`matmul_weight_grad`], `R` columns of
+/// `C` at a time, then one.
+fn weight_grad_strip<const W: usize, const R: usize>(
+    c: &mut [f32],
+    at: &[f32],
+    b: &[f32],
+    p: usize,
+    m: usize,
+    n: usize,
+    i0: usize,
+) {
+    let mut j0 = 0;
+    while j0 + R <= n {
+        weight_grad_tile::<W, R>(c, at, b, p, m, n, i0, j0);
+        j0 += R;
+    }
+    while j0 < n {
+        weight_grad_tile::<W, 1>(c, at, b, p, m, n, i0, j0);
+        j0 += 1;
+    }
+}
+
+/// One tile of [`matmul_weight_grad`]: `W` rows of `C` in lanes by `R`
+/// columns, `W · R` independent sums held in registers over all `p`
+/// positions.
+#[allow(clippy::too_many_arguments)] // GEMM tile: operands + geometry
+#[inline]
+fn weight_grad_tile<const W: usize, const R: usize>(
+    c: &mut [f32],
+    at: &[f32],
+    b: &[f32],
+    p: usize,
+    m: usize,
+    n: usize,
+    i0: usize,
+    j0: usize,
+) {
+    let brows: [&[f32]; R] = std::array::from_fn(|jj| &b[(j0 + jj) * p..(j0 + jj + 1) * p]);
+    let mut acc = [[0.0f32; W]; R];
+    for (pos, at_row) in at.chunks_exact(m).enumerate() {
+        let lanes: &[f32; W] = at_row[i0..i0 + W].try_into().expect("W lanes");
+        for (acc_j, brow) in acc.iter_mut().zip(&brows) {
+            let bv = brow[pos];
+            for (s, &av) in acc_j.iter_mut().zip(lanes) {
+                *s += av * bv;
+            }
+        }
+    }
+    for (jj, acc_j) in acc.iter().enumerate() {
+        for (i, &s) in acc_j.iter().enumerate() {
+            c[(i0 + i) * n + j0 + jj] += s;
         }
     }
 }
@@ -717,24 +850,6 @@ mod tests {
             matmul(&mut c, &a, &b, m, k, n);
             assert!(max_abs_diff(&c, &expect) < 1e-4, "matmul {m}x{k}x{n}");
         }
-    }
-
-    #[test]
-    fn matmul_a_bt_matches_reference() {
-        let (m, k, n) = (5usize, 17usize, 9usize);
-        let a = init::uniform(&[m, k], -1.0, 1.0, 3).data().to_vec();
-        let bt = init::uniform(&[n, k], -1.0, 1.0, 4).data().to_vec();
-        // Build B = (Bᵀ)ᵀ row-major for the reference.
-        let mut b = vec![0.0f32; k * n];
-        for j in 0..n {
-            for kk in 0..k {
-                b[kk * n + j] = bt[j * k + kk];
-            }
-        }
-        let expect = matmul_reference(&a, &b, m, k, n);
-        let mut c = vec![0.0f32; m * n];
-        matmul_a_bt(&mut c, &a, &bt, m, k, n);
-        assert!(max_abs_diff(&c, &expect) < 1e-4);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   backward traverses the network in exactly the reverse order of forward,
 //!   a LIFO stack needs no layer identity bookkeeping at all. Inference
 //!   (`training == false`) pushes nothing.
-//! * **scratch buffers** — the f32 im2col pair (`col`, `dcol`) of the
-//!   layer chain, which serves training only; the packed weight-panel
+//! * **scratch buffers** — the layer chain's f32 im2col buffer (`col`)
+//!   and the convolution backward's per-item gradient outputs
+//!   (`grad_items`), which serve training only; the packed weight-panel
 //!   buffer (`pack`, rebuilt per layer call and reused by the
 //!   register-tiled GEMM kernels); the fused `f32` inference chain's
 //!   per-call weight packing (`plan`) and per-window staging and
@@ -50,8 +51,9 @@ pub struct Workspace {
     stack: Vec<LayerCache>,
     /// im2col lowering buffer, reused across layers of one pass.
     pub(crate) col: Vec<f32>,
-    /// Column-gradient buffer of the convolution backward pass.
-    pub(crate) dcol: Vec<f32>,
+    /// Per-item outputs of the convolution backward pass: each batch
+    /// item's weight- and bias-gradient partials and its input gradient.
+    pub(crate) grad_items: Vec<f32>,
     /// Packed weight panels of the register-tiled GEMM kernels
     /// ([`crate::matmul::pack_lhs`] / [`crate::matmul::pack_rhs_t`]),
     /// rebuilt per layer call (weights may change between calls during
@@ -212,7 +214,7 @@ impl Workspace {
     /// passes once warm.
     pub fn retained_bytes(&self) -> usize {
         let f32s = self.col.capacity()
-            + self.dcol.capacity()
+            + self.grad_items.capacity()
             + self.pack.capacity()
             + self.item.capacity();
         let i16s = self.qpool.iter().map(|b| b.capacity()).sum::<usize>();

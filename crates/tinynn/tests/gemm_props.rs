@@ -1,4 +1,4 @@
-//! Property tests of the packed register-tiled GEMM kernels.
+//! Property tests of the register-tiled GEMM kernels.
 //!
 //! The micro-kernels carry three kinds of shape hazard: row strips that do
 //! not divide `m` (zero-padded pack lanes), column blocks that do not divide
@@ -10,12 +10,18 @@
 //! integer [`matmul_q8_reference`] for the quantised path (bit-exact, with
 //! code magnitudes kept small enough that every dot fits the `i16` output
 //! grid of a unit requantiser).
+//!
+//! The training kernels ([`matmul_weight_grad`], [`matmul_at_b`]) must
+//! instead match the plain scalar loops they replaced bit for bit; those
+//! loops live here as oracles. So must the batch fan-out of
+//! `Conv1d::backward` match its serial run.
 
 use tinynn::matmul::{
-    matmul_packed_lhs, matmul_packed_rhs, matmul_q8_reference, matmul_q8_requant_sliding,
-    matmul_reference, pack_lhs, pack_rhs_t, packed_lhs_len, packed_rhs_len,
+    matmul_at_b, matmul_packed_lhs, matmul_packed_rhs, matmul_q8_reference,
+    matmul_q8_requant_sliding, matmul_reference, matmul_weight_grad, pack_lhs, pack_rhs_t,
+    packed_lhs_len, packed_rhs_len,
 };
-use tinynn::Requantizer;
+use tinynn::{init, parallel, Conv1d, Layer, Requantizer, Tensor, Workspace};
 
 /// Small deterministic LCG (same recipe as the quantisation property tests).
 struct Rng(u64);
@@ -192,5 +198,158 @@ fn q8_sliding_matches_packed_windows_over_stride_sweep() {
             unit_requant(&a, &buf, m, k, n, stride),
             "m={m} k={k} n={n} stride={stride}"
         );
+    }
+}
+
+/// Oracle of [`matmul_weight_grad`]: the scalar loop of the conv weight
+/// gradient it replaced, on the untransposed output gradient —
+/// `C[i,j] += Σₚ A[i,p] · B[j,p]` with `A: [m,p]`, `B: [n,p]`, each dot
+/// summed from zero and added to `C` once.
+fn weight_grad_oracle(c: &mut [f32], a: &[f32], b: &[f32], m: usize, p: usize, n: usize) {
+    for i in 0..m {
+        let a_row = &a[i * p..(i + 1) * p];
+        let c_row = &mut c[i * n..(i + 1) * n];
+        for (j, cv) in c_row.iter_mut().enumerate() {
+            let b_row = &b[j * p..(j + 1) * p];
+            let mut acc = 0.0f32;
+            for (&av, &bv) in a_row.iter().zip(b_row.iter()) {
+                acc += av * bv;
+            }
+            *cv += acc;
+        }
+    }
+}
+
+/// Oracle of [`matmul_at_b`]: the plain sum of row outer products, added
+/// straight into `C`, skipping zero `A` entries.
+fn at_b_oracle(c: &mut [f32], a: &[f32], b: &[f32], r: usize, m: usize, n: usize) {
+    for row in 0..r {
+        let a_row = &a[row * m..(row + 1) * m];
+        let b_row = &b[row * n..(row + 1) * n];
+        for (i, &av) in a_row.iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            let c_row = &mut c[i * n..(i + 1) * n];
+            for (cv, &bv) in c_row.iter_mut().zip(b_row.iter()) {
+                *cv += av * bv;
+            }
+        }
+    }
+}
+
+fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what} at {i}: {g} vs {w}");
+    }
+}
+
+/// Column counts (`in_c · k` of the served, paper and small networks, and
+/// every tail of the 16-, 8- and 1-wide tiles), position counts (fewer
+/// than the 8-wide tile up to past one 256-block) and row counts 1–17.
+const GRAD_COLS: &[usize] = &[1, 7, 8, 9, 17, 72, 144, 1024];
+const GRAD_POSITIONS: &[usize] = &[1, 2, 31, 230, 256, 300];
+
+/// `(rows, positions, columns)` of the gradient-kernel sweep: every column
+/// and position count pairs with a rotating row count, and every row count
+/// 1–17 runs at the served network's widest shape.
+fn grad_shapes() -> Vec<(usize, usize, usize)> {
+    let mut shapes = Vec::new();
+    for (idx, (&p, &n)) in
+        GRAD_POSITIONS.iter().flat_map(|p| GRAD_COLS.iter().map(move |n| (p, n))).enumerate()
+    {
+        shapes.push((1 + idx % 17, p, n));
+    }
+    shapes.extend((1..=17).map(|m| (m, 230, 144)));
+    shapes
+}
+
+#[test]
+fn weight_grad_matches_the_scalar_loop_bit_for_bit() {
+    let mut rng = Rng::new(61);
+    for (m, p, n) in grad_shapes() {
+        let a: Vec<f32> = (0..m * p).map(|_| rng.uniform(1.0)).collect();
+        let b: Vec<f32> = (0..n * p).map(|_| rng.uniform(1.0)).collect();
+        // The kernel reads the output gradient positions-major.
+        let mut at = vec![0.0f32; p * m];
+        for i in 0..m {
+            for pos in 0..p {
+                at[pos * m + i] = a[i * p + pos];
+            }
+        }
+        // Accumulate onto a non-zero C.
+        let c0: Vec<f32> = (0..m * n).map(|_| rng.uniform(4.0)).collect();
+        let mut want = c0.clone();
+        weight_grad_oracle(&mut want, &a, &b, m, p, n);
+        let mut got = c0;
+        matmul_weight_grad(&mut got, &at, &b, p, m, n);
+        assert_same_bits(&got, &want, &format!("matmul_weight_grad m={m} p={p} n={n}"));
+    }
+}
+
+#[test]
+fn at_b_matches_the_scalar_loop_bit_for_bit() {
+    let mut rng = Rng::new(67);
+    // As `matmul_at_b(dcol, W, dY, out_c, in_c·k, len)`: rows r are output
+    // channels, m the im2col depth and n positions.
+    for (r, n, m) in grad_shapes() {
+        let mut a: Vec<f32> =
+            (0..r * m).map(|i| if i % 7 == 3 { 0.0 } else { rng.uniform(1.0) }).collect();
+        let mut b: Vec<f32> = (0..r * n).map(|_| rng.uniform(1.0)).collect();
+        if r > 1 {
+            // A zero row of A meets an infinite row of B: only the zero
+            // skip keeps the products out of C.
+            a[..m].fill(0.0);
+            b[..n].fill(f32::INFINITY);
+        }
+        let c0: Vec<f32> = (0..m * n).map(|_| rng.uniform(4.0)).collect();
+        let mut want = c0.clone();
+        at_b_oracle(&mut want, &a, &b, r, m, n);
+        let mut got = c0;
+        matmul_at_b(&mut got, &a, &b, r, m, n);
+        assert!(want.iter().all(|v| v.is_finite()), "the oracle skips the infinite row");
+        assert_same_bits(&got, &want, &format!("matmul_at_b r={r} m={m} n={n}"));
+    }
+}
+
+#[test]
+fn gradient_kernels_leave_c_alone_for_empty_products() {
+    let mut c = vec![1.5f32; 6];
+    matmul_at_b(&mut c, &[], &[], 0, 2, 3);
+    assert_eq!(c, vec![1.5; 6]);
+    matmul_weight_grad(&mut c, &[], &[], 0, 2, 3);
+    assert_eq!(c, vec![1.5; 6]);
+}
+
+/// The bits of one `Conv1d` training step: the input gradient, then the
+/// weight and bias gradients.
+fn conv_backward_bits(conv: &Conv1d, x: &Tensor, dy: &Tensor) -> Vec<u32> {
+    let mut conv = conv.clone();
+    let mut ws = Workspace::new();
+    let _ = conv.forward(x, &mut ws, true);
+    let dx = conv.backward(dy, &mut ws);
+    let grads = conv.params().into_iter().flat_map(|p| p.grad.data().to_vec());
+    dx.data().iter().copied().chain(grads).map(f32::to_bits).collect()
+}
+
+#[test]
+fn conv_backward_fan_out_matches_the_serial_bits() {
+    // 8 → 16 channels, kernel 9, 100 positions: each item's backward
+    // costs about 0.46 MFLOP, so batches of 7 and 32 pass the fan-out gate
+    // of 2 MFLOP (a host with one core runs both sides serially).
+    for batch in [1usize, 7, 32] {
+        let conv = Conv1d::new(8, 16, 9, 3);
+        let x = init::uniform(&[batch, 8, 100], -1.0, 1.0, 5);
+        let mut dy = init::uniform(&[batch, 16, 100], -1.0, 1.0, 7);
+        // Zero output gradients, as a ReLU mask leaves them.
+        for v in dy.data_mut().iter_mut().step_by(5) {
+            *v = 0.0;
+        }
+        let serial = {
+            let _serial = parallel::serial_region();
+            conv_backward_bits(&conv, &x, &dy)
+        };
+        assert_eq!(conv_backward_bits(&conv, &x, &dy), serial, "batch {batch}");
     }
 }
