@@ -355,11 +355,9 @@ impl Layer for Linear {
 
 thread_local! {
     /// Per-thread im2col scratch of the batch fan-outs (worker threads
-    /// cannot share the caller's workspace buffer). The backward also reuses
-    /// it for the item's column gradient once the weight gradient is done.
+    /// cannot share the caller's workspace buffer, `Workspace::col`).
     static COL_BUF: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread positions-major copy of one item's output gradient: the
-    /// lanes of [`matmul::matmul_weight_grad`].
+    /// Per-thread counterpart of `Workspace::dy_t` in the backward fan-out.
     static DY_T_BUF: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -637,43 +635,48 @@ impl Layer for Conv1d {
         // gradient [in_c, len].
         let (dw_len, dx_len) = (out_c * ck, in_c * len);
         let item_len = dw_len + out_c + dx_len;
-        let items = &mut ws.grad_items;
-        items.resize(batch * item_len, 0.0);
+        ws.grad_items.resize(batch * item_len, 0.0);
         let (x, dy, w) = (input.data(), grad_output.data(), self.weight.value.data());
         let flops = 4 * batch * out_c * ck * len;
         let threads = parallel::thread_count_for(batch, flops, CONV_PAR_MIN_FLOPS);
-        parallel::for_each_item_mut(items, item_len, threads, |b, out| {
+        let item = |b: usize, out: &mut [f32], col: &mut Vec<f32>, g_t: &mut Vec<f32>| {
             let (dw, rest) = out.split_at_mut(dw_len);
             let (db, dx) = rest.split_at_mut(out_c);
             let g_b = &dy[b * out_c * len..(b + 1) * out_c * len];
             for (d, g_row) in db.iter_mut().zip(g_b.chunks_exact(len)) {
                 *d = g_row.iter().sum::<f32>();
             }
-            COL_BUF.with_borrow_mut(|col| {
-                im2col(col, &x[b * in_c * len..(b + 1) * in_c * len], in_c, len, k, pad);
-                // dW partial = dY · colᵀ. `-0.0` is the exact additive
-                // identity, so the kernel's single add leaves each partial
-                // equal to its sum.
-                dw.fill(-0.0);
-                DY_T_BUF.with_borrow_mut(|g_t| {
-                    transpose_into(g_t, g_b, out_c, len);
-                    matmul::matmul_weight_grad(dw, g_t, col, len, out_c, ck);
-                });
-                // dcol = Wᵀ · dY in the im2col buffer, then scatter it back
-                // onto the item's input gradient.
-                let dcol = &mut col[..ck * len];
-                dcol.fill(0.0);
-                matmul::matmul_at_b(dcol, w, g_b, out_c, ck, len);
-                dx.fill(0.0);
-                col2im_add(dx, dcol, in_c, len, k, pad);
+            // dW partial = dY · colᵀ. `-0.0` is the exact additive identity,
+            // so the kernel's single add leaves each partial equal to its sum.
+            im2col(col, &x[b * in_c * len..(b + 1) * in_c * len], in_c, len, k, pad);
+            transpose_into(g_t, g_b, out_c, len);
+            dw.fill(-0.0);
+            matmul::matmul_weight_grad(dw, g_t, col, len, out_c, ck);
+            // dcol = Wᵀ · dY in the im2col buffer, then scatter it back onto
+            // the item's input gradient.
+            let dcol = &mut col[..ck * len];
+            dcol.fill(0.0);
+            matmul::matmul_at_b(dcol, w, g_b, out_c, ck, len);
+            dx.fill(0.0);
+            col2im_add(dx, dcol, in_c, len, k, pad);
+        };
+        if threads <= 1 {
+            // Sequential over the batch: reuse the workspace scratch.
+            for (b, out) in ws.grad_items.chunks_exact_mut(item_len).enumerate() {
+                item(b, out, &mut ws.col, &mut ws.dy_t);
+            }
+        } else {
+            parallel::for_each_item_mut(&mut ws.grad_items, item_len, threads, |b, out| {
+                COL_BUF
+                    .with_borrow_mut(|col| DY_T_BUF.with_borrow_mut(|g_t| item(b, out, col, g_t)))
             });
-        });
+        }
         // Add the partials into the gradients in item order: each gradient
         // element receives exactly the adds of a sequential batch loop.
         let mut grad_input = Tensor::zeros(&[batch, in_c, len]);
         let (grad_w, grad_b) = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
         for (out, gx) in
-            items.chunks_exact(item_len).zip(grad_input.data_mut().chunks_exact_mut(dx_len))
+            ws.grad_items.chunks_exact(item_len).zip(grad_input.data_mut().chunks_exact_mut(dx_len))
         {
             let (dw, rest) = out.split_at(dw_len);
             let (db, dx) = rest.split_at(out_c);

@@ -853,6 +853,31 @@ mod tests {
     }
 
     #[test]
+    fn matmul_weight_grad_matches_reference() {
+        let (m, p, n) = (5usize, 17usize, 9usize);
+        let a = init::uniform(&[m, p], -1.0, 1.0, 3).data().to_vec();
+        let bt = init::uniform(&[n, p], -1.0, 1.0, 4).data().to_vec();
+        // The kernel takes A positions-major; the reference takes
+        // B = (Bᵀ)ᵀ row-major.
+        let mut at = vec![0.0f32; p * m];
+        for i in 0..m {
+            for pos in 0..p {
+                at[pos * m + i] = a[i * p + pos];
+            }
+        }
+        let mut b = vec![0.0f32; p * n];
+        for j in 0..n {
+            for pos in 0..p {
+                b[pos * n + j] = bt[j * p + pos];
+            }
+        }
+        let expect = matmul_reference(&a, &b, m, p, n);
+        let mut c = vec![0.0f32; m * n];
+        matmul_weight_grad(&mut c, &at, &bt, p, m, n);
+        assert!(max_abs_diff(&c, &expect) < 1e-4);
+    }
+
+    #[test]
     fn matmul_at_b_matches_reference() {
         let (r, m, n) = (6usize, 4usize, 8usize);
         let at = init::uniform(&[r, m], -1.0, 1.0, 5).data().to_vec();

@@ -1,4 +1,4 @@
-//! Optimisers: Adam (used by the paper, lr = 0.001) and plain SGD.
+//! The optimiser: Adam, as used by the paper (lr = 0.001).
 
 use serde::{Deserialize, Serialize};
 

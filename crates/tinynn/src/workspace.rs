@@ -12,8 +12,9 @@
 //!   a LIFO stack needs no layer identity bookkeeping at all. Inference
 //!   (`training == false`) pushes nothing.
 //! * **scratch buffers** — the layer chain's f32 im2col buffer (`col`)
-//!   and the convolution backward's per-item gradient outputs
-//!   (`grad_items`), which serve training only; the packed weight-panel
+//!   and the convolution backward's transposed output gradient (`dy_t`)
+//!   and per-item gradient outputs (`grad_items`), which serve training
+//!   only; the packed weight-panel
 //!   buffer (`pack`, rebuilt per layer call and reused by the
 //!   register-tiled GEMM kernels); the fused `f32` inference chain's
 //!   per-call weight packing (`plan`) and per-window staging and
@@ -49,8 +50,12 @@ const ARENA_SLOTS: usize = 16;
 #[derive(Debug, Default)]
 pub struct Workspace {
     stack: Vec<LayerCache>,
-    /// im2col lowering buffer, reused across layers of one pass.
+    /// im2col lowering buffer, reused across layers of one pass (the
+    /// convolution backward also reuses it for the column gradient).
     pub(crate) col: Vec<f32>,
+    /// Positions-major copy of one item's convolution output gradient: the
+    /// lanes of [`crate::matmul::matmul_weight_grad`].
+    pub(crate) dy_t: Vec<f32>,
     /// Per-item outputs of the convolution backward pass: each batch
     /// item's weight- and bias-gradient partials and its input gradient.
     pub(crate) grad_items: Vec<f32>,
@@ -214,6 +219,7 @@ impl Workspace {
     /// passes once warm.
     pub fn retained_bytes(&self) -> usize {
         let f32s = self.col.capacity()
+            + self.dy_t.capacity()
             + self.grad_items.capacity()
             + self.pack.capacity()
             + self.item.capacity();
