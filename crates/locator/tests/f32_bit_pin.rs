@@ -433,7 +433,8 @@ fn pinned_fits_cover_the_intended_shapes() {
                 "served needs a ragged training batch"
             );
         } else {
-            assert!(case.cnn.base_filters * case.cnn.kernel_size < 8, "depths below one vector");
+            let res1_depth = case.cnn.base_filters * case.cnn.kernel_size;
+            assert!(res1_depth < 8, "small needs convolution depths below one 8-lane vector");
         }
     }
 }

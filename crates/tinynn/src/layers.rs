@@ -434,8 +434,8 @@ fn col2im_add(
 /// `[out_c, in_c*kernel]` GEMM operand, and the im2col matrix is built with
 /// contiguous row copies, so the whole convolution is three matrix
 /// products. Large batches fan out across threads in both passes; the
-/// im2col scratch comes from the workspace on the sequential forward and
-/// from per-thread buffers otherwise. The backward's items each write
+/// scratch comes from the workspace on the sequential paths and from
+/// per-thread buffers inside the fan-outs. The backward's items each write
 /// their own input gradient and weight/bias-gradient partials, which are
 /// added into the gradients in item order, so the gradient bits do not
 /// depend on the thread count. Inference of a whole backbone runs the
@@ -646,10 +646,10 @@ impl Layer for Conv1d {
             for (d, g_row) in db.iter_mut().zip(g_b.chunks_exact(len)) {
                 *d = g_row.iter().sum::<f32>();
             }
-            // dW partial = dY · colᵀ. `-0.0` is the exact additive identity,
-            // so the kernel's single add leaves each partial equal to its sum.
             im2col(col, &x[b * in_c * len..(b + 1) * in_c * len], in_c, len, k, pad);
             transpose_into(g_t, g_b, out_c, len);
+            // dW partial = dY · colᵀ. `-0.0` is the exact additive identity,
+            // so the kernel's single add leaves each partial equal to its sum.
             dw.fill(-0.0);
             matmul::matmul_weight_grad(dw, g_t, col, len, out_c, ck);
             // dcol = Wᵀ · dY in the im2col buffer, then scatter it back onto
