@@ -97,7 +97,9 @@ pub fn matmul(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize)
 /// Register-tiled: each tile of up to 4 rows × 16 columns of `C` is loaded
 /// into registers once, accumulates every `row` in order and is stored
 /// once, so every element gets exactly the operations of the plain
-/// row-by-row loop, in the same order.
+/// row-by-row loop, in the same order. When `A` holds no zero (a weight
+/// matrix, typically) the skip can never fire, so the tiles run without
+/// its branches.
 ///
 /// # Panics
 ///
@@ -106,24 +108,41 @@ pub fn matmul_at_b(c: &mut [f32], a: &[f32], b: &[f32], r: usize, m: usize, n: u
     assert_eq!(a.len(), r * m, "A must be r*m = {}x{}", r, m);
     assert_eq!(b.len(), r * n, "B must be r*n = {}x{}", r, n);
     assert_eq!(c.len(), m * n, "C must be m*n = {}x{}", m, n);
+    if a.contains(&0.0) {
+        at_b_columns::<true>(c, a, b, r, m, n);
+    } else {
+        at_b_columns::<false>(c, a, b, r, m, n);
+    }
+}
+
+/// [`matmul_at_b`] in column strips of 16, then 8, then 1; `SKIP` keeps
+/// the zero test on `A`.
+fn at_b_columns<const SKIP: bool>(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    r: usize,
+    m: usize,
+    n: usize,
+) {
     let mut j0 = 0;
     while j0 + 16 <= n {
-        at_b_strip::<16>(c, a, b, r, m, n, j0);
+        at_b_strip::<16, SKIP>(c, a, b, r, m, n, j0);
         j0 += 16;
     }
     if j0 + 8 <= n {
-        at_b_strip::<8>(c, a, b, r, m, n, j0);
+        at_b_strip::<8, SKIP>(c, a, b, r, m, n, j0);
         j0 += 8;
     }
     while j0 < n {
-        at_b_strip::<1>(c, a, b, r, m, n, j0);
+        at_b_strip::<1, SKIP>(c, a, b, r, m, n, j0);
         j0 += 1;
     }
 }
 
 /// The column strip `j0 .. j0 + W` of [`matmul_at_b`], four rows of `C` at
 /// a time, then one.
-fn at_b_strip<const W: usize>(
+fn at_b_strip<const W: usize, const SKIP: bool>(
     c: &mut [f32],
     a: &[f32],
     b: &[f32],
@@ -134,11 +153,11 @@ fn at_b_strip<const W: usize>(
 ) {
     let mut i0 = 0;
     while i0 + 4 <= m {
-        at_b_tile::<4, W>(c, a, b, r, m, n, i0, j0);
+        at_b_tile::<4, W, SKIP>(c, a, b, r, m, n, i0, j0);
         i0 += 4;
     }
     while i0 < m {
-        at_b_tile::<1, W>(c, a, b, r, m, n, i0, j0);
+        at_b_tile::<1, W, SKIP>(c, a, b, r, m, n, i0, j0);
         i0 += 1;
     }
 }
@@ -146,7 +165,7 @@ fn at_b_strip<const W: usize>(
 /// One `R × W` register tile of [`matmul_at_b`] at `C[i0.., j0..]`.
 #[allow(clippy::too_many_arguments)] // GEMM tile: operands + geometry
 #[inline]
-fn at_b_tile<const R: usize, const W: usize>(
+fn at_b_tile<const R: usize, const W: usize, const SKIP: bool>(
     c: &mut [f32],
     a: &[f32],
     b: &[f32],
@@ -162,7 +181,7 @@ fn at_b_tile<const R: usize, const W: usize>(
     for row in 0..r {
         let brow: &[f32; W] = b[row * n + j0..row * n + j0 + W].try_into().expect("W columns");
         for (acc_i, &av) in acc.iter_mut().zip(&a[row * m + i0..row * m + i0 + R]) {
-            if av == 0.0 {
+            if SKIP && av == 0.0 {
                 continue;
             }
             for (cv, &bv) in acc_i.iter_mut().zip(brow) {

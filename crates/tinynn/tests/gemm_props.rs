@@ -294,22 +294,28 @@ fn at_b_matches_the_scalar_loop_bit_for_bit() {
     // As `matmul_at_b(dcol, W, dY, out_c, in_c·k, len)`: rows r are output
     // channels, m the im2col depth and n positions.
     for (r, n, m) in grad_shapes() {
-        let mut a: Vec<f32> =
-            (0..r * m).map(|i| if i % 7 == 3 { 0.0 } else { rng.uniform(1.0) }).collect();
-        let mut b: Vec<f32> = (0..r * n).map(|_| rng.uniform(1.0)).collect();
-        if r > 1 {
-            // A zero row of A meets an infinite row of B: only the zero
-            // skip keeps the products out of C.
-            a[..m].fill(0.0);
-            b[..n].fill(f32::INFINITY);
+        // Once without zeros in A (the kernel drops the skip's branches),
+        // once with them.
+        for zeros in [false, true] {
+            let mut a: Vec<f32> = (0..r * m)
+                .map(|i| if zeros && i % 7 == 3 { 0.0 } else { rng.uniform(1.0) })
+                .collect();
+            let mut b: Vec<f32> = (0..r * n).map(|_| rng.uniform(1.0)).collect();
+            if zeros && r > 1 {
+                // A zero row of A meets an infinite row of B: only the zero
+                // skip keeps the products out of C.
+                a[..m].fill(0.0);
+                b[..n].fill(f32::INFINITY);
+            }
+            let c0: Vec<f32> = (0..m * n).map(|_| rng.uniform(4.0)).collect();
+            let mut want = c0.clone();
+            at_b_oracle(&mut want, &a, &b, r, m, n);
+            let mut got = c0;
+            matmul_at_b(&mut got, &a, &b, r, m, n);
+            assert!(want.iter().all(|v| v.is_finite()), "the oracle skips the infinite row");
+            let what = format!("matmul_at_b r={r} m={m} n={n} zeros={zeros}");
+            assert_same_bits(&got, &want, &what);
         }
-        let c0: Vec<f32> = (0..m * n).map(|_| rng.uniform(4.0)).collect();
-        let mut want = c0.clone();
-        at_b_oracle(&mut want, &a, &b, r, m, n);
-        let mut got = c0;
-        matmul_at_b(&mut got, &a, &b, r, m, n);
-        assert!(want.iter().all(|v| v.is_finite()), "the oracle skips the infinite row");
-        assert_same_bits(&got, &want, &format!("matmul_at_b r={r} m={m} n={n}"));
     }
 }
 
