@@ -14,13 +14,13 @@
 //! * **scratch buffers** — the layer chain's f32 im2col buffer (`col`)
 //!   and the convolution backward's transposed output gradient (`dy_t`)
 //!   and per-item gradient outputs (`grad_items`), which serve training
-//!   only; the packed weight-panel
-//!   buffer (`pack`, rebuilt per layer call and reused by the
-//!   register-tiled GEMM kernels); the fused `f32` inference chain's
-//!   per-call weight packing (`plan`) and per-window staging and
-//!   channels-last activations (`item`, see [`crate::fused`]); and the
-//!   fixed-point chain's `i64` pooling accumulators (`qacc`) — reused across
-//!   layers and calls, so steady-state inference performs no allocation;
+//!   only; the packed weight-panel buffer (`pack`, rebuilt per layer call
+//!   and reused by the register-tiled GEMM kernels); the fused `f32`
+//!   inference chain's per-call weight packing (`plan`) and per-window
+//!   staging and channels-last activations (`item`, see [`crate::fused`]);
+//!   and the fixed-point chain's `i64` pooling accumulators (`qacc`) —
+//!   reused across layers and calls, so steady-state inference performs no
+//!   allocation;
 //! * an **output-activation arena**: a small free list of recycled tensor
 //!   storage. Layers draw their outputs from [`Workspace::uninit_tensor`]
 //!   and sequential containers hand dead intermediates back through
