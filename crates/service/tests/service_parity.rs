@@ -85,6 +85,8 @@ fn coalesced_batches_are_bit_identical_to_serial_locate_for_f32_and_i8() {
     let m = service.metrics();
     assert_eq!(m.submitted, lens.len() as u64);
     assert_eq!(m.completed, lens.len() as u64);
+    let windows: usize = expected.iter().map(|(_, _, scores, _)| scores.len()).sum();
+    assert_eq!(m.batched_windows, windows as u64, "every window scored exactly once");
     assert!(m.batches > 0);
     assert!(m.batch_fill_ratio > 0.0 && m.batch_fill_ratio <= 1.0);
     assert!(m.p50_latency <= m.p99_latency);
@@ -101,12 +103,14 @@ fn streamed_submissions_match_locate_streamed_across_chunk_sizes() {
     let trace = noisy_trace(700, 7);
     // Window-aligned, prime-odd (ragged final chunk) and beyond-the-trace
     // chunk sizes, like the locator's own streaming grid.
+    let mut windows = 0;
     for chunk_len in [48usize, 157, 699, 4096] {
         let expected = service.engine(model).unwrap().locate_streamed(&trace, chunk_len).unwrap();
         let opts = RequestOptions { chunk_len: Some(chunk_len), ..collect_scores() };
         let ticket = service.submit_source(model, Box::new(trace.clone()), opts).unwrap();
         let got = ticket.wait().unwrap();
         assert_eq!(got.starts, expected, "chunk={chunk_len}");
+        windows += got.windows;
         // The full score signal must also match the in-memory signal.
         let engine = service.engine(model).unwrap();
         let in_memory = engine.sliding().classify(engine.model(), &trace);
@@ -115,6 +119,7 @@ fn streamed_submissions_match_locate_streamed_across_chunk_sizes() {
             assert_eq!(a.to_bits(), b.to_bits(), "chunk={chunk_len}: score {i} diverged");
         }
     }
+    assert_eq!(service.metrics().batched_windows, windows as u64, "every window scored once");
     service.shutdown();
 }
 
@@ -159,35 +164,56 @@ fn many_threads_hammering_the_service_stay_bit_identical() {
         ServiceConfig { workers: 3, tile_windows: 32, ..ServiceConfig::default() },
     ));
     let models = ["model-0", "model-1"];
-    let expected: Vec<Vec<Vec<usize>>> = models
+    // Odd rounds stream their 400 samples in 96-sample chunks: five chunk
+    // loads per request, each re-queued while other threads' requests are
+    // being claimed.
+    let chunk_len = 96;
+    let expected: Vec<Vec<(Vec<usize>, Vec<usize>)>> = models
         .iter()
-        .map(|&m| (0..4).map(|i| service.engine(m).unwrap().locate(&noisy_trace(400, i))).collect())
+        .map(|&m| {
+            let engine = service.engine(m).unwrap();
+            (0..4)
+                .map(|i| {
+                    let trace = noisy_trace(400, i);
+                    (engine.locate(&trace), engine.locate_streamed(&trace, chunk_len).unwrap())
+                })
+                .collect()
+        })
         .collect();
-    std::thread::scope(|scope| {
-        for t in 0..8usize {
-            let service = Arc::clone(&service);
-            let expected = &expected;
-            let models = &models;
-            scope.spawn(move || {
-                for round in 0..3usize {
-                    let which = (t + round) % 2;
-                    let seed = ((t + round) % 4) as u64;
-                    let ticket = service
-                        .submit_trace(
-                            models[which],
-                            noisy_trace(400, seed),
-                            RequestOptions::default(),
-                        )
-                        .unwrap();
-                    let got = ticket.wait().unwrap();
-                    assert_eq!(
-                        got.starts, expected[which][seed as usize],
-                        "thread {t} round {round}"
-                    );
-                }
-            });
-        }
+    let windows: usize = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..8usize)
+            .map(|t| {
+                let service = Arc::clone(&service);
+                let expected = &expected;
+                let models = &models;
+                scope.spawn(move || {
+                    let mut windows = 0;
+                    for round in 0..4usize {
+                        let which = (t + round) % 2;
+                        let seed = ((t + round) % 4) as u64;
+                        let trace = noisy_trace(400, seed);
+                        let (whole, streamed) = &expected[which][seed as usize];
+                        let (ticket, want) = if round % 2 == 1 {
+                            let opts = RequestOptions {
+                                chunk_len: Some(chunk_len),
+                                ..RequestOptions::default()
+                            };
+                            (service.submit_source(models[which], Box::new(trace), opts), streamed)
+                        } else {
+                            let opts = RequestOptions::default();
+                            (service.submit_trace(models[which], trace, opts), whole)
+                        };
+                        let got = ticket.unwrap().wait().unwrap();
+                        assert_eq!(&got.starts, want, "thread {t} round {round}");
+                        windows += got.windows;
+                    }
+                    windows
+                })
+            })
+            .collect();
+        threads.into_iter().map(|h| h.join().unwrap()).sum()
     });
+    assert_eq!(service.metrics().batched_windows, windows as u64, "every window scored once");
     Arc::try_unwrap(service).expect("all clones joined").shutdown();
 }
 
