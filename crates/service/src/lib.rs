@@ -71,17 +71,19 @@
 //!
 //! Every admitted request owns a *current chunk* (the whole trace for
 //! in-memory requests; one streaming chunk otherwise) and sits in a FIFO
-//! ready queue. A worker claims up to `tile_windows` consecutive windows,
-//! crossing request boundaries but never weight boundaries (requests batch
-//! together exactly when they pin the *same resident engine* — same name
-//! **and** same generation); fully-claimed requests leave the queue while
-//! their scores are still in flight. Scores scatter back into a per-request
-//! span; the worker that completes a span either segments it (in-memory:
+//! ready queue whose entry carries the request's claim cursor. A worker
+//! claims up to `tile_windows` consecutive windows, crossing request
+//! boundaries but never weight boundaries (requests batch together exactly
+//! when they pin the *same resident engine* — same name **and** same
+//! generation); fully-claimed requests leave the queue while their scores
+//! are still in flight. Scores scatter back into a per-request span; the
+//! worker that completes a span either segments it (in-memory:
 //! [`sca_locator::Segmenter`] on the full signal, exactly `locate`) or
 //! pushes it into the request's [`sca_locator::StreamingSegmenter`] and
 //! re-enqueues the request for its next chunk (exactly `locate_streamed`).
 //! FIFO claiming keeps head-of-line latency low; coalescing keeps the
-//! kernels fed when the queue is a crowd of small requests.
+//! kernels fed when the queue is a crowd of small requests. Claiming takes
+//! one lock, the scheduler's queue lock, and that lock never takes another.
 //!
 //! ## Example
 //!
@@ -120,7 +122,6 @@
 pub mod faults;
 pub mod metrics;
 pub mod net;
-pub mod ordered_lock;
 pub mod registry;
 
 use std::collections::VecDeque;
@@ -128,14 +129,12 @@ use std::io::Read;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use sca_locator::{LocatorEngine, StreamingSegmenter, WindowScorer};
 use sca_trace::{SequentialTraceSource, Trace, TraceError, TraceSource};
 use tinynn::Workspace;
-
-use crate::ordered_lock::{rank, OrderedMutex};
 
 pub use faults::{FaultKind, FaultPlan, FaultPlanBuilder, FaultSite};
 pub use metrics::MetricsSnapshot;
@@ -361,40 +360,42 @@ impl Default for ServiceConfig {
 // Internal scheduler state
 // ---------------------------------------------------------------------------
 //
-// Lock order (acquire left before right, release any time):
+// Two kinds of lock, and one rule that keeps them deadlock-free:
 //
-//     output (rank 0)  →  state (rank 1)  →  claim (rank 2)
-//
-// The order is *enforced*, not just documented: the three lock kinds are
-// `ordered_lock::OrderedMutex`es carrying the `ordered_lock::rank`
-// constants, and debug builds panic at the acquisition site of any
-// inversion (see that module's docs; `cargo test -p locsvc` exercises the
-// checker, release builds compile the bookkeeping away).
-//
-// * `state` (the scheduler mutex + condvar) guards the ready queue and the
-//   in-flight count.
-// * each request's `claim` guards its claim cursor over the current chunk;
-//   claimed only with `state` held (or from the exclusive Load step).
+// * `state` (the scheduler mutex + condvar) guards the ready queue, each
+//   queued request's current chunk and claim cursor (`Queued`), and the
+//   in-flight count. It is a *leaf* lock: no critical section of `state`
+//   takes another lock.
 // * each request's `output` guards its score span, segmentation state and
-//   completion channel; never acquired while holding `state` or `claim`.
+//   completion channel. No thread holds two `output` locks at once.
 //
-// Every lock recovers from poisoning (`OrderedMutex::lock`, and
-// `lock_poisoned` for the unranked worker-handle list): a panicking worker
+// The only nesting is a request's `output` → `state`, when `finish_chunk`
+// re-queues the request and when `complete` releases its queue slot. With
+// `state` a leaf, no cycle can form.
+//
+// A request sits in the ready queue at most once, and only while its
+// current chunk is unloaded or has unclaimed windows: `next_step` pops it
+// when the chunk is fully claimed (or hands it to a worker to load or
+// expire), `finish_chunk` re-queues a streamed request at the back with no
+// chunk after the chunk's last score landed, and `load_chunk` re-queues it
+// at the front with the new chunk and cursor 0.
+//
+// Every lock recovers from poisoning (`lock_poisoned`): a panicking worker
 // must not take the service down with it, and each critical section
 // restores the scheduler invariants before unwinding can observe them
 // (requests touched by the panicking batch are failed explicitly by
 // `fail_batch`).
 //
 // A request's current chunk is immutable behind an `Arc` from the moment it
-// is published in the claim state until every score landed, so workers read
-// its samples without any lock.
+// is queued until every score landed, so workers read its samples without
+// any lock.
 
 /// Poison-tolerant lock: recover the guard from a peer's panic instead of
 /// cascading it. Scheduler invariants hold at every unlock point, so the
 /// recovered state is consistent; the panicking worker's own requests are
 /// failed separately with [`ServiceError::WorkerFailed`].
 pub(crate) fn lock_poisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// An immutable span of samples backing a contiguous run of windows. Window
@@ -403,12 +404,6 @@ pub(crate) fn lock_poisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 struct Chunk {
     window_count: usize,
     samples: Vec<f32>,
-}
-
-struct ClaimState {
-    chunk: Option<Arc<Chunk>>,
-    /// Next unclaimed window offset within the chunk.
-    next: usize,
 }
 
 /// Where completed score spans go.
@@ -429,11 +424,9 @@ enum Sink {
 }
 
 struct OutputState {
-    /// Completion channel; `None` once the request completed (ok or error).
+    /// Completion channel; `None` once the request completed (ok or error),
+    /// after which late scatters from in-flight batches are discarded.
     done: Option<SyncSender<Result<LocateResult, ServiceError>>>,
-    /// Set when the request was dropped (deadline/source failure/worker
-    /// panic); late scatters from in-flight batches are discarded.
-    canceled: bool,
     /// Score span of the current chunk (window offset → score).
     span: Vec<f32>,
     /// Unscored windows remaining in the current chunk.
@@ -452,12 +445,20 @@ struct ActiveRequest {
     handle: ModelHandle,
     deadline: Option<Instant>,
     submitted: Instant,
-    claim: OrderedMutex<ClaimState, { rank::CLAIM }>,
-    output: OrderedMutex<OutputState, { rank::OUTPUT }>,
+    output: Mutex<OutputState>,
+}
+
+/// A request in the ready queue, with its claim cursor.
+struct Queued {
+    req: Arc<ActiveRequest>,
+    /// The current chunk; `None` until a worker loads the next one.
+    chunk: Option<Arc<Chunk>>,
+    /// Next unclaimed window offset within `chunk`.
+    next: usize,
 }
 
 struct SchedState {
-    ready: VecDeque<Arc<ActiveRequest>>,
+    ready: VecDeque<Queued>,
     /// Admitted and not yet completed (the queue-capacity gauge).
     pending: usize,
     accepting: bool,
@@ -467,7 +468,7 @@ struct SchedState {
 struct Shared {
     registry: Arc<ModelRegistry>,
     cfg: ServiceConfig,
-    state: OrderedMutex<SchedState, { rank::STATE }>,
+    state: Mutex<SchedState>,
     work_ready: Condvar,
     counters: metrics::Counters,
 }
@@ -540,7 +541,7 @@ impl LocatorService {
         let shared = Arc::new(Shared {
             registry,
             cfg,
-            state: OrderedMutex::new(SchedState {
+            state: Mutex::new(SchedState {
                 ready: VecDeque::new(),
                 pending: 0,
                 accepting: true,
@@ -674,7 +675,7 @@ impl LocatorService {
     /// registry gauges.
     pub fn metrics(&self) -> MetricsSnapshot {
         let (depth, in_flight) = {
-            let st = self.shared.state.lock();
+            let st = lock_poisoned(&self.shared.state);
             (st.ready.len(), st.pending)
         };
         self.shared.counters.snapshot(
@@ -693,7 +694,7 @@ impl LocatorService {
     /// caller.
     pub fn shutdown(&self) {
         {
-            let mut st = self.shared.state.lock();
+            let mut st = lock_poisoned(&self.shared.state);
             st.accepting = false;
             st.shutdown = true;
             self.shared.work_ready.notify_all();
@@ -766,7 +767,7 @@ impl LocatorService {
             // Too short for a single window: same answer `locate` gives,
             // without occupying a queue slot.
             {
-                let st = shared.state.lock();
+                let st = lock_poisoned(&shared.state);
                 if !st.accepting {
                     return Err(Rejected::ShuttingDown);
                 }
@@ -791,16 +792,8 @@ impl LocatorService {
             handle,
             deadline: opts.deadline.map(|d| submitted + d),
             submitted,
-            claim: OrderedMutex::new(ClaimState {
-                next: 0,
-                chunk: match &chunk {
-                    Some(c) => Some(Arc::clone(c)),
-                    None => None,
-                },
-            }),
-            output: OrderedMutex::new(OutputState {
+            output: Mutex::new(OutputState {
                 done: Some(tx),
-                canceled: false,
                 span: match &chunk {
                     Some(c) => vec![0.0; c.window_count],
                     None => Vec::new(),
@@ -812,7 +805,7 @@ impl LocatorService {
             }),
         });
         {
-            let mut st = shared.state.lock();
+            let mut st = lock_poisoned(&shared.state);
             if !st.accepting {
                 return Err(Rejected::ShuttingDown);
             }
@@ -842,7 +835,7 @@ impl LocatorService {
                 }
             }
             st.pending += 1;
-            st.ready.push_back(req);
+            st.ready.push_back(Queued { req, chunk, next: 0 });
             shared.work_ready.notify_all();
         }
         shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
@@ -900,11 +893,10 @@ fn worker_loop(shared: &Shared) {
 fn fail_batch(shared: &Shared, batch: &[Claim]) {
     shared.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
     for c in batch {
-        let mut out = c.req.output.lock();
+        let mut out = lock_poisoned(&c.req.output);
         if out.done.is_none() {
             continue;
         }
-        out.canceled = true;
         shared.counters.failed.fetch_add(1, Ordering::Relaxed);
         complete(shared, &c.req, &mut out, Err(ServiceError::WorkerFailed));
     }
@@ -913,11 +905,10 @@ fn fail_batch(shared: &Shared, batch: &[Claim]) {
 /// Fails one request whose chunk load panicked.
 fn fail_request(shared: &Shared, req: &Arc<ActiveRequest>) {
     shared.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
-    let mut out = req.output.lock();
+    let mut out = lock_poisoned(&req.output);
     if out.done.is_none() {
         return;
     }
-    out.canceled = true;
     shared.counters.failed.fetch_add(1, Ordering::Relaxed);
     complete(shared, req, &mut out, Err(ServiceError::WorkerFailed));
 }
@@ -929,59 +920,44 @@ fn fail_request(shared: &Shared, req: &Arc<ActiveRequest>) {
 /// at a request whose next chunk is not loaded yet — loading is its own
 /// step so no lock is held across I/O.
 fn next_step(shared: &Shared) -> Step {
-    let mut st = shared.state.lock();
+    let mut st = lock_poisoned(&shared.state);
     loop {
         let now = Instant::now();
         let mut batch: Vec<Claim> = Vec::new();
         let mut claimed = 0usize;
         let mut engine: Option<Arc<LocatorEngine>> = None;
         while claimed < shared.cfg.tile_windows {
-            let Some(front) = st.ready.front() else { break };
-            if front.deadline.is_some_and(|d| d <= now) {
-                let req = st.ready.pop_front().expect("front just observed");
-                if batch.is_empty() {
-                    return Step::Expire(req);
-                }
-                // Score the batch in hand first; the expired request is
-                // re-examined (and expired) on the next pass.
-                st.ready.push_front(req);
-                break;
-            }
-            if engine.as_ref().is_some_and(|e| !Arc::ptr_eq(e, front.handle.engine())) {
-                break;
-            }
-            let mut claim = front.claim.lock();
-            match claim.chunk.clone() {
-                None => {
-                    drop(claim);
-                    let req = st.ready.pop_front().expect("front just observed");
-                    if batch.is_empty() {
-                        return Step::Load(req);
-                    }
-                    // Batch in hand: leave the load for the next pass.
-                    st.ready.push_front(req);
+            let Some(front) = st.ready.front_mut() else { break };
+            if front.req.deadline.is_some_and(|d| d <= now) {
+                // With a batch in hand, score it first; the expired request
+                // is expired on the next pass.
+                if !batch.is_empty() {
                     break;
                 }
-                Some(chunk) => {
-                    let avail = chunk.window_count - claim.next;
-                    if avail == 0 {
-                        // Fully claimed; scores still in flight elsewhere.
-                        drop(claim);
-                        st.ready.pop_front();
-                        continue;
-                    }
-                    let take = avail.min(shared.cfg.tile_windows - claimed);
-                    let first = claim.next;
-                    claim.next += take;
-                    let drained = claim.next == chunk.window_count;
-                    drop(claim);
-                    engine = Some(Arc::clone(front.handle.engine()));
-                    batch.push(Claim { req: Arc::clone(front), chunk, first, count: take });
-                    claimed += take;
-                    if drained {
-                        st.ready.pop_front();
-                    }
+                let expired = st.ready.pop_front().expect("front just observed");
+                return Step::Expire(expired.req);
+            }
+            if engine.as_ref().is_some_and(|e| !Arc::ptr_eq(e, front.req.handle.engine())) {
+                break;
+            }
+            let Some(chunk) = front.chunk.clone() else {
+                // Batch in hand: leave the load for the next pass.
+                if !batch.is_empty() {
+                    break;
                 }
+                let unloaded = st.ready.pop_front().expect("front just observed");
+                return Step::Load(unloaded.req);
+            };
+            let first = front.next;
+            let count = (chunk.window_count - first).min(shared.cfg.tile_windows - claimed);
+            front.next += count;
+            let drained = front.next == chunk.window_count;
+            engine = Some(Arc::clone(front.req.handle.engine()));
+            batch.push(Claim { req: Arc::clone(&front.req), chunk, first, count });
+            claimed += count;
+            if drained {
+                // Fully claimed; its scores are still in flight.
+                st.ready.pop_front();
             }
         }
         if !batch.is_empty() {
@@ -990,7 +966,7 @@ fn next_step(shared: &Shared) -> Step {
         if st.shutdown && st.pending == 0 {
             return Step::Exit;
         }
-        st = st.wait_on(&shared.work_ready);
+        st = shared.work_ready.wait(st).unwrap_or_else(PoisonError::into_inner);
     }
 }
 
@@ -1044,8 +1020,8 @@ fn score_batch(shared: &Shared, ws: &mut Workspace, scores: &mut Vec<f32>, batch
     for c in batch {
         let span = &scores[offset..offset + c.count];
         offset += c.count;
-        let mut out = c.req.output.lock();
-        if out.canceled {
+        let mut out = lock_poisoned(&c.req.output);
+        if out.done.is_none() {
             continue;
         }
         out.span[c.first..c.first + c.count].copy_from_slice(span);
@@ -1082,12 +1058,10 @@ fn finish_chunk(shared: &Shared, req: &Arc<ActiveRequest>, out: &mut OutputState
                     .finish();
                 complete(shared, req, out, Ok(starts));
             } else {
-                // Hand the request back to the queue; a worker will load
-                // its next chunk (the claim state already shows "no
-                // chunk": the drained one is cleared here).
-                req.claim.lock().chunk = None;
-                let mut st = shared.state.lock();
-                st.ready.push_back(Arc::clone(req));
+                // Hand the request back to the end of the queue; a worker
+                // will load its next chunk.
+                let mut st = lock_poisoned(&shared.state);
+                st.ready.push_back(Queued { req: Arc::clone(req), chunk: None, next: 0 });
                 shared.work_ready.notify_all();
             }
         }
@@ -1095,14 +1069,15 @@ fn finish_chunk(shared: &Shared, req: &Arc<ActiveRequest>, out: &mut OutputState
 }
 
 /// Loads the next chunk of a streamed request (the exclusive owner while the
-/// request is out of the queue), then puts it back at the *front* — it was
-/// at the head, and FIFO latency order should survive the I/O detour.
+/// request is out of the queue), then puts it back at the *front* with its
+/// new chunk — it was at the head, and FIFO latency order should survive
+/// the I/O detour.
 fn load_chunk(shared: &Shared, req: &Arc<ActiveRequest>) {
     let engine = req.handle.engine();
     let sliding = engine.sliding();
     let (n, stride) = (sliding.window_len(), sliding.stride());
-    let mut out = req.output.lock();
-    if out.canceled || out.done.is_none() {
+    let mut out = lock_poisoned(&req.output);
+    if out.done.is_none() {
         return;
     }
     let Sink::Streaming { source, windows_per_chunk, total_windows, next_first, .. } =
@@ -1116,7 +1091,6 @@ fn load_chunk(shared: &Shared, req: &Arc<ActiveRequest>) {
     let sample_end = (last - 1) * stride + n;
     let mut samples = vec![0.0f32; sample_end - sample_start];
     if let Err(e) = source.fill(sample_start, &mut samples) {
-        out.canceled = true;
         shared.counters.failed.fetch_add(1, Ordering::Relaxed);
         if matches!(e, TraceError::Io(_)) {
             shared.counters.io_errors.fetch_add(1, Ordering::Relaxed);
@@ -1130,24 +1104,18 @@ fn load_chunk(shared: &Shared, req: &Arc<ActiveRequest>) {
     out.span.resize(count, 0.0);
     out.remaining = count;
     let chunk = Arc::new(Chunk { window_count: count, samples });
-    {
-        let mut claim = req.claim.lock();
-        claim.chunk = Some(chunk);
-        claim.next = 0;
-    }
     drop(out);
-    let mut st = shared.state.lock();
-    st.ready.push_front(Arc::clone(req));
+    let mut st = lock_poisoned(&shared.state);
+    st.ready.push_front(Queued { req: Arc::clone(req), chunk: Some(chunk), next: 0 });
     shared.work_ready.notify_all();
 }
 
 /// Completes a request whose deadline passed while it waited.
 fn expire(shared: &Shared, req: &Arc<ActiveRequest>) {
-    let mut out = req.output.lock();
+    let mut out = lock_poisoned(&req.output);
     if out.done.is_none() {
         return; // completed in the meantime
     }
-    out.canceled = true;
     shared.counters.rejected_deadline.fetch_add(1, Ordering::Relaxed);
     complete(shared, req, &mut out, Err(ServiceError::DeadlineExceeded));
 }
@@ -1175,7 +1143,27 @@ fn complete(
     });
     // The ticket may have been dropped; completion still releases the slot.
     let _ = tx.send(result);
-    let mut st = shared.state.lock();
+    let mut st = lock_poisoned(&shared.state);
     st.pending -= 1;
     shared.work_ready.notify_all();
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::{Arc, Mutex};
+
+    use super::lock_poisoned;
+
+    #[test]
+    fn poisoned_locks_recover() {
+        let m = Arc::new(Mutex::new(7u32));
+        let m2 = Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let _g = lock_poisoned(&m2);
+            panic!("poison it");
+        })
+        .join();
+        assert!(m.is_poisoned());
+        assert_eq!(*lock_poisoned(&m), 7);
+    }
 }

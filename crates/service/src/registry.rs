@@ -583,7 +583,7 @@ impl ModelRegistry {
     /// Poison-tolerant lock: the registry's invariants hold at every await
     /// point inside the lock, so a panicking peer leaves consistent state.
     fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+        crate::lock_poisoned(&self.inner)
     }
 
     fn load_file(&self, name: &str, path: &Path) -> Result<LocatorEngine, RegistryError> {

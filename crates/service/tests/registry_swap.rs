@@ -281,8 +281,10 @@ fn worker_panic_fails_its_batch_and_the_service_keeps_serving() {
         .unwrap_err();
     assert!(matches!(err, ServiceError::WorkerFailed), "got {err:?}");
 
-    // The mutexes recovered from poisoning: the service serves on, scores
-    // bit-identical, and the panics are visible in the metrics.
+    // The injected panic fires before `score_batch` takes any lock, so no
+    // mutex is poisoned; the worker's `catch_unwind` contained it. The
+    // service serves on, scores bit-identical, and the panic is visible in
+    // the metrics.
     for round in 0..3 {
         let got = service
             .submit_trace("model-0", trace.clone(), RequestOptions::default())

@@ -341,8 +341,8 @@ pub fn crate_attrs(ws: &Workspace) -> Vec<Diagnostic> {
 /// `service-lock`: panicking on a poisoned mutex in the serving crate would
 /// turn one contained worker panic into a service-wide cascade, so
 /// `crates/service` must route every lock through its poison-tolerant
-/// helpers — `.lock().unwrap()` / `.lock().expect(…)` are banned outright
-/// (the helpers recover with `unwrap_or_else(PoisonError::into_inner)`).
+/// helper — `.lock().unwrap()` / `.lock().expect(…)` are banned outright
+/// (`lock_poisoned` recovers with `unwrap_or_else(PoisonError::into_inner)`).
 pub fn service_lock(ws: &Workspace) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     for member in &ws.members {
@@ -362,7 +362,7 @@ pub fn service_lock(ws: &Workspace) -> Vec<Diagnostic> {
                         line,
                         message: format!(
                             "`{pattern}` panics on a poisoned mutex; use the crate's \
-                             poison-tolerant lock helpers (`lock_poisoned` / `OrderedMutex`)"
+                             poison-tolerant lock helper (`lock_poisoned`)"
                         ),
                     });
                 }

@@ -1,11 +1,14 @@
 #!/usr/bin/env sh
 # Runs the concurrent serving stack under the dynamic-analysis trio:
 #
-#   tsan  ThreadSanitizer over the locsvc concurrency suites
-#         (service_parity, registry_swap, chaos) and the engine's
-#         concurrent_engine suite — the tests that exercise the
-#         scheduler's cross-thread claim/output/state protocol and the
-#         fault-injection counters shared across workers.
+#   tsan  ThreadSanitizer over every locsvc suite that runs the
+#         scheduler from several threads (service_parity, registry_swap,
+#         chaos, and tcp_roundtrip, whose concurrent clients arrive
+#         through the socket path) and the engine's concurrent_engine
+#         suite. They cover the ready queue, which carries each request's
+#         claim cursor under the scheduler lock, the per-request output
+#         state the workers scatter scores into, and the fault-injection
+#         counters shared across workers.
 #   asan  AddressSanitizer over the qsimd kernel tests and the tinynn
 #         quantisation property tests — the code with raw-pointer SIMD
 #         and hand-rolled packing arithmetic.
@@ -86,12 +89,13 @@ run_tsan() {
         skip tsan "nightly lacks rust-src (-Zbuild-std needs it)"
         return 0
     fi
-    note "tsan: locsvc service_parity + registry_swap + chaos, engine concurrent_engine"
+    note "tsan: locsvc service_parity + registry_swap + chaos + tcp_roundtrip, engine concurrent_engine"
     status=0
     RUSTFLAGS="$cpu -Z sanitizer=thread" \
         CARGO_TARGET_DIR=target/sanitize/tsan \
         cargo +nightly test -Z build-std --target "$triple" \
         -p locsvc --test service_parity --test registry_swap --test chaos \
+        --test tcp_roundtrip \
         -p sca-locator --test concurrent_engine || status=$?
     ran tsan "$status"
 }
