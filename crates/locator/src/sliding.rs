@@ -402,6 +402,12 @@ mod tests {
         Trace::from_samples((0..len).map(|x| (x as f32 * 0.1).sin()).collect())
     }
 
+    /// The scaled network (8 base filters, kernel 9) at window 128, stride 32
+    /// and batch 64 over 192 windows: `(cnn, window, stride, batch, len)`.
+    fn scaled_case() -> (CoLocatorCnn, usize, usize, usize, usize) {
+        (CoLocatorCnn::new(CnnConfig::scaled()), 128, 32, 64, 128 + 32 * 191)
+    }
+
     #[test]
     fn output_length_matches_window_count() {
         let swc = SlidingWindowClassifier::new(16, 4);
@@ -438,11 +444,16 @@ mod tests {
     fn zero_copy_path_matches_reference_exactly() {
         // Regression pin for the buffer-reuse rewrite: identical scores, not
         // merely close ones, for full and ragged final batches alike.
-        for (window, stride, batch) in [(16, 8, 4), (16, 4, 7), (24, 16, 64)] {
+        for (cnn, window, stride, batch, len) in [
+            (tiny_cnn(), 16, 8, 4, 400),
+            (tiny_cnn(), 16, 4, 7, 400),
+            (tiny_cnn(), 24, 16, 64, 400),
+            scaled_case(),
+        ] {
             let swc = SlidingWindowClassifier::new(window, stride).with_batch_size(batch);
-            let trace = wavy_trace(400);
-            let fast = swc.classify(&tiny_cnn(), &trace);
-            let reference = swc.classify_reference(&tiny_cnn(), &trace);
+            let trace = wavy_trace(len);
+            let fast = swc.classify(&cnn, &trace);
+            let reference = swc.classify_reference(&cnn, &trace);
             assert_eq!(fast.len(), reference.len());
             for (a, b) in fast.iter().zip(reference.iter()) {
                 assert!((a - b).abs() <= 1e-6, "zero-copy {a} vs reference {b}");
@@ -454,13 +465,15 @@ mod tests {
     fn optimized_kernels_match_naive_network_end_to_end() {
         // Whole-network parity: GEMM kernels + zero-copy staging vs the
         // seed-equivalent naive path, within float reassociation error.
-        let swc = SlidingWindowClassifier::new(24, 8).with_batch_size(8);
-        let trace = wavy_trace(300);
-        let fast = swc.classify(&tiny_cnn(), &trace);
-        let naive = swc.classify_naive(&tiny_cnn(), &trace);
-        assert_eq!(fast.len(), naive.len());
-        for (a, b) in fast.iter().zip(naive.iter()) {
-            assert!((a - b).abs() <= 1e-4 * (1.0 + b.abs()), "optimised {a} vs naive {b}");
+        for (cnn, window, stride, batch, len) in [(tiny_cnn(), 24, 8, 8, 300), scaled_case()] {
+            let swc = SlidingWindowClassifier::new(window, stride).with_batch_size(batch);
+            let trace = wavy_trace(len);
+            let fast = swc.classify(&cnn, &trace);
+            let naive = swc.classify_naive(&cnn, &trace);
+            assert_eq!(fast.len(), naive.len());
+            for (a, b) in fast.iter().zip(naive.iter()) {
+                assert!((a - b).abs() <= 1e-4 * (1.0 + b.abs()), "optimised {a} vs naive {b}");
+            }
         }
     }
 
