@@ -6,15 +6,13 @@
 //! shard parallelism) and once through `locate_batch` (across-trace
 //! parallelism). A save → load roundtrip of the engine is also timed and the
 //! restored model is verified to reproduce the located starts exactly. The
-//! results go to `BENCH_engine.json` so the serving-path trajectory is
-//! tracked per commit.
+//! numbers are printed; the run fails if batching is slower than looping.
 //!
-//! Usage: `engine_bench [--traces N] [--trace-len N] [--out PATH]`
+//! Usage: `engine_bench [--traces N] [--trace-len N]`
 //! (defaults: 8 traces of 1,000,000 samples).
 
 use sca_locator::{CnnConfig, CoLocatorCnn, LocatorEngine, Segmenter, SlidingWindowClassifier};
 use sca_trace::Trace;
-use std::io::Write;
 use std::time::Instant;
 
 /// Window length of the scorer (the scaled profiles use this order of size).
@@ -25,11 +23,10 @@ const STRIDE: usize = 32;
 struct Args {
     traces: usize,
     trace_len: usize,
-    out: String,
 }
 
 fn parse_args() -> Args {
-    let mut args = Args { traces: 8, trace_len: 1_000_000, out: "BENCH_engine.json".into() };
+    let mut args = Args { traces: 8, trace_len: 1_000_000 };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value =
@@ -37,7 +34,6 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--traces" => args.traces = value("--traces").parse().expect("trace count"),
             "--trace-len" => args.trace_len = value("--trace-len").parse().expect("trace len"),
-            "--out" => args.out = value("--out"),
             other => panic!("unknown flag {other}"),
         }
     }
@@ -70,7 +66,6 @@ fn main() {
     );
     let traces: Vec<Trace> =
         (0..args.traces).map(|i| synthetic_trace(args.trace_len, i as u64)).collect();
-    let total_samples: usize = traces.iter().map(|t| t.len()).sum();
     let total_windows: usize = traces.iter().map(|t| engine.sliding().output_len(t.len())).sum();
     println!(
         "fleet: {} traces x {} samples = {} windows (N={WINDOW_LEN}, stride={STRIDE})",
@@ -107,10 +102,10 @@ fn main() {
     // rep's batch run follows its looped run back-to-back, so slow
     // machine-speed drift hits both sides of one pair almost equally and
     // cancels in the ratio; taking the median pair then rejects a single
-    // disturbed rep. Using the same pair for the throughput fields keeps
-    // the JSON self-consistent — windows_per_sec_looped/batch divide to
-    // exactly the reported speedup (deriving them from per-path minima
-    // instead can contradict the speedup field on a noisy host).
+    // disturbed rep. Using the same pair for the printed throughputs keeps
+    // them consistent — the two windows/s figures divide to exactly the
+    // printed speedup (deriving them from per-path minima instead can
+    // contradict the speedup on a noisy host).
     let mut pair_order: Vec<usize> = (0..REPS).collect();
     pair_order.sort_by(|&a, &b| {
         let ra = loop_reps[a].as_secs_f64() / batch_reps[a].as_secs_f64();
@@ -178,13 +173,4 @@ fn main() {
     println!("model roundtrip: save {save_ms:.2} ms, load {load_ms:.2} ms, {model_bytes} bytes");
 
     println!("speedup locate_batch vs looped locate: {speedup:.2}x");
-
-    let json = format!(
-        "{{\n  \"bench\": \"locator_engine_batch\",\n  \"traces\": {},\n  \"trace_len\": {},\n  \"total_samples\": {total_samples},\n  \"window_len\": {WINDOW_LEN},\n  \"stride\": {STRIDE},\n  \"total_windows\": {total_windows},\n  \"traces_per_sec_looped\": {loop_tps:.3},\n  \"windows_per_sec_looped\": {loop_wps:.2},\n  \"traces_per_sec_batch\": {batch_tps:.3},\n  \"windows_per_sec_batch\": {batch_wps:.2},\n  \"speedup_batch_vs_looped\": {speedup:.2},\n  \"model_bytes\": {model_bytes},\n  \"model_save_ms\": {save_ms:.3},\n  \"model_load_ms\": {load_ms:.3}\n}}\n",
-        traces.len(),
-        args.trace_len,
-    );
-    let mut file = std::fs::File::create(&args.out).expect("create output file");
-    file.write_all(json.as_bytes()).expect("write benchmark json");
-    println!("wrote {}", args.out);
 }

@@ -312,9 +312,10 @@ impl CoLocatorCnn {
 
     /// Inference forward pass with every convolution and fully connected
     /// layer routed through its naive scalar reference implementation — the
-    /// computational profile of the pre-GEMM seed. Used by throughput
-    /// benchmarks and parity tests.
-    pub fn forward_reference(&self, input: &Tensor, ws: &mut Workspace) -> Tensor {
+    /// computational profile of the pre-GEMM seed, the oracle of the parity
+    /// tests.
+    #[cfg(test)]
+    fn forward_reference(&self, input: &Tensor, ws: &mut Workspace) -> Tensor {
         let x = self.conv.forward_reference(input);
         let x = self.bn.forward(&x, ws, false);
         let x = self.relu.forward(&x, ws, false);
@@ -327,7 +328,8 @@ impl CoLocatorCnn {
     }
 
     /// [`Self::class1_scores`] on top of [`Self::forward_reference`].
-    pub fn class1_scores_reference(&self, input: &Tensor, ws: &mut Workspace) -> Vec<f32> {
+    #[cfg(test)]
+    pub(crate) fn class1_scores_reference(&self, input: &Tensor, ws: &mut Workspace) -> Vec<f32> {
         let logits = self.forward_reference(input, ws);
         (0..logits.shape()[0]).map(|b| logits.at2(b, 1) - logits.at2(b, 0)).collect()
     }

@@ -9,7 +9,8 @@
 //! forward passes on a long trace), so the scoring loop is zero-copy: windows
 //! are written straight from the trace into one reused `[B, 1, N]` batch
 //! tensor, standardised in place, and scored through
-//! [`CoLocatorCnn::class1_scores_into`] without any per-window allocation.
+//! [`CoLocatorCnn::class1_scores_into`](crate::CoLocatorCnn::class1_scores_into)
+//! without any per-window allocation.
 //! For the `f32` network that call is the fused channels-last chain of
 //! [`tinynn::fused`] (direct convolutions with batch norm, ReLU and the
 //! residual add in the tile epilogue; im2col serves training only), whose
@@ -34,7 +35,9 @@ use sca_trace::{Trace, TraceError, TraceSource, WindowSlicer};
 use serde::{Deserialize, Serialize};
 use tinynn::Workspace;
 
-use crate::cnn::{CoLocatorCnn, WindowScorer};
+#[cfg(test)]
+use crate::cnn::CoLocatorCnn;
+use crate::cnn::WindowScorer;
 
 /// The sliding-window classifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -284,9 +287,10 @@ impl SlidingWindowClassifier {
     }
 
     /// The pre-optimisation scoring path (per-window `Vec` staging through
-    /// [`CoLocatorCnn::stack_windows`]), kept as the reference for regression
-    /// tests and the throughput benchmark.
-    pub fn classify_reference(&self, cnn: &CoLocatorCnn, trace: &Trace) -> Vec<f32> {
+    /// [`CoLocatorCnn::stack_windows`]), the reference of the regression
+    /// tests.
+    #[cfg(test)]
+    fn classify_reference(&self, cnn: &CoLocatorCnn, trace: &Trace) -> Vec<f32> {
         let slicer = WindowSlicer::new(self.window_len, self.stride)
             .expect("parameters validated at construction");
         let starts: Vec<usize> = slicer.window_starts(trace.len()).collect();
@@ -311,10 +315,10 @@ impl SlidingWindowClassifier {
 
     /// The full seed-equivalent baseline: per-window `Vec` staging *and*
     /// naive scalar convolution kernels
-    /// ([`CoLocatorCnn::class1_scores_reference`]). This is the "before"
-    /// measurement for the throughput benchmark; [`Self::classify`] must
+    /// ([`CoLocatorCnn::class1_scores_reference`]). [`Self::classify`] must
     /// produce the same scores to within float reassociation error.
-    pub fn classify_naive(&self, cnn: &CoLocatorCnn, trace: &Trace) -> Vec<f32> {
+    #[cfg(test)]
+    fn classify_naive(&self, cnn: &CoLocatorCnn, trace: &Trace) -> Vec<f32> {
         let slicer = WindowSlicer::new(self.window_len, self.stride)
             .expect("parameters validated at construction");
         let starts: Vec<usize> = slicer.window_starts(trace.len()).collect();

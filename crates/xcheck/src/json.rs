@@ -1,204 +1,4 @@
-//! A minimal JSON reader for the flat `BENCH_*.json` baseline format, plus
-//! the escaping used by the linter's `--format json` output.
-//!
-//! The benches emit a single object of scalar fields; accepting exactly that
-//! shape (and nothing more) is itself part of the lint — a baseline that
-//! needs arrays or nesting would also be invisible to
-//! `scripts/bench_guard.sh`'s line-oriented metric extraction.
-
-/// A scalar JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// A JSON number (parsed as f64, which covers every metric emitted).
-    Number(f64),
-    /// A JSON string (unescaped).
-    String(String),
-    /// `true` / `false`.
-    Bool(bool),
-    /// `null`.
-    Null,
-}
-
-/// One `"key": value` field of the object, with its source line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Field {
-    /// The field's key.
-    pub key: String,
-    /// The field's scalar value.
-    pub value: Value,
-    /// 1-based line of the key in the source text.
-    pub line: usize,
-}
-
-/// A parse failure with its location.
-#[derive(Debug)]
-pub struct ParseError {
-    /// 1-based line of the offending byte.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn line(&self) -> usize {
-        1 + self.bytes[..self.pos].iter().filter(|&&b| b == b'\n').count()
-    }
-
-    fn fail(&self, message: impl Into<String>) -> ParseError {
-        ParseError { line: self.line(), message: message.into() }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.fail(format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.fail("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.fail("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.fail("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.fail("non-ASCII \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.fail("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.fail("surrogate \\u escape"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => {
-                            return Err(self.fail(format!("unknown escape \\{}", other as char)))
-                        }
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unvalidated-as-JSON but validated-as-UTF-8 by
-                    // the &str the caller handed in).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && self.bytes[self.pos] & 0xC0 == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
-                }
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, ParseError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b't') => self.keyword("true", Value::Bool(true)),
-            Some(b'f') => self.keyword("false", Value::Bool(false)),
-            Some(b'n') => self.keyword("null", Value::Null),
-            Some(b'{') | Some(b'[') => {
-                Err(self.fail("nested objects/arrays are not part of the flat baseline format"))
-            }
-            Some(c) if c == b'-' || c.is_ascii_digit() => {
-                let start = self.pos;
-                while self.peek().is_some_and(|b| b.is_ascii_digit() || b"+-.eE".contains(&b)) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-                text.parse::<f64>()
-                    .map(Value::Number)
-                    .map_err(|_| self.fail(format!("bad number {text:?}")))
-            }
-            _ => Err(self.fail("expected a value")),
-        }
-    }
-
-    fn keyword(&mut self, word: &str, value: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.fail(format!("expected `{word}`")))
-        }
-    }
-}
-
-/// Parses a single flat JSON object (`{"k": scalar, …}`), rejecting
-/// nesting, duplicate keys and trailing content.
-pub fn parse_flat_object(text: &str) -> Result<Vec<Field>, ParseError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    p.skip_ws();
-    p.expect(b'{').map_err(|e| ParseError { message: "expected `{`".into(), ..e })?;
-    let mut fields: Vec<Field> = Vec::new();
-    loop {
-        p.skip_ws();
-        if p.peek() == Some(b'}') {
-            p.pos += 1;
-            break;
-        }
-        let line = p.line();
-        let key = p.string()?;
-        if fields.iter().any(|f| f.key == key) {
-            return Err(ParseError { line, message: format!("duplicate key {key:?}") });
-        }
-        p.skip_ws();
-        p.expect(b':')?;
-        let value = p.value()?;
-        fields.push(Field { key, value, line });
-        p.skip_ws();
-        match p.peek() {
-            Some(b',') => p.pos += 1,
-            Some(b'}') => {}
-            _ => return Err(p.fail("expected `,` or `}`")),
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.fail("trailing content after the object"));
-    }
-    Ok(fields)
-}
+//! JSON string escaping for the linter's `--format json` output.
 
 /// Escapes `s` for embedding in a JSON string literal.
 pub fn escape(s: &str) -> String {
@@ -222,34 +22,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_the_baseline_shape() {
-        let fields = parse_flat_object(
-            "{\n  \"bench\": \"x\",\n  \"n\": 3,\n  \"f\": -1.5e2,\n  \"ok\": true\n}\n",
-        )
-        .unwrap();
-        assert_eq!(fields.len(), 4);
-        assert_eq!(fields[0].key, "bench");
-        assert_eq!(fields[0].line, 2);
-        assert_eq!(fields[1].value, Value::Number(3.0));
-        assert_eq!(fields[2].value, Value::Number(-150.0));
-        assert_eq!(fields[3].value, Value::Bool(true));
-    }
-
-    #[test]
-    fn rejects_nesting_duplicates_and_trailing_garbage() {
-        assert!(parse_flat_object("{\"a\": {\"b\": 1}}").is_err());
-        assert!(parse_flat_object("{\"a\": [1]}").is_err());
-        assert!(parse_flat_object("{\"a\": 1, \"a\": 2}").is_err());
-        assert!(parse_flat_object("{\"a\": 1} extra").is_err());
-        assert!(parse_flat_object("{\"a\": }").is_err());
-        let err = parse_flat_object("{\n \"a\": 1,\n \"b\": oops\n}").unwrap_err();
-        assert_eq!(err.line, 3);
-    }
-
-    #[test]
     fn string_escapes_roundtrip() {
-        let fields = parse_flat_object(r#"{"k": "a\"b\\cA\n"}"#).unwrap();
-        assert_eq!(fields[0].value, Value::String("a\"b\\cA\n".into()));
         assert_eq!(escape("a\"b\\c\n\u{1}"), "a\\\"b\\\\c\\n\\u0001");
     }
 }

@@ -1,9 +1,8 @@
 //! `xcheck` — the workspace's invariant linter.
 //!
-//! The serving stack carries guarantees that ordinary tests cannot see: the
-//! scheduler's lock order, panic containment via poison-tolerant locks, the
-//! confinement of `unsafe` to the SIMD kernel crate, and bench baselines
-//! whose keys must match what `scripts/bench_guard.sh` actually guards.
+//! The serving stack carries guarantees that ordinary tests cannot see:
+//! panic containment via poison-tolerant locks, the confinement of `unsafe`
+//! to the SIMD kernel crate, and fault injection kept out of library code.
 //! This crate makes those prose invariants machine-checkable:
 //!
 //! ```text

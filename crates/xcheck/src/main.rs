@@ -14,8 +14,8 @@ fn usage() -> &'static str {
      \n\
      `lint` checks the workspace at <dir> (default: this repository) against\n\
      the repo invariants: unsafe confinement, SAFETY comments, crate-root\n\
-     attributes, service lock discipline, debug escapes and bench-baseline\n\
-     metric hygiene. Exit codes: 0 clean, 1 violations, 2 lint failure.\n\
+     attributes, service lock discipline, debug escapes and fault-plan\n\
+     confinement. Exit codes: 0 clean, 1 violations, 2 lint failure.\n\
      \n\
      `loc` prints the code lines (neither blank nor comment-only) of every\n\
      workspace crate: library code, #[cfg(test)] items, tests/ and\n\

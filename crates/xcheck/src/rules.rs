@@ -12,12 +12,10 @@
 //! | `service-lock`    | no `.lock().unwrap()` / `.lock().expect(` in `crates/service`      |
 //! | `no-debug-escapes`| no `todo!`/`dbg!`/`unimplemented!`/`process::exit` in library code |
 //! | `fault-plan-confined` | library code never constructs a non-empty `FaultPlan`          |
-//! | `bench-metrics`   | `BENCH_*.json` parse and metric keys match the guard's patterns    |
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use crate::json;
 use crate::scan::{self, Scanned};
 
 /// One rule violation, anchored to a source location.
@@ -61,8 +59,6 @@ impl Member {
 /// The scanned workspace every rule runs against.
 #[derive(Debug)]
 pub struct Workspace {
-    /// Absolute workspace root.
-    pub root: PathBuf,
     /// Member crates, root package included.
     pub members: Vec<Member>,
 }
@@ -118,7 +114,7 @@ pub fn load_workspace(root: &Path) -> Result<Workspace, LintError> {
         }
         members.push(Member { rel, files: scanned });
     }
-    Ok(Workspace { root: root.to_path_buf(), members })
+    Ok(Workspace { members })
 }
 
 /// Extracts the quoted entries of the `members = [ … ]` array from a
@@ -177,7 +173,6 @@ pub fn run_all(root: &Path) -> Result<Vec<Diagnostic>, LintError> {
     diags.extend(service_lock(&ws));
     diags.extend(no_debug_escapes(&ws));
     diags.extend(fault_plan_confined(&ws));
-    diags.extend(bench_metrics(&ws.root));
     diags.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(diags)
 }
@@ -454,105 +449,6 @@ pub fn fault_plan_confined(ws: &Workspace) -> Vec<Diagnostic> {
     diags
 }
 
-/// `bench-metrics`: the committed `BENCH_*.json` baselines must parse as
-/// flat JSON objects, and metric-looking keys must match the exact patterns
-/// `scripts/bench_guard.sh` guards — a latency published as `*_latency_us`
-/// or a malformed `windows_per_sec`/`speedup` key would silently escape the
-/// regression guard while *looking* guarded.
-pub fn bench_metrics(root: &Path) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let mut baselines: Vec<PathBuf> = match std::fs::read_dir(root) {
-        Ok(dir) => dir
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-            })
-            .collect(),
-        Err(e) => {
-            return vec![Diagnostic {
-                rule: "bench-metrics",
-                file: PathBuf::from("."),
-                line: 1,
-                message: format!("cannot list workspace root: {e}"),
-            }];
-        }
-    };
-    baselines.sort();
-    for path in baselines {
-        let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                diags.push(Diagnostic {
-                    rule: "bench-metrics",
-                    file: rel,
-                    line: 1,
-                    message: format!("cannot read baseline: {e}"),
-                });
-                continue;
-            }
-        };
-        let fields = match json::parse_flat_object(&text) {
-            Ok(fields) => fields,
-            Err(e) => {
-                diags.push(Diagnostic {
-                    rule: "bench-metrics",
-                    file: rel,
-                    line: e.line,
-                    message: format!("baseline is not a flat JSON object: {}", e.message),
-                });
-                continue;
-            }
-        };
-        for field in &fields {
-            if let Some(message) = check_metric_key(field) {
-                diags.push(Diagnostic {
-                    rule: "bench-metrics",
-                    file: rel.clone(),
-                    line: field.line,
-                    message,
-                });
-            }
-        }
-    }
-    diags
-}
-
-fn is_metric_word(s: &str) -> bool {
-    !s.is_empty() && s.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
-}
-
-/// `Some(problem)` when a baseline key is a near-miss of the guard's
-/// metric patterns, or a guarded metric whose value is not a number.
-fn check_metric_key(field: &json::Field) -> Option<String> {
-    let key = field.key.as_str();
-    let guarded = (key.starts_with("windows_per_sec_") && is_metric_word(key))
-        || (key.starts_with("speedup_") && is_metric_word(key))
-        || (key.ends_with("_latency_ms") && is_metric_word(key));
-    if guarded {
-        if !matches!(field.value, json::Value::Number(_)) {
-            return Some(format!("guarded metric {key:?} must have a numeric value"));
-        }
-        return None;
-    }
-    if key.contains("latency") {
-        return Some(format!(
-            "{key:?} looks like a latency metric but does not match `*_latency_ms`; \
-             express it in ms so scripts/bench_guard.sh guards it"
-        ));
-    }
-    if key.starts_with("windows_per_sec") || key == "speedup" || key.starts_with("speedup_") {
-        return Some(format!(
-            "{key:?} is a near-miss of the guarded `windows_per_sec_*`/`speedup_*` patterns; \
-             rename it to match (or away) so scripts/bench_guard.sh sees it"
-        ));
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -578,23 +474,5 @@ exclude = ["crates/zzz"]
     fn member_parsing_dedups_default_members_style_lists() {
         let manifest = "members = [\"a\", \"a\", \"b\"]";
         assert_eq!(parse_members(manifest), vec![PathBuf::from("a"), PathBuf::from("b")]);
-    }
-
-    #[test]
-    fn metric_key_near_misses_are_flagged() {
-        let field =
-            |key: &str, value: json::Value| json::Field { key: key.to_string(), value, line: 1 };
-        let num = || json::Value::Number(1.0);
-        assert!(check_metric_key(&field("p50_latency_ms", num())).is_none());
-        assert!(check_metric_key(&field("windows_per_sec_i8", num())).is_none());
-        assert!(check_metric_key(&field("speedup_i8_vs_f32", num())).is_none());
-        assert!(check_metric_key(&field("traces_per_sec_looped", num())).is_none());
-        assert!(check_metric_key(&field("model_save_ms", num())).is_none());
-        assert!(check_metric_key(&field("forward_batch1_latency_us", num())).is_some());
-        assert!(check_metric_key(&field("windows_per_sec", num())).is_some());
-        assert!(check_metric_key(&field("speedup", num())).is_some());
-        assert!(
-            check_metric_key(&field("p50_latency_ms", json::Value::String("x".into()))).is_some()
-        );
     }
 }

@@ -98,23 +98,6 @@ fn fault_plan_confined_flags_constructors_but_not_docs_or_strings() {
 }
 
 #[test]
-fn bench_metrics_flags_near_misses_and_broken_baselines() {
-    let diags = badtree_diags();
-    let hits = diags_of_rule(&diags, "bench-metrics");
-    assert_eq!(
-        locations(&hits),
-        vec![
-            ("BENCH_bad.json".to_string(), 3),
-            ("BENCH_bad.json".to_string(), 4),
-            ("BENCH_bad.json".to_string(), 5),
-            ("BENCH_broken.json".to_string(), 2)
-        ]
-    );
-    assert!(hits[0].message.contains("latency"));
-    assert!(hits[3].message.contains("flat JSON"));
-}
-
-#[test]
 fn the_real_repository_is_clean() {
     let diags = rules::run_all(&repo_root()).expect("repo must scan");
     assert!(
