@@ -700,7 +700,12 @@ impl LocatorService {
             self.shared.work_ready.notify_all();
         }
         let handles = std::mem::take(&mut *lock_poisoned(&self.workers));
-        for handle in handles {
+        // A worker runs this when it drops the last `Arc` to the service (a
+        // streamed request's source may hold one, as `net::ConnStream` does).
+        // A thread cannot join itself; this worker leaves its loop like the
+        // others once `shutdown` is set and nothing is pending.
+        let current = std::thread::current().id();
+        for handle in handles.into_iter().filter(|h| h.thread().id() != current) {
             if handle.join().is_err() {
                 self.shared.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
             }

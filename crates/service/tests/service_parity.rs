@@ -6,12 +6,12 @@
 //! shutdown).
 
 use std::io::Write;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use locsvc::{LocatorService, Rejected, RequestOptions, ServiceConfig, ServiceError, Ticket};
 use sca_locator::{CnnConfig, CoLocatorCnn, LocatorEngine, Segmenter, SlidingWindowClassifier};
-use sca_trace::{FileTraceSource, Trace};
+use sca_trace::{FileTraceSource, Trace, TraceSource};
 
 fn tiny_engine(seed: u64) -> LocatorEngine {
     LocatorEngine::new(
@@ -379,4 +379,61 @@ fn shutdown_drains_admitted_work_then_rejects_new_submissions() {
         service.submit_trace(model, noisy_trace(350, 0), RequestOptions::default()).unwrap_err(),
         Rejected::ShuttingDown
     );
+}
+
+/// A streamed source that keeps the service alive, as a TCP connection's
+/// `ConnStream` does. Its `fill`s wait until the test opens `gate`; dropping
+/// it drops the service handle first and then reports on `dropped`.
+struct ServiceHoldingSource {
+    trace: Trace,
+    service: Option<Arc<LocatorService>>,
+    gate: Mutex<mpsc::Receiver<()>>,
+    dropped: mpsc::Sender<()>,
+}
+
+impl TraceSource for ServiceHoldingSource {
+    fn len(&self) -> usize {
+        self.trace.len()
+    }
+
+    fn fill(&self, start: usize, out: &mut [f32]) -> sca_trace::Result<()> {
+        // Opening the gate drops its sender, so this returns at once from
+        // then on.
+        let _ = self.gate.lock().unwrap().recv();
+        TraceSource::fill(&self.trace, start, out)
+    }
+}
+
+impl Drop for ServiceHoldingSource {
+    fn drop(&mut self) {
+        drop(self.service.take());
+        let _ = self.dropped.send(());
+    }
+}
+
+#[test]
+fn worker_dropping_the_last_service_handle_does_not_join_itself() {
+    let service = Arc::new(LocatorService::start(
+        vec![tiny_engine(12)],
+        ServiceConfig { workers: 2, ..ServiceConfig::default() },
+    ));
+    let model = "model-0";
+    let engine = service.engine(model).unwrap();
+    let trace = noisy_trace(600, 12);
+    let (gate_tx, gate_rx) = mpsc::channel();
+    let (dropped_tx, dropped_rx) = mpsc::channel();
+    let source = ServiceHoldingSource {
+        trace: trace.clone(),
+        service: Some(Arc::clone(&service)),
+        gate: Mutex::new(gate_rx),
+        dropped: dropped_tx,
+    };
+    let opts = RequestOptions { chunk_len: Some(128), ..RequestOptions::default() };
+    let ticket = service.submit_source(model, Box::new(source), opts).unwrap();
+    // The source now holds the last handle, so the worker that drops the
+    // finished request runs the service's shutdown.
+    drop(service);
+    drop(gate_tx);
+    assert_eq!(ticket.wait().unwrap().starts, engine.locate(&trace));
+    assert_eq!(dropped_rx.recv_timeout(Duration::from_secs(30)), Ok(()));
 }
