@@ -18,6 +18,7 @@
 
 use sca_bench::{score_hits, simulate_scenario, train_locator, ExperimentConfig};
 use sca_ciphers::CipherId;
+use sca_locator::{SegmentationConfig, Segmenter};
 
 fn main() {
     let ablation = std::env::args().any(|a| a == "--ablation");
@@ -60,15 +61,11 @@ fn main() {
         let cfg = ExperimentConfig { rd_max: 4, ..base };
         let setup = train_locator(CipherId::Aes128, &cfg);
         let result = simulate_scenario(CipherId::Aes128, false, &cfg);
+        let (swc, _) = setup.locator.locate_detailed(&result.trace);
+        let stride = setup.locator.sliding().stride();
         for k in [1usize, 3, 5, 9, 15] {
-            let mut profile = setup.profile.clone();
-            profile.segmentation.median_filter_k = k;
-            let locator = sca_locator::CoLocator::from_parts(
-                setup.locator.cnn().clone(),
-                *setup.locator.sliding(),
-                sca_locator::Segmenter::new(profile.segmentation),
-            );
-            let located = locator.locate(&result.trace);
+            let seg = SegmentationConfig { median_filter_k: k, ..setup.profile.segmentation };
+            let located = Segmenter::new(seg).segment(&swc, stride);
             let hits = score_hits(&located, &result);
             println!(
                 "k = {k:>2}  ->  hits {:>5.1}%  ({} located)",

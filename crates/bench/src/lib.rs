@@ -1,16 +1,14 @@
 //! Shared experiment harness used by the `table1`, `fig3_confusion`,
-//! `table2_attack` and `hits_sweep` binaries (and by the
-//! micro-benchmarks) to regenerate the paper's tables and figures on the
-//! simulated platform.
+//! `table2_attack` and `hits_sweep` binaries to regenerate the paper's
+//! tables and figures on the simulated platform.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod microbench;
-
 use sca_ciphers::{cipher_by_id, CipherId};
 use sca_locator::{
-    CipherProfile, CoLocator, DatasetBuilder, HitReport, LocatorBuilder, Trainer, TrainingReport,
+    CipherProfile, DatasetBuilder, HitReport, LocatorBuilder, LocatorEngine, Trainer,
+    TrainingReport,
 };
 use sca_trace::{SplitRatios, Trace};
 use soc_sim::{Scenario, ScenarioResult, SocSimulator, SocSimulatorConfig};
@@ -18,8 +16,8 @@ use tinynn::ConfusionMatrix;
 
 /// Everything produced by training a locator for one cipher on the simulator.
 pub struct TrainedSetup {
-    /// The trained CO locator.
-    pub locator: CoLocator,
+    /// The trained CO locator (an `f32` engine).
+    pub locator: LocatorEngine,
     /// The scaled per-cipher pipeline profile that was used.
     pub profile: CipherProfile,
     /// Mean CO length (samples) measured on the simulated platform.
@@ -84,7 +82,8 @@ pub fn train_locator(cipher: CipherId, cfg: &ExperimentConfig) -> TrainedSetup {
         .build(&cipher_traces, &noise_trace);
     let split = dataset.split(SplitRatios::paper(), cfg.seed);
     let trainer = Trainer::new(profile.training);
-    let confusion = trainer.confusion_matrix(locator.cnn(), &split.test);
+    let cnn = locator.cnn().expect("LocatorBuilder::fit returns an f32 engine");
+    let confusion = trainer.confusion_matrix(cnn, &split.test);
 
     TrainedSetup { locator, profile, mean_co_len, report, confusion }
 }

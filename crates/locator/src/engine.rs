@@ -21,8 +21,8 @@
 //! use sca_locator::{CnnConfig, CoLocatorCnn, LocatorEngine, Segmenter, SlidingWindowClassifier};
 //! use sca_trace::Trace;
 //!
-//! // Normally the CNN comes out of `LocatorBuilder::fit(...)`; an untrained
-//! // network keeps the example fast.
+//! // Normally the engine comes out of `LocatorBuilder::fit(...)`; an
+//! // untrained network keeps the example fast.
 //! let cnn = CoLocatorCnn::new(CnnConfig { base_filters: 2, kernel_size: 3, seed: 1 });
 //! let engine =
 //!     LocatorEngine::new(cnn, SlidingWindowClassifier::new(16, 4), Segmenter::default());
@@ -50,7 +50,6 @@ use tinynn::{Tensor, Workspace};
 
 use crate::cnn::{CoLocatorCnn, WindowScorer};
 use crate::persist::{self, PersistError};
-use crate::pipeline::CoLocator;
 use crate::qcnn::QuantizedCoLocatorCnn;
 use crate::segmentation::{Segmenter, StreamingSegmenter};
 use crate::sliding::SlidingWindowClassifier;
@@ -113,8 +112,8 @@ impl WindowScorer for EngineModel {
 
 /// A trained, immutable CO-locating model ready to serve many traces.
 ///
-/// Built from a trained [`CoLocator`] (via [`CoLocator::into_engine`] or
-/// [`LocatorEngine::from_locator`]) or loaded from disk with
+/// Returned by [`crate::LocatorBuilder::fit`], assembled from a trained CNN
+/// with [`LocatorEngine::new`], or loaded from disk with
 /// [`LocatorEngine::load`]. All scoring entry points take `&self`, so one
 /// engine can be shared behind an `Arc` (or plain borrows) by any number of
 /// worker threads. [`LocatorEngine::quantize`] derives a drop-in engine
@@ -138,10 +137,12 @@ impl LocatorEngine {
         Self { model: Arc::new(EngineModel::F32(cnn)), sliding, segmenter }
     }
 
-    /// Converts a trained [`CoLocator`] into an engine.
-    pub fn from_locator(locator: CoLocator) -> Self {
-        let (cnn, sliding, segmenter) = locator.into_parts();
-        Self::new(cnn, sliding, segmenter)
+    /// Returns `engine` unchanged: `LocatorBuilder::fit` already returns an
+    /// engine. Kept only for perfbench's `models::fit_engine`, which calls
+    /// it; the next change to the benchmark deletes it.
+    #[doc(hidden)]
+    pub fn from_locator(engine: LocatorEngine) -> Self {
+        engine
     }
 
     /// The model served by this engine.
@@ -266,24 +267,7 @@ impl LocatorEngine {
         self
     }
 
-    /// Converts the engine back into a [`CoLocator`].
-    ///
-    /// # Panics
-    ///
-    /// Panics for a quantised engine: a [`CoLocator`] wraps the trainable
-    /// `f32` network, which a quantised model no longer carries.
-    pub fn into_locator(self) -> CoLocator {
-        let model = Arc::try_unwrap(self.model).unwrap_or_else(|shared| (*shared).clone());
-        match model {
-            EngineModel::F32(cnn) => CoLocator::from_parts(cnn, self.sliding, self.segmenter),
-            EngineModel::Quantized(_) => {
-                panic!("a quantised engine cannot become a CoLocator (no f32 weights)")
-            }
-        }
-    }
-
-    /// Locates the CO start samples in one trace (identical to
-    /// [`CoLocator::locate`]).
+    /// Locates the CO start samples in one trace.
     pub fn locate(&self, trace: &Trace) -> Vec<usize> {
         let swc = self.sliding.classify(self.model.as_ref(), trace);
         self.segmenter.segment(&swc, self.sliding.stride())
@@ -431,12 +415,6 @@ impl LocatorEngine {
     }
 }
 
-impl From<CoLocator> for LocatorEngine {
-    fn from(locator: CoLocator) -> Self {
-        Self::from_locator(locator)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,16 +439,6 @@ mod tests {
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("sca_locator_engine_{name}_{}", std::process::id()))
-    }
-
-    #[test]
-    fn engine_locate_matches_colocator_locate() {
-        let engine = tiny_engine();
-        let locator = engine.clone().into_locator();
-        for len in [80usize, 200, 333] {
-            let trace = wavy_trace(len, len);
-            assert_eq!(engine.locate(&trace), locator.locate(&trace));
-        }
     }
 
     #[test]

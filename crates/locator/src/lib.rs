@@ -22,8 +22,8 @@
 //!   per-chunk score spans.
 //! * [`alignment`] — cut and align the located COs for the downstream attack.
 //! * [`evaluation`] — hit-rate scoring against ground truth (IV-B).
-//! * [`pipeline`] — [`pipeline::CoLocator`], the end-to-end inference object,
-//!   and [`pipeline::LocatorBuilder`] to assemble it.
+//! * [`pipeline`] — [`pipeline::LocatorBuilder`], which trains the CNN and
+//!   returns the [`engine::LocatorEngine`] running the end-to-end pipeline.
 //! * [`engine`] — [`engine::LocatorEngine`], the profile-once / score-many
 //!   serving front-end: `&self` scoring, batched multi-trace
 //!   [`engine::LocatorEngine::locate_batch`], out-of-core
@@ -59,7 +59,7 @@ pub use dataset::DatasetBuilder;
 pub use engine::{EngineModel, LocatorEngine};
 pub use evaluation::{hit_rate, HitReport};
 pub use persist::PersistError;
-pub use pipeline::{CoLocator, LocatorBuilder};
+pub use pipeline::LocatorBuilder;
 pub use profiles::{CipherProfile, ProfileKind};
 pub use qcnn::QuantizedCoLocatorCnn;
 pub use segmentation::{SegmentationConfig, Segmenter, StreamingSegmenter, ThresholdStrategy};

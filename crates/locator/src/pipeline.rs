@@ -1,22 +1,23 @@
-//! The end-to-end locator: trained CNN + sliding-window classification +
-//! segmentation (+ optional alignment), assembled by [`LocatorBuilder`].
+//! Training-time assembly of the end-to-end locator: [`LocatorBuilder`]
+//! builds the dataset, trains the CNN and returns the
+//! [`LocatorEngine`] that runs the inference pipeline of Figure 1
+//! (sliding-window classification + segmentation).
 //!
-//! This is the object a user of the library interacts with: feed it labelled
-//! training material once (cipher traces with a known CO start and a noise
-//! trace), then call [`CoLocator::locate`] on unknown traces.
+//! Feed the builder labelled training material once (cipher traces with a
+//! known CO start and a noise trace), then call [`LocatorEngine::locate`] on
+//! unknown traces.
 
 use sca_trace::{SplitRatios, Trace};
-use serde::{Deserialize, Serialize};
 
-use crate::alignment::Aligner;
 use crate::cnn::{CnnConfig, CoLocatorCnn};
 use crate::dataset::DatasetBuilder;
+use crate::engine::LocatorEngine;
 use crate::profiles::CipherProfile;
 use crate::segmentation::{SegmentationConfig, Segmenter};
 use crate::sliding::SlidingWindowClassifier;
 use crate::training::{Trainer, TrainingConfig, TrainingReport};
 
-/// Builder assembling a [`CoLocator`] from training material.
+/// Builder training a [`LocatorEngine`] from training material.
 #[derive(Debug, Clone)]
 pub struct LocatorBuilder {
     n_train: usize,
@@ -101,12 +102,16 @@ impl LocatorBuilder {
     }
 
     /// Builds the training dataset, trains the CNN and returns the ready
-    /// locator together with the training report.
+    /// `f32` engine together with the training report.
     ///
     /// `cipher_traces` must carry the CO start of their single CO in the
     /// trace metadata (as produced by the acquisition procedure with the NOP
     /// preamble); `noise_trace` is a trace of non-cryptographic activity.
-    pub fn fit(&self, cipher_traces: &[Trace], noise_trace: &Trace) -> (CoLocator, TrainingReport) {
+    pub fn fit(
+        &self,
+        cipher_traces: &[Trace],
+        noise_trace: &Trace,
+    ) -> (LocatorEngine, TrainingReport) {
         let dataset = DatasetBuilder::new(self.n_train)
             .with_limits(self.cipher_start_windows, self.cipher_rest_windows, self.noise_windows)
             .with_seed(self.seed)
@@ -115,93 +120,12 @@ impl LocatorBuilder {
         let mut cnn = CoLocatorCnn::new(self.cnn_config.with_seed(self.seed.wrapping_add(1)));
         let trainer = Trainer::new(self.training_config);
         let report = trainer.train(&mut cnn, &split);
-        let locator = CoLocator {
+        let engine = LocatorEngine::new(
             cnn,
-            sliding: SlidingWindowClassifier::new(self.n_inf, self.stride),
-            segmenter: Segmenter::new(self.segmentation_config),
-        };
-        (locator, report)
-    }
-}
-
-/// A trained CO locator (inference pipeline of Figure 1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CoLocator {
-    cnn: CoLocatorCnn,
-    sliding: SlidingWindowClassifier,
-    segmenter: Segmenter,
-}
-
-impl CoLocator {
-    /// Assembles a locator from an already trained CNN and explicit inference
-    /// parameters.
-    pub fn from_parts(
-        cnn: CoLocatorCnn,
-        sliding: SlidingWindowClassifier,
-        segmenter: Segmenter,
-    ) -> Self {
-        Self { cnn, sliding, segmenter }
-    }
-
-    /// The sliding-window classifier parameters.
-    pub fn sliding(&self) -> &SlidingWindowClassifier {
-        &self.sliding
-    }
-
-    /// Sets the number of scoring threads used by [`Self::locate`]
-    /// (`0` = one per available core). Scores are independent per window, so
-    /// the located starts do not depend on the thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.sliding = self.sliding.with_threads(threads);
-        self
-    }
-
-    /// The trained CNN.
-    pub fn cnn(&self) -> &CoLocatorCnn {
-        &self.cnn
-    }
-
-    /// The segmentation stage.
-    pub fn segmenter(&self) -> &Segmenter {
-        &self.segmenter
-    }
-
-    /// Decomposes the locator into its parts (CNN, sliding-window classifier,
-    /// segmenter).
-    pub fn into_parts(self) -> (CoLocatorCnn, SlidingWindowClassifier, Segmenter) {
-        (self.cnn, self.sliding, self.segmenter)
-    }
-
-    /// Converts the locator into a [`crate::engine::LocatorEngine`], the
-    /// share-everywhere serving front-end (batched multi-trace scoring and
-    /// model persistence).
-    pub fn into_engine(self) -> crate::engine::LocatorEngine {
-        crate::engine::LocatorEngine::from_locator(self)
-    }
-
-    /// Runs the full inference pipeline on an unknown trace and returns the
-    /// located CO start samples.
-    ///
-    /// Takes `&self`: the weights are shared across the scoring threads and
-    /// never cloned or mutated.
-    pub fn locate(&self, trace: &Trace) -> Vec<usize> {
-        let swc = self.sliding.classify(&self.cnn, trace);
-        self.segmenter.segment(&swc, self.sliding.stride())
-    }
-
-    /// Like [`Self::locate`] but also returns the raw sliding-window scores
-    /// (useful for inspection / the qualitative Figure 1 example).
-    pub fn locate_detailed(&self, trace: &Trace) -> (Vec<f32>, Vec<usize>) {
-        let swc = self.sliding.classify(&self.cnn, trace);
-        let starts = self.segmenter.segment(&swc, self.sliding.stride());
-        (swc, starts)
-    }
-
-    /// Locates the COs and cuts `co_len`-sample aligned sub-traces at every
-    /// located start (the Alignment stage of Figure 1).
-    pub fn locate_and_align(&self, trace: &Trace, co_len: usize) -> Vec<Vec<f32>> {
-        let starts = self.locate(trace);
-        Aligner::new(co_len).align(trace, &starts).0
+            SlidingWindowClassifier::new(self.n_inf, self.stride),
+            Segmenter::new(self.segmentation_config),
+        );
+        (engine, report)
     }
 }
 
@@ -258,34 +182,13 @@ mod tests {
                 median_filter_k: 3,
                 min_distance_windows: 4,
             });
-        let (locator, report) = builder.fit(&cipher_traces, &noise_trace);
+        let (engine, report) = builder.fit(&cipher_traces, &noise_trace);
         assert!(report.best_validation_accuracy() > 0.8, "report {report:?}");
 
         let (trace, truth) = long_trace(co_len, &[120, 200, 150]);
-        let located = locator.locate(&trace);
+        let located = engine.locate(&trace);
         let hits = crate::evaluation::hit_rate(&located, &truth, 24);
         assert_eq!(hits.hits, truth.len(), "located {located:?} truth {truth:?}");
-    }
-
-    #[test]
-    fn locate_and_align_returns_fixed_length_segments() {
-        let co_len = 48;
-        let cipher_traces: Vec<Trace> = (0..16).map(|_| cipher_trace(co_len, 24)).collect();
-        let noise_trace = Trace::from_samples(vec![0.05f32; 1000]);
-        let builder = LocatorBuilder::new(24, 24, 8)
-            .cnn_config(CnnConfig { base_filters: 2, kernel_size: 3, seed: 2 })
-            .training_config(TrainingConfig {
-                epochs: 3,
-                batch_size: 8,
-                learning_rate: 5e-3,
-                seed: 3,
-            });
-        let (locator, _) = builder.fit(&cipher_traces, &noise_trace);
-        let (trace, truth) = long_trace(co_len, &[100, 180]);
-        let aligned = locator.locate_and_align(&trace, co_len);
-        assert!(!aligned.is_empty());
-        assert!(aligned.iter().all(|a| a.len() == co_len));
-        assert!(aligned.len() <= truth.len() + 1);
     }
 
     #[test]

@@ -265,14 +265,14 @@ fn fit_cases() -> Vec<FitCase> {
 /// The pinned outputs of one fit: the saved v4 model bytes, and the bits of
 /// every epoch's training loss followed by every epoch's validation loss.
 fn fit_pin(case: &FitCase) -> (Vec<u8>, Vec<u8>) {
-    let (locator, report) = case.builder().fit(&case.captures, &case.noise);
+    let (engine, report) = case.builder().fit(&case.captures, &case.noise);
     let losses = report
         .train_losses
         .iter()
         .chain(&report.validation_losses)
         .flat_map(|l| l.to_bits().to_le_bytes())
         .collect();
-    (saved_bytes(&locator.into_engine(), &format!("fit_{}", case.name)), losses)
+    (saved_bytes(&engine, &format!("fit_{}", case.name)), losses)
 }
 
 fn fit_model_fixture(name: &str) -> String {

@@ -35,7 +35,7 @@ fn main() {
 
     // 2. Persist the profile; a scoring fleet loads it instead of retraining.
     let model_path = std::env::temp_dir().join("engine_fleet.model");
-    locator.into_engine().save(&model_path).expect("save model");
+    locator.save(&model_path).expect("save model");
     let engine = LocatorEngine::load(&model_path).expect("load model");
     std::fs::remove_file(&model_path).ok();
 

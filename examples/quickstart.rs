@@ -35,8 +35,7 @@ fn main() {
     let noise_trace = sim.capture_noise_trace(8_000);
 
     // 3. Train the CNN-based locator.
-    let (locator, report) =
-        LocatorBuilder::from_profile(&profile).fit(&cipher_traces, &noise_trace);
+    let (engine, report) = LocatorBuilder::from_profile(&profile).fit(&cipher_traces, &noise_trace);
     println!(
         "trained CNN, best validation accuracy: {:.1}%",
         100.0 * report.best_validation_accuracy()
@@ -44,7 +43,6 @@ fn main() {
 
     // 4. Persist the trained model with the engine API (profile once, serve
     //    many): save to disk and reload, as a scoring fleet would.
-    let engine = locator.into_engine();
     let model_path = std::env::temp_dir().join("quickstart_colocator.model");
     engine.save(&model_path).expect("save trained model");
     let served = LocatorEngine::load(&model_path).expect("load trained model");

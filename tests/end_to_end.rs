@@ -8,7 +8,7 @@
 use sca_locate::attack::{CpaAttack, CpaConfig};
 use sca_locate::ciphers::{cipher_by_id, CipherId, RecordingCipher};
 use sca_locate::locator::{
-    hit_rate, Aligner, CipherProfile, CnnConfig, LocatorBuilder, TrainingConfig,
+    hit_rate, Aligner, CipherProfile, CnnConfig, LocatorBuilder, LocatorEngine, TrainingConfig,
 };
 use sca_locate::soc::{Scenario, SocSimulator, SocSimulatorConfig};
 use sca_locate::trace::Trace;
@@ -19,7 +19,7 @@ fn small_locator(
     cipher: CipherId,
     rd: usize,
     seed: u64,
-) -> (sca_locate::locator::CoLocator, CipherProfile, SocSimulator) {
+) -> (LocatorEngine, CipherProfile, SocSimulator) {
     let mut sim = SocSimulator::new(SocSimulatorConfig::rd(rd), seed);
     let mean_co = sim.mean_co_samples(cipher, 4);
     let mut profile = CipherProfile::scaled(cipher, mean_co.round() as usize);
@@ -77,22 +77,21 @@ fn locator_generalises_to_noise_interleaved_scenario() {
 
 #[test]
 fn trained_engine_roundtrips_and_batches_identically() {
-    // The serving workflow of the engine API: train once, convert to a
-    // `LocatorEngine`, persist it, reload it, and score a fleet of traces —
-    // every route must agree with the plain per-trace `CoLocator::locate`.
-    let (locator, _profile, mut sim) = small_locator(CipherId::Simon128, 2, 303);
+    // The serving workflow of the engine API: train once, persist the
+    // engine, reload it, and score a fleet of traces — every route must
+    // agree with the fitted engine's own per-trace `locate`.
+    let (engine, _profile, mut sim) = small_locator(CipherId::Simon128, 2, 303);
     let traces: Vec<Trace> = (0..4)
         .map(|i| sim.run_scenario(&Scenario::consecutive(CipherId::Simon128, 3 + i % 2)).trace)
         .collect();
-    let expected: Vec<Vec<usize>> = traces.iter().map(|t| locator.locate(t)).collect();
+    let expected: Vec<Vec<usize>> = traces.iter().map(|t| engine.locate(t)).collect();
     assert!(expected.iter().any(|starts| !starts.is_empty()), "locator found nothing at all");
 
-    let engine = locator.into_engine();
     assert_eq!(engine.locate_batch(&traces), expected, "locate_batch must match per-trace locate");
 
     let path = std::env::temp_dir().join(format!("e2e_engine_{}.model", std::process::id()));
     engine.save(&path).expect("save trained engine");
-    let restored = sca_locate::locator::LocatorEngine::load(&path).expect("load trained engine");
+    let restored = LocatorEngine::load(&path).expect("load trained engine");
     std::fs::remove_file(&path).ok();
     assert_eq!(
         restored.locate_batch(&traces),
@@ -108,9 +107,8 @@ fn quantised_engine_matches_f32_engine_on_consecutive_aes() {
     // consecutive-AES scenario — bounded per-window score divergence,
     // identical predicted CO starts, a bit-exact v2 save/load roundtrip,
     // and locate_batch invariant under the thread count.
-    let (locator, _profile, mut sim) = small_locator(CipherId::Aes128, 2, 42);
+    let (engine, _profile, mut sim) = small_locator(CipherId::Aes128, 2, 42);
     let result = sim.run_scenario(&Scenario::consecutive(CipherId::Aes128, 6));
-    let engine = locator.into_engine();
     let qengine = engine.quantize();
     assert!(qengine.is_quantized());
 
