@@ -7,7 +7,7 @@
 //! The attack targets the AES SubBytes output of the first round
 //! (`SBOX[plaintext[i] ^ key[i]]`) under a Hamming-weight leakage model, uses
 //! an incremental Pearson-correlation accumulator (so traces can be streamed),
-//! and reports per-byte key ranks. [`cpa::CpaAttack::cos_to_rank1`] reproduces
+//! and reports per-byte key ranks. [`cpa::CpaProgress::cos_to_rank1`] reproduces
 //! the "CPA (N. COs)" column of Table II: the number of located-and-aligned
 //! COs needed before every key byte reaches rank 1.
 //!

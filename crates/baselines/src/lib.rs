@@ -4,11 +4,11 @@
 //! in Table II:
 //!
 //! * [`matched_filter::MatchedFilterLocator`] — the matched-filter approach of
-//!   Barenghi et al. (reference [10] in the paper): correlate a previously
+//!   Barenghi et al. (reference \[10\] in the paper): correlate a previously
 //!   acquired CO template against the trace and report correlation peaks.
 //! * [`sad_template::SadTemplateLocator`] — the waveform/template-matching
 //!   approach in the spirit of Trautmann et al. / Beckers et al. (references
-//!   [11] and [16]): slide a template and report positions whose sum of
+//!   \[11\] and \[16\]): slide a template and report positions whose sum of
 //!   absolute differences (SAD) falls below a threshold.
 //!
 //! Both techniques assume the CO power shape is (almost) rigid in time. The

@@ -1,4 +1,4 @@
-//! Matched-filter CO locator (baseline [10] of the paper).
+//! Matched-filter CO locator (baseline \[10\] of the paper).
 //!
 //! A template of the CO (e.g. the average of a few triggered acquisitions on
 //! an unprotected device) is correlated against the unknown trace with a

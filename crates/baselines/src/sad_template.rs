@@ -1,5 +1,5 @@
 //! SAD (sum of absolute differences) template-matching locator
-//! (in the spirit of baselines [11]/[16] of the paper).
+//! (in the spirit of baselines \[11\]/\[16\] of the paper).
 //!
 //! A reference waveform of the CO is slid over the trace; positions where the
 //! per-sample SAD (normalised by the template length) falls below a threshold

@@ -34,10 +34,13 @@ fn main() {
 
     let ciphers: &[CipherId] = if ablation { &[CipherId::Aes128] } else { &CipherId::ALL };
 
+    // The ablation reuses the sweep's AES RD-4 locator and consecutive scenario.
+    let mut rd4_consecutive = None;
     for &cipher in ciphers {
         for rd in [2usize, 4] {
             let cfg = ExperimentConfig { rd_max: rd, ..base };
             let setup = train_locator(cipher, &cfg);
+            let mut consecutive = None;
             for noise in [false, true] {
                 let result = simulate_scenario(cipher, noise, &cfg);
                 let located = setup.locator.locate(&result.trace);
@@ -51,16 +54,19 @@ fn main() {
                     hits.total,
                     hits.percentage()
                 );
+                if !noise {
+                    consecutive = Some(result);
+                }
+            }
+            if ablation && rd == 4 {
+                rd4_consecutive = consecutive.map(|result| (setup, result));
             }
         }
     }
 
-    if ablation {
+    if let Some((setup, result)) = rd4_consecutive {
         println!();
         println!("== Ablation: median-filter size k (AES, RD-4, consecutive) ==");
-        let cfg = ExperimentConfig { rd_max: 4, ..base };
-        let setup = train_locator(CipherId::Aes128, &cfg);
-        let result = simulate_scenario(CipherId::Aes128, false, &cfg);
         let (swc, _) = setup.locator.locate_detailed(&result.trace);
         let stride = setup.locator.sliding().stride();
         for k in [1usize, 3, 5, 9, 15] {

@@ -1,7 +1,7 @@
 //! Regenerates **Table II** of the paper: segmentation hit-rate and CPA
 //! result for AES-128 under RD-2 and RD-4, with and without interleaved noise
 //! applications, comparing the CNN-based locator against the matched-filter
-//! baseline [10] and the SAD template-matching baseline [11].
+//! baseline \[10\] and the SAD template-matching baseline \[11\].
 //!
 //! For every scenario the harness reports:
 //! * Hits (%) — fraction of COs whose beginning was located;

@@ -29,6 +29,13 @@
 //! transpose (the requantising GEMM writes position-major, which is the
 //! next layer's input layout).
 //!
+//! The chain runs one window at a time, like the fused `f32` chain: a
+//! window goes through quantise → stem → res1 → res2 → integer pool before
+//! the next one starts ([`tinynn::qlayers::pooled_features`]). Its code
+//! buffers are one window's worth, held in the [`Workspace`] and reused by
+//! every window of every call, so a scoring thread's scratch depends on the
+//! window length and never on the batch.
+//!
 //! The network is produced by quantising a *trained* `f32` network
 //! ([`QuantizedCoLocatorCnn::from_cnn`]) and is inference-only: it holds no
 //! gradients and cannot be trained further.
@@ -36,13 +43,12 @@
 //! Like the `f32` network it implements [`WindowScorer`], so the
 //! sliding-window classifier, the shard fan-out and the engine's batched
 //! serving path all work on it unchanged. Scores are deterministic and
-//! independent of batch composition (every window is processed by per-item
-//! integer GEMMs on the same static grids), so thread count never changes a
-//! score bit.
+//! independent of batch composition (every window runs through the integer
+//! GEMMs on its own, on the same static grids), so thread count never
+//! changes a score bit.
 
-use tinynn::quant::quantize_with_scale;
 use tinynn::{
-    forward_consuming, Layer, Linear, Param, QuantActs, QuantizedConv1d, QuantizedGemm,
+    forward_consuming, Layer, Linear, Param, QuantizedConv1d, QuantizedGemm,
     QuantizedResidualBlock1d, Relu, Tensor, Workspace,
 };
 
@@ -342,13 +348,14 @@ impl QuantizedCoLocatorCnn {
 
     /// Inference forward pass: windows `[B, 1, N]` → class logits `[B, 2]`.
     ///
-    /// The input is quantised once onto the calibrated input grid; the stem
-    /// and both residual blocks then run entirely on `i16` codes with fused
-    /// integer requantisation, the global average pool reduces the `i16`
-    /// codes in `i64` and dequantises the per-channel means, and the tiny
-    /// fully connected head runs in `f32`. All intermediate code buffers
-    /// come from the workspace's `i16` arena, so a warm pass allocates
-    /// nothing.
+    /// Each window is quantised once onto the calibrated input grid and
+    /// runs on `i16` codes through the stem and both residual blocks, with
+    /// fused integer requantisation, then through the integer global average
+    /// pool, before the next window starts
+    /// ([`tinynn::qlayers::pooled_features`]); the tiny fully connected head
+    /// then runs in `f32` over the batch. One window's code buffers live in
+    /// the workspace, so a warm pass allocates nothing and the scratch does
+    /// not grow with the batch.
     pub fn forward(&self, input: &Tensor, ws: &mut Workspace) -> Tensor {
         let pooled = self.pooled_features(input, ws);
         let h = forward_consuming(&self.fc1, pooled, ws, false);
@@ -360,67 +367,7 @@ impl QuantizedCoLocatorCnn {
     /// windows `[B, 1, N]` → pooled `f32` features `[B, F2]` (the head
     /// input).
     fn pooled_features(&self, input: &Tensor, ws: &mut Workspace) -> Tensor {
-        assert_eq!(input.shape().len(), 3, "expected windows [B, 1, N]");
-        assert_eq!(input.shape()[1], 1, "expected single-channel windows");
-        let (batch, len) = (input.shape()[0], input.shape()[2]);
-        let k = self.config.kernel_size;
-        let pad = (k - 1) / 2;
-        let rows = len + k - 1;
-        let f = self.conv.out_channels();
-        let f2 = self.res2.out_channels();
-
-        let mut x = QuantActs::with_buffer(
-            ws.take_i16(batch * rows),
-            batch,
-            1,
-            len,
-            pad,
-            rows,
-            self.act_scales[0],
-        );
-        x.zero_pads();
-        for b in 0..batch {
-            let src = &input.data()[b * len..(b + 1) * len];
-            let body = &mut x.codes[b * rows + pad..b * rows + pad + len];
-            quantize_with_scale(src, self.act_scales[0], body);
-        }
-
-        let mut a1 =
-            QuantActs::with_buffer(ws.take_i16(batch * rows * f), batch, f, len, pad, rows, 0.0);
-        self.conv.forward_fixed(&x, &mut a1);
-        ws.recycle_i16(x.codes);
-
-        let mut a2 =
-            QuantActs::with_buffer(ws.take_i16(batch * rows * f), batch, f, len, pad, rows, 0.0);
-        self.res1.forward_fixed(&a1, &mut a2, ws);
-        ws.recycle_i16(a1.codes);
-
-        let mut a3 =
-            QuantActs::with_buffer(ws.take_i16(batch * rows * f2), batch, f2, len, pad, rows, 0.0);
-        self.res2.forward_fixed(&a2, &mut a3, ws);
-        ws.recycle_i16(a2.codes);
-
-        // Integer global average pool: exact i64 channel sums of the i16
-        // codes, dequantised once per channel.
-        let mut pooled = ws.uninit_tensor(&[batch, f2]);
-        let inv_len = 1.0 / len as f32;
-        let out_scale = a3.scale;
-        let acc = ws.i64_scratch(f2);
-        for b in 0..batch {
-            acc.fill(0);
-            let body = &a3.codes[b * rows * f2 + pad * f2..][..len * f2];
-            for row in body.chunks_exact(f2) {
-                for (a, &v) in acc.iter_mut().zip(row) {
-                    *a += v as i64;
-                }
-            }
-            let out_row = &mut pooled.data_mut()[b * f2..(b + 1) * f2];
-            for (o, &a) in out_row.iter_mut().zip(acc.iter()) {
-                *o = a as f32 * out_scale * inv_len;
-            }
-        }
-        ws.recycle_i16(a3.codes);
-        pooled
+        tinynn::qlayers::pooled_features(&self.conv, &[&self.res1, &self.res2], input, ws)
     }
 
     /// Scores a batch of windows with the linear class-1 margin, writing
@@ -578,6 +525,30 @@ mod tests {
         }
         assert_eq!(ws.arena_misses(), misses, "steady-state forward must not allocate");
         assert_eq!(ws.retained_bytes(), retained, "steady-state forward must not grow scratch");
+    }
+
+    #[test]
+    fn quantised_scratch_does_not_grow_with_the_batch() {
+        // The served shape: the scaled 8×9 network on 230-sample windows.
+        let cnn = CoLocatorCnn::new(CnnConfig { seed: 5, ..CnnConfig::scaled() });
+        let qcnn = QuantizedCoLocatorCnn::from_cnn(&cnn);
+        let warm = |count: usize| {
+            let mut ws = Workspace::new();
+            let mut scores = Vec::new();
+            for _ in 0..3 {
+                qcnn.class1_scores_into(&windows(count, 230), &mut ws, &mut scores);
+            }
+            ws.retained_bytes()
+        };
+        let (one, batch) = (warm(1), warm(64));
+        // Only the batch-sized f32 tensors may differ: the pooled features,
+        // the two hidden activations and the logits of 64 windows.
+        let f2 = qcnn.res2.out_channels();
+        let tensors = 64 * (f2 + 2 * qcnn.fc1.out_features() + 2) * 4;
+        assert!(
+            batch <= one + tensors,
+            "64 windows retain {batch} bytes, 1 window {one} (+{tensors} allowed)"
+        );
     }
 
     #[test]

@@ -33,9 +33,11 @@
 //!   deadline in the queue is dropped at the next scheduling point and
 //!   completes with [`ServiceError::DeadlineExceeded`] instead of occupying
 //!   the cores that could still serve fresher work — and a request whose
-//!   deadline is *already* doomed at admission (queue depth × observed
-//!   per-batch latency exceeds it) is shed at the door with
-//!   [`Rejected::Overloaded`] before any work is wasted on it.
+//!   deadline is *already* doomed at admission is shed at the door with
+//!   [`Rejected::Overloaded`] before any work is wasted on it. The doom
+//!   estimate is the windows admitted and not yet claimed, this request's
+//!   included, drained `workers × tile_windows` at a time at the observed
+//!   per-batch latency.
 //! * **Fault isolation.** A panic while scoring fails *that batch's*
 //!   requests with a typed [`ServiceError::WorkerFailed`] and is counted in
 //!   [`MetricsSnapshot::worker_panics`]; every scheduler lock recovers from
@@ -127,7 +129,7 @@ pub mod registry;
 use std::collections::VecDeque;
 use std::io::Read;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -192,9 +194,10 @@ pub enum Rejected {
     },
     /// A request parameter is invalid (e.g. a zero chunk length).
     InvalidRequest(String),
-    /// Deadline-aware load shedding: at admission time, the backlog already
-    /// ahead of this request (queue depth × the observed per-batch scoring
-    /// latency) exceeds the request's deadline, so it would expire in the
+    /// Deadline-aware load shedding: at admission time, the estimated time
+    /// to score the windows no worker has claimed yet, this request's
+    /// included (`workers × tile_windows` of them per observed batch
+    /// latency), exceeds the request's deadline, so it would expire in the
     /// queue — shed it now rather than after wasted work. Only requests
     /// carrying a [`RequestOptions::deadline`] are ever shed.
     Overloaded {
@@ -363,9 +366,10 @@ impl Default for ServiceConfig {
 // Two kinds of lock, and one rule that keeps them deadlock-free:
 //
 // * `state` (the scheduler mutex + condvar) guards the ready queue, each
-//   queued request's current chunk and claim cursor (`Queued`), and the
-//   in-flight count. It is a *leaf* lock: no critical section of `state`
-//   takes another lock.
+//   queued request's current chunk and claim cursor (`Queued`), the
+//   in-flight count, and the unclaimed-window backlog with each request's
+//   share of it (`ActiveRequest::unclaimed`). It is a *leaf* lock: no
+//   critical section of `state` takes another lock.
 // * each request's `output` guards its score span, segmentation state and
 //   completion channel. No thread holds two `output` locks at once.
 //
@@ -446,6 +450,10 @@ struct ActiveRequest {
     deadline: Option<Instant>,
     submitted: Instant,
     output: Mutex<OutputState>,
+    /// Windows of this request, over all its chunks, that no worker has
+    /// claimed yet. Read and written only under the `state` lock; atomic
+    /// only because the request is shared.
+    unclaimed: AtomicUsize,
 }
 
 /// A request in the ready queue, with its claim cursor.
@@ -461,6 +469,9 @@ struct SchedState {
     ready: VecDeque<Queued>,
     /// Admitted and not yet completed (the queue-capacity gauge).
     pending: usize,
+    /// Windows of the pending requests that no worker has claimed yet (the
+    /// backlog the shed estimate drains).
+    unclaimed: usize,
     accepting: bool,
     shutdown: bool,
 }
@@ -540,10 +551,11 @@ impl LocatorService {
         let workers = if cfg.workers == 0 { tinynn::parallel::max_threads() } else { cfg.workers };
         let shared = Arc::new(Shared {
             registry,
-            cfg,
+            cfg: ServiceConfig { workers, ..cfg },
             state: Mutex::new(SchedState {
                 ready: VecDeque::new(),
                 pending: 0,
+                unclaimed: 0,
                 accepting: true,
                 shutdown: false,
             }),
@@ -797,6 +809,7 @@ impl LocatorService {
             handle,
             deadline: opts.deadline.map(|d| submitted + d),
             submitted,
+            unclaimed: AtomicUsize::new(total_windows),
             output: Mutex::new(OutputState {
                 done: Some(tx),
                 span: match &chunk {
@@ -818,17 +831,20 @@ impl LocatorService {
                 shared.counters.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
                 return Err(Rejected::QueueFull { capacity: shared.cfg.queue_capacity });
             }
-            // Deadline-aware load shedding: if the backlog already ahead of
-            // this request is estimated (queue depth × observed per-batch
-            // scoring latency, an EWMA kept by `score_batch`) to outlast the
-            // deadline, the request would only expire in the queue — reject
-            // it at the door instead of after wasted work. A cold EWMA (no
-            // batch observed yet) never sheds.
+            // Deadline-aware load shedding: if the unclaimed windows ahead of
+            // this request plus its own are estimated to outlast the deadline,
+            // the request would only expire in the queue — reject it at the
+            // door instead of after wasted work. The workers drain
+            // `workers × tile_windows` windows per observed batch latency (an
+            // EWMA kept by `score_batch`). A cold EWMA (no batch observed
+            // yet) never sheds.
             if let Some(deadline) = opts.deadline {
                 let batch_nanos = shared.counters.ewma_batch_nanos.load(Ordering::Relaxed);
                 if batch_nanos > 0 {
+                    let backlog = (st.unclaimed + total_windows) as u64;
+                    let per_batch = (shared.cfg.workers * shared.cfg.tile_windows) as u64;
                     let estimate =
-                        Duration::from_nanos(batch_nanos.saturating_mul(st.pending as u64 + 1));
+                        Duration::from_nanos(batch_nanos.saturating_mul(backlog) / per_batch);
                     if estimate > deadline {
                         shared.counters.sheds.fetch_add(1, Ordering::Relaxed);
                         return Err(Rejected::Overloaded {
@@ -840,6 +856,7 @@ impl LocatorService {
                 }
             }
             st.pending += 1;
+            st.unclaimed += total_windows;
             st.ready.push_back(Queued { req, chunk, next: 0 });
             shared.work_ready.notify_all();
         }
@@ -957,8 +974,10 @@ fn next_step(shared: &Shared) -> Step {
             let count = (chunk.window_count - first).min(shared.cfg.tile_windows - claimed);
             front.next += count;
             let drained = front.next == chunk.window_count;
-            engine = Some(Arc::clone(front.req.handle.engine()));
-            batch.push(Claim { req: Arc::clone(&front.req), chunk, first, count });
+            let req = Arc::clone(&front.req);
+            engine = Some(Arc::clone(req.handle.engine()));
+            release_unclaimed(&mut st, &req, count);
+            batch.push(Claim { req, chunk, first, count });
             claimed += count;
             if drained {
                 // Fully claimed; its scores are still in flight.
@@ -1146,11 +1165,23 @@ fn complete(
             latency,
         }
     });
-    // The ticket may have been dropped; completion still releases the slot.
+    // The ticket may have been dropped; completion still releases the slot
+    // and, for an expired or failed request, its unclaimed windows.
     let _ = tx.send(result);
     let mut st = lock_poisoned(&shared.state);
     st.pending -= 1;
+    release_unclaimed(&mut st, req, usize::MAX);
     shared.work_ready.notify_all();
+}
+
+/// Takes up to `windows` of `req`'s unclaimed windows off the backlog, with
+/// the `state` lock held: a claim takes its count, completion the rest.
+/// Claims of a request that already failed take nothing.
+fn release_unclaimed(st: &mut SchedState, req: &ActiveRequest, windows: usize) {
+    let left = req.unclaimed.load(Ordering::Relaxed);
+    let taken = left.min(windows);
+    req.unclaimed.store(left - taken, Ordering::Relaxed);
+    st.unclaimed -= taken;
 }
 
 #[cfg(test)]

@@ -72,9 +72,9 @@
 //! timeouts ([`ServerConfig::read_timeout`] / [`ServerConfig::write_timeout`],
 //! 30 s by default) so a half-open or wedged peer can never pin a handler
 //! thread forever; each reaped connection bumps the `conn_timeouts` metric.
-//! When the service sheds load at admission (queue depth × observed batch
-//! latency exceeding the request deadline) the peer sees the typed
-//! [`Status::Overloaded`]. On the client side, [`Client::locate`] treats
+//! When the service sheds load at admission (the unclaimed windows ahead,
+//! plus the request's own, would outlast the request deadline at the
+//! observed batch latency) the peer sees the typed [`Status::Overloaded`]. On the client side, [`Client::locate`] treats
 //! transport failures (socket errors, truncated responses) as retryable —
 //! it reconnects and retries with capped exponential backoff plus
 //! deterministic jitter, giving up with the typed

@@ -492,3 +492,44 @@ fn observed_stalls_feed_deadline_aware_load_shedding() {
     assert_eq!(service.metrics().sheds, 1, "the generous deadline was not shed");
     service.shutdown();
 }
+
+/// The shed estimate counts the windows still queued, not the requests: one
+/// queued request of many tiles holds a lone worker for many batches, so a
+/// deadline shorter than those batches is shed although only one request
+/// waits ahead.
+#[test]
+fn shedding_counts_the_queued_windows_not_the_requests() {
+    // Batch 0 warms the estimator at 200 ms or more; batch 1, the first
+    // tile of the long request, stalls so the rest of it is still queued
+    // when the probe arrives.
+    let faults = FaultPlan::builder()
+        .fault(FaultSite::Score, 0, FaultKind::Stall(200))
+        .fault(FaultSite::Score, 1, FaultKind::Stall(1000))
+        .build();
+    let service = LocatorService::start(
+        vec![tiny_engine(9)],
+        ServiceConfig { workers: 1, faults, ..Default::default() },
+    );
+    let tile = ServiceConfig::default().tile_windows;
+    service
+        .submit_trace("model-0", noisy_trace(200, 2), RequestOptions::default())
+        .unwrap()
+        .wait()
+        .unwrap();
+
+    // 20 tiles of windows (length 16, stride 4): at least 19 still queued
+    // are 19 batches, 3.8 s or more, while one request ahead is 2 batches.
+    let long = noisy_trace(16 + 4 * (20 * tile - 1), 3);
+    let long = service.submit_trace("model-0", long, RequestOptions::default()).unwrap();
+    let opts = RequestOptions { deadline: Some(Duration::from_secs(2)), ..Default::default() };
+    match service.submit_trace("model-0", noisy_trace(200, 4), opts) {
+        Err(Rejected::Overloaded { queue_depth, estimate, deadline }) => {
+            assert_eq!(queue_depth, 1, "one request waits ahead");
+            assert!(estimate > deadline, "shed only when the estimate exceeds the deadline");
+        }
+        other => panic!("expected Overloaded, got {other:?}"),
+    }
+    long.wait().unwrap();
+    assert_eq!(service.metrics().sheds, 1);
+    service.shutdown();
+}

@@ -20,9 +20,10 @@
 //!
 //! Trained convolutions also serve quantised ([`qlayers`], [`quant`]):
 //! `i8` weights with batch norm folded in, run as one fixed-point chain of
-//! `i16` activation codes on calibrated grids. A quantised layer is not a
-//! [`Layer`]: it has the serving entry point `forward_fixed` and the
-//! calibration pass `forward_dynamic` that chooses the grids.
+//! `i16` activation codes on calibrated grids, one window at a time
+//! ([`qlayers::pooled_features`]). A quantised layer is not a [`Layer`]: it
+//! has the serving entry point `forward_fixed` and the calibration pass
+//! `forward_dynamic` that chooses the grids.
 //!
 //! ## Example: train a tiny classifier
 //!

@@ -438,7 +438,7 @@ fn tile_f32_tail(
 /// This is the inference convolution kernel: the weight pack is built once
 /// per layer call and reused across every batch item, and each `MR × NR`
 /// output tile is accumulated entirely in registers with explicit FMA
-/// (see [`tile_f32`]) instead of the load/FMA/store-per-depth-step pattern
+/// (see `tile_f32`) instead of the load/FMA/store-per-depth-step pattern
 /// of [`matmul`]. The depth dimension is blocked by [`KC`] so the streamed
 /// `B` column panel stays L1-resident at any fan-in; accumulation order
 /// over `k` is unchanged by the blocking, and every element of `C` is

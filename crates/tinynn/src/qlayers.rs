@@ -18,15 +18,18 @@
 //!
 //! Every layer has exactly two entry points:
 //!
-//! * `forward_fixed`, the serving path: once static activation scales are
-//!   calibrated ([`QuantizedConv1d::set_fixed_point`] builds a
-//!   [`crate::quant::QuantPlan`]), activations stay `i16` codes *between*
-//!   layers ([`crate::quant::QuantActs`]), each layer is one fused
+//! * `forward_fixed`, the serving path, on one window: once static
+//!   activation scales are calibrated ([`QuantizedConv1d::set_fixed_point`]
+//!   builds a [`crate::quant::QuantPlan`]), activations stay `i16` codes
+//!   *between* layers ([`crate::quant::QuantActs`]), each layer is one fused
 //!   requantising GEMM ([`matmul::matmul_q8_requant_sliding`]) writing
 //!   position-major codes directly into the next layer's channels-last
 //!   window layout, ReLU is the output clamp and the residual add is an
 //!   integer add of same-grid codes. No `f32` roundtrip, scale scan or
-//!   transpose exists between layers.
+//!   transpose exists between layers. [`pooled_features`] drives a stem and
+//!   residual blocks this way one window at a time, like the fused `f32`
+//!   chain ([`crate::fused`]), on one window's code buffers held in the
+//!   [`Workspace`].
 //! * `forward_dynamic`, the calibration pass that chooses those static
 //!   scales: `f32` in and out, every window quantised on its own grid, one
 //!   exact integer dot per output. It records the activation ranges the
@@ -38,8 +41,10 @@
 use crate::layers::{BatchNorm1d, Conv1d, ResidualBlock1d};
 use crate::matmul;
 use crate::quant::{
-    quantize_activations_into, QuantActs, QuantPlan, QuantizedGemm, Requantizer, ACT_QMAX,
+    quantize_activations_into, quantize_with_scale, QuantActs, QuantPlan, QuantizedGemm,
+    Requantizer, ACT_QMAX,
 };
+use crate::tensor::Tensor;
 use crate::workspace::Workspace;
 
 /// Permutes a `[out, in_c, kernel]` weight matrix's columns from the
@@ -161,26 +166,32 @@ impl QuantizedConv1d {
         self.plan.as_ref()
     }
 
-    /// Fixed-point forward pass: `i16` activation codes in, `i16` codes out,
-    /// one fused requantising GEMM per batch item and **no `f32` value
+    /// Fixed-point forward pass of one window: `i16` activation codes in,
+    /// `i16` codes out, one fused requantising GEMM and **no `f32` value
     /// anywhere** — no dynamic scale scan, no dequantise/requantise
     /// roundtrip, no transpose (the GEMM writes position-major, which *is*
     /// the channels-last body layout `out` hands the next layer).
     ///
-    /// `out` must be pre-shaped by the caller (same batch and length,
-    /// `out_channels` channels, pad geometry covering every consumer); its
-    /// pads are zeroed and its scale is set to the plan's output scale.
+    /// `out` must be shaped by the caller ([`QuantActs::reshape`]: same
+    /// length, `out_channels` channels, pad geometry covering every
+    /// consumer). Only its body rows are written, and its scale is set to
+    /// the plan's output scale.
     ///
     /// # Panics
     ///
     /// Panics if no plan is set ([`Self::set_fixed_point`]), if a geometry
     /// field disagrees, or if `x`'s grid is not the plan's input grid.
     pub fn forward_fixed(&self, x: &QuantActs, out: &mut QuantActs) {
+        assert_eq!(out.channels, self.out_channels, "output channel mismatch");
+        assert_eq!(x.len, out.len, "length mismatch (stride-1 same conv)");
+        out.scale = self.gemm_fixed(x, out.body_mut());
+    }
+
+    /// The requantising GEMM of [`Self::forward_fixed`] into a bare
+    /// position-major `[len, out_c]` destination; returns the output scale.
+    fn gemm_fixed(&self, x: &QuantActs, dst: &mut [i16]) -> f32 {
         let plan = self.plan.as_ref().expect("set_fixed_point before forward_fixed");
         assert_eq!(x.channels, self.in_channels, "input channel mismatch");
-        assert_eq!(out.channels, self.out_channels, "output channel mismatch");
-        assert_eq!(x.batch, out.batch, "batch mismatch");
-        assert_eq!(x.len, out.len, "length mismatch (stride-1 same conv)");
         assert_eq!(
             plan.in_scale.to_bits(),
             x.scale.to_bits(),
@@ -197,22 +208,29 @@ impl QuantizedConv1d {
             self.kernel_size
         );
         let (in_c, out_c, ck) = (self.in_channels, self.out_channels, self.gemm.cols());
-        out.scale = plan.out_scale;
-        out.zero_pads();
         let span = (x.len - 1) * in_c + ck;
-        for b in 0..x.batch {
-            let src_start = b * x.rows * in_c + offset * in_c;
-            let src = &x.codes[src_start..src_start + span];
-            let dst_start = b * out.rows * out_c + out.pad_left * out_c;
-            let dst = &mut out.codes[dst_start..dst_start + x.len * out_c];
-            // SIMD fast path on the packed weights; scalar fallback computes
-            // the same codes bit for bit.
-            if !matmul::matmul_q8_requant_sliding_packed(
+        let src = &x.codes[offset * in_c..offset * in_c + span];
+        // SIMD fast path on the packed weights; scalar fallback computes the
+        // same codes bit for bit.
+        if !matmul::matmul_q8_requant_sliding_packed(
+            dst,
+            self.gemm.packed16(),
+            &plan.bias_q,
+            &plan.mults_i32,
+            plan.shift,
+            src,
+            out_c,
+            ck,
+            x.len,
+            in_c,
+            plan.lo,
+            plan.hi,
+        ) {
+            matmul::matmul_q8_requant_sliding(
                 dst,
-                self.gemm.packed16(),
+                self.gemm.data16(),
                 &plan.bias_q,
-                &plan.mults_i32,
-                plan.shift,
+                &plan.mults,
                 src,
                 out_c,
                 ck,
@@ -220,22 +238,9 @@ impl QuantizedConv1d {
                 in_c,
                 plan.lo,
                 plan.hi,
-            ) {
-                matmul::matmul_q8_requant_sliding(
-                    dst,
-                    self.gemm.data16(),
-                    &plan.bias_q,
-                    &plan.mults,
-                    src,
-                    out_c,
-                    ck,
-                    x.len,
-                    in_c,
-                    plan.lo,
-                    plan.hi,
-                );
-            }
+            );
         }
+        plan.out_scale
     }
 
     /// Calibration forward pass: `x` holds `[batch, in_c, len]` `f32`
@@ -332,71 +337,48 @@ impl QuantizedResidualBlock1d {
         }
     }
 
-    /// Fixed-point forward pass of the whole block: two fused requantising
-    /// GEMMs (conv1 with its ReLU clamp, conv2 onto the output grid), the
-    /// shortcut rescaled onto the same grid (projection GEMM or per-tensor
-    /// requantise), and the residual add + final ReLU as one integer
-    /// add/clamp pass over the body codes. Scratch comes from the
-    /// workspace's `i16` pool, so a warm pass allocates nothing.
+    /// Fixed-point forward pass of the whole block on one window: two fused
+    /// requantising GEMMs (conv1 with its ReLU clamp into `mid`, conv2 onto
+    /// the output grid), the shortcut rescaled onto the same grid into
+    /// `short` (projection GEMM or per-tensor requantise), and the residual
+    /// add + final ReLU as one integer add/clamp pass over the body codes.
+    ///
+    /// `mid` must be shaped like `out` ([`QuantActs::reshape`]) so conv2
+    /// reads its windows in place; `short` holds at least `len ·
+    /// out_channels` codes (it only feeds the add, so it needs no pads).
     ///
     /// # Panics
     ///
     /// Panics if [`Self::set_fixed_point`] has not run or a geometry field
     /// disagrees (see [`QuantizedConv1d::forward_fixed`]).
-    pub fn forward_fixed(&self, x: &QuantActs, out: &mut QuantActs, ws: &mut Workspace) {
-        let out_c = self.out_channels();
-        let (batch, len) = (x.batch, x.len);
-        // Mid activations live on the same padded geometry as `out`, so
-        // conv2's windows read them in place.
-        let mut mid = QuantActs::with_buffer(
-            ws.take_i16(batch * out.rows * out_c),
-            batch,
-            out_c,
-            len,
-            out.pad_left,
-            out.rows,
-            0.0,
-        );
-        self.conv1.forward_fixed(x, &mut mid);
-        self.conv2.forward_fixed(&mid, out);
-        // The shortcut needs no padding: it only feeds the add.
-        let mut short = QuantActs::with_buffer(
-            ws.take_i16(batch * len * out_c),
-            batch,
-            out_c,
-            len,
-            0,
-            len,
-            x.scale,
-        );
+    pub fn forward_fixed(
+        &self,
+        x: &QuantActs,
+        out: &mut QuantActs,
+        mid: &mut QuantActs,
+        short: &mut [i16],
+    ) {
+        self.conv1.forward_fixed(x, mid);
+        self.conv2.forward_fixed(mid, out);
+        let short = &mut short[..x.len * self.out_channels()];
         match (self.projection.as_ref(), self.shortcut) {
-            (Some(conv), _) => conv.forward_fixed(x, &mut short),
+            (Some(conv), _) => {
+                conv.gemm_fixed(x, short);
+            }
+            // Identity shortcut: rescale the input codes onto the output
+            // grid (no clamp asymmetry — the add below applies the ReLU).
             (None, Some(r)) => {
-                // Identity shortcut: rescale the input codes onto the output
-                // grid (no clamp asymmetry — the add below applies the ReLU).
                 let qmax = ACT_QMAX as i16;
-                for b in 0..batch {
-                    let src_start = b * x.rows * x.channels + x.pad_left * x.channels;
-                    let src = &x.codes[src_start..src_start + len * x.channels];
-                    let dst = &mut short.codes[b * len * out_c..(b + 1) * len * out_c];
-                    matmul::requantize_codes_into(dst, src, r, -qmax, qmax);
-                }
+                matmul::requantize_codes_into(short, x.body(), r, -qmax, qmax);
             }
             (None, None) => panic!("set_fixed_point before forward_fixed"),
         }
         // Residual add + final ReLU: both operands are i16 codes on the
         // output grid, so the sum is exact in i32 and the ReLU is the
-        // [0, 32767] clamp of the store. Pad rows stay zero (0 + 0).
-        for b in 0..batch {
-            let dst_start = b * out.rows * out_c + out.pad_left * out_c;
-            let dst = &mut out.codes[dst_start..dst_start + len * out_c];
-            let s = &short.codes[b * len * out_c..(b + 1) * len * out_c];
-            for (d, &sv) in dst.iter_mut().zip(s.iter()) {
-                *d = (*d as i32 + sv as i32).clamp(0, ACT_QMAX as i32) as i16;
-            }
+        // [0, 32767] clamp of the store.
+        for (d, &sv) in out.body_mut().iter_mut().zip(short.iter()) {
+            *d = (*d as i32 + sv as i32).clamp(0, ACT_QMAX as i32) as i16;
         }
-        ws.recycle_i16(mid.codes);
-        ws.recycle_i16(short.codes);
     }
 
     /// Output channel count.
@@ -436,6 +418,126 @@ impl QuantizedResidualBlock1d {
             *y = (*y + r).max(0.0);
         }
         (mid, out)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The fixed-point chain
+// ---------------------------------------------------------------------------
+
+/// Fixed-point inference of a quantised backbone — the stem, then `blocks`
+/// in order, then the integer global average pool — on windows `[B, 1, N]`,
+/// returning the pooled `f32` features `[B, F]`.
+///
+/// Each window is quantised onto the stem's calibrated input grid and runs
+/// through every layer before the next window starts, on one window's code
+/// buffers held in `ws`: the scratch follows the window length, never the
+/// batch, and a warm workspace serves a call without allocating. The pool
+/// sums each channel's codes exactly in `i64` and dequantises each mean
+/// once. A window's features depend on that window alone.
+///
+/// # Panics
+///
+/// Panics if the input is not `[B, 1, N]`, if a layer has no fixed-point
+/// plan, or if the layers' channels or grids do not chain.
+pub fn pooled_features(
+    stem: &QuantizedConv1d,
+    blocks: &[&QuantizedResidualBlock1d],
+    input: &Tensor,
+    ws: &mut Workspace,
+) -> Tensor {
+    assert_eq!(input.shape().len(), 3, "expected windows [B, 1, N]");
+    assert_eq!(input.shape()[1], 1, "expected single-channel windows");
+    let (batch, len) = (input.shape()[0], input.shape()[2]);
+    let features = blocks.last().map_or(stem.out_channels, |b| b.out_channels());
+    let mut pooled = ws.uninit_tensor(&[batch, features]);
+    let codes = &mut ws.qitem;
+    codes.shape(stem, blocks, len);
+    for (window, row) in
+        input.data().chunks_exact(len).zip(pooled.data_mut().chunks_exact_mut(features))
+    {
+        codes.run(stem, blocks, window, row);
+    }
+    pooled
+}
+
+/// One window's `i16` code buffers of [`pooled_features`]: the quantised
+/// input, the stem's and every block's output, every block's mid
+/// activations, the shortcut operand the blocks share, and the pool's
+/// `i64` channel sums. Shaped once per call, which zeroes the pads; the
+/// windows of the call then overwrite body rows only.
+#[derive(Debug, Default)]
+pub(crate) struct ItemCodes {
+    input: QuantActs,
+    /// The stem's output, then each block's.
+    outs: Vec<QuantActs>,
+    /// Each block's conv1 output.
+    mids: Vec<QuantActs>,
+    short: Vec<i16>,
+    acc: Vec<i64>,
+}
+
+impl ItemCodes {
+    /// Shapes every buffer for windows of `len` samples, with one pad
+    /// geometry that serves every kernel of the chain.
+    fn shape(&mut self, stem: &QuantizedConv1d, blocks: &[&QuantizedResidualBlock1d], len: usize) {
+        let k = blocks
+            .iter()
+            .flat_map(|b| [Some(&b.conv1), Some(&b.conv2), b.projection.as_ref()])
+            .flatten()
+            .fold(stem.kernel_size, |k, conv| k.max(conv.kernel_size));
+        let (pad, rows) = ((k - 1) / 2, len + k - 1);
+        self.input.reshape(stem.in_channels, len, pad, rows);
+        self.input.scale =
+            stem.plan.as_ref().expect("set_fixed_point before forward_fixed").in_scale;
+        self.outs.resize_with(blocks.len() + 1, QuantActs::default);
+        self.mids.resize_with(blocks.len(), QuantActs::default);
+        self.outs[0].reshape(stem.out_channels, len, pad, rows);
+        let mut widest = 0;
+        for ((block, out), mid) in blocks.iter().zip(&mut self.outs[1..]).zip(&mut self.mids) {
+            let c = block.out_channels();
+            out.reshape(c, len, pad, rows);
+            mid.reshape(c, len, pad, rows);
+            widest = widest.max(c);
+        }
+        self.short.resize(len * widest, 0);
+        self.acc.resize(self.outs[blocks.len()].channels, 0);
+    }
+
+    /// One window through the chain into its pooled feature row.
+    fn run(
+        &mut self,
+        stem: &QuantizedConv1d,
+        blocks: &[&QuantizedResidualBlock1d],
+        window: &[f32],
+        row: &mut [f32],
+    ) {
+        let Self { input, outs, mids, short, acc } = self;
+        quantize_with_scale(window, input.scale, input.body_mut());
+        stem.forward_fixed(input, &mut outs[0]);
+        for (i, (block, mid)) in blocks.iter().zip(mids.iter_mut()).enumerate() {
+            let (done, next) = outs.split_at_mut(i + 1);
+            block.forward_fixed(&done[i], &mut next[0], mid, short);
+        }
+        let last = &outs[blocks.len()];
+        acc.fill(0);
+        for sample in last.body().chunks_exact(acc.len()) {
+            for (a, &v) in acc.iter_mut().zip(sample) {
+                *a += v as i64;
+            }
+        }
+        let inv_len = 1.0 / last.len as f32;
+        for (o, &a) in row.iter_mut().zip(acc.iter()) {
+            *o = a as f32 * last.scale * inv_len;
+        }
+    }
+
+    pub(crate) fn retained_bytes(&self) -> usize {
+        let acts = std::iter::once(&self.input).chain(&self.outs).chain(&self.mids);
+        acts.map(|a| a.codes.capacity() * 2).sum::<usize>()
+            + (self.outs.capacity() + self.mids.capacity()) * std::mem::size_of::<QuantActs>()
+            + self.short.capacity() * 2
+            + self.acc.capacity() * 8
     }
 }
 

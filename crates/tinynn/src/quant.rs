@@ -12,7 +12,8 @@
 //! * **Activations** are `i16` codes. Serving quantises the network
 //!   *input* once against a statically calibrated scale
 //!   ([`quantize_with_scale`]) and then keeps every inter-layer activation
-//!   in `i16` — no f32 roundtrip between layers. Calibration, which chooses
+//!   in `i16` — no f32 roundtrip between layers. One window's activation
+//!   travels between layers as a [`QuantActs`]. Calibration, which chooses
 //!   those static scales, quantises each window on its own grid (scale
 //!   `max|x| / 32767`, [`quantize_activations_into`]).
 //! * **Accumulation** is integer (`i32` within depth panels). Serving maps
@@ -23,8 +24,9 @@
 //!   rescales them into `f32` with `s_row · s_act`.
 //!
 //! Biases on the fixed-point path are pre-quantised to accumulator units
-//! (`round(b / (s_row · s_in))`, a [`QuantPlan`]); everything non-GEMM that
-//! remains (global pooling, the tiny fully connected head) stays `f32`.
+//! (`round(b / (s_row · s_in))`, a [`QuantPlan`]). The global average pool
+//! sums the last layer's codes exactly in `i64` and dequantises each
+//! channel's mean once; the tiny fully connected head stays `f32`.
 
 use serde::{Deserialize, Serialize};
 
@@ -464,69 +466,60 @@ impl QuantPlan {
     }
 }
 
-/// A batch of quantised activations in the channels-last zero-padded layout
-/// of the sliding integer GEMM — the unit that travels *between* layers of
-/// the fixed-point chain.
+/// One window's quantised activations in the channels-last zero-padded
+/// layout of the sliding integer GEMM — the unit that travels *between*
+/// layers of the fixed-point chain.
 ///
-/// Per batch item the codes form a `[rows, channels]` matrix with
-/// `rows = len + pad_total`: rows `pad_left .. pad_left + len` hold the
-/// signal (sample-major, channel-minor) and the `pad_total` overhang rows
-/// are zero. A consumer with kernel `k' ≤ pad_total + 1` and left padding
-/// `p'` reads window `j` as the contiguous slice starting at row
+/// The codes form a `[rows, channels]` matrix with `rows = len + pad_total`:
+/// rows `pad_left .. pad_left + len` hold the signal (sample-major,
+/// channel-minor) and the `pad_total` overhang rows are zero. A consumer
+/// with kernel `k' ≤ pad_total + 1` and left padding `p'` reads output
+/// position `j`'s window as the contiguous slice starting at row
 /// `pad_left - p' + j` — one layout serves every kernel size in the network
 /// (the uniform-`k` convolutions *and* the 1×1 projection).
-#[derive(Debug, Clone)]
+///
+/// The chain shapes each buffer once per call ([`Self::reshape`]) and every
+/// window of the call then overwrites the body rows only, so the pads stay
+/// zero without being touched again.
+#[derive(Debug, Clone, Default)]
 pub struct QuantActs {
-    /// The codes, `[batch, rows, channels]`.
+    /// The codes, `[rows, channels]`.
     pub codes: Vec<i16>,
-    /// Batch size.
-    pub batch: usize,
     /// Channel count.
     pub channels: usize,
-    /// Signal length (body rows per item).
+    /// Signal length (body rows).
     pub len: usize,
     /// Zero rows before the body.
     pub pad_left: usize,
-    /// Total rows per item (`len + pad_total`).
+    /// Total rows (`len + pad_total`).
     pub rows: usize,
     /// The activation scale of the codes (`value = code · scale`).
     pub scale: f32,
 }
 
 impl QuantActs {
-    /// Wraps a caller-provided buffer (resized, contents unspecified — the
-    /// producer overwrites body rows and zeroes the pads).
+    /// Shapes the buffer as `rows` zero rows of `channels` codes, the body
+    /// starting at row `pad_left`, reusing its capacity. The producer
+    /// overwrites the body and sets the scale.
     ///
     /// # Panics
     ///
     /// Panics if `rows < pad_left + len`.
-    pub fn with_buffer(
-        mut codes: Vec<i16>,
-        batch: usize,
-        channels: usize,
-        len: usize,
-        pad_left: usize,
-        rows: usize,
-        scale: f32,
-    ) -> Self {
+    pub fn reshape(&mut self, channels: usize, len: usize, pad_left: usize, rows: usize) {
         assert!(rows >= pad_left + len, "padded rows must cover the body");
-        codes.resize(batch * rows * channels, 0);
-        Self { codes, batch, channels, len, pad_left, rows, scale }
+        self.codes.clear();
+        self.codes.resize(rows * channels, 0);
+        (self.channels, self.len, self.pad_left, self.rows) = (channels, len, pad_left, rows);
     }
 
-    /// One item's full `[rows, channels]` code block.
-    #[inline]
-    pub fn item(&self, b: usize) -> &[i16] {
-        &self.codes[b * self.rows * self.channels..(b + 1) * self.rows * self.channels]
+    /// The body rows (the signal), `[len, channels]`.
+    pub fn body(&self) -> &[i16] {
+        &self.codes[self.pad_left * self.channels..(self.pad_left + self.len) * self.channels]
     }
 
-    /// Zeroes both padding stripes of every item.
-    pub fn zero_pads(&mut self) {
-        let (rows, ch, pad, len) = (self.rows, self.channels, self.pad_left, self.len);
-        for item in self.codes.chunks_exact_mut(rows * ch) {
-            item[..pad * ch].fill(0);
-            item[(pad + len) * ch..].fill(0);
-        }
+    /// Mutable access to the body rows.
+    pub fn body_mut(&mut self) -> &mut [i16] {
+        &mut self.codes[self.pad_left * self.channels..(self.pad_left + self.len) * self.channels]
     }
 }
 
@@ -670,16 +663,16 @@ mod tests {
     }
 
     #[test]
-    fn quant_acts_pads_are_zeroed_and_items_indexed() {
-        let buf = vec![7i16; 2 * 6 * 3];
-        let mut acts = QuantActs::with_buffer(buf, 2, 3, 4, 1, 6, 0.5);
-        acts.zero_pads();
-        for b in 0..2 {
-            let item = acts.item(b).to_vec();
-            assert_eq!(&item[..3], &[0, 0, 0], "left pad row");
-            assert_eq!(&item[15..], &[0, 0, 0], "right pad row");
-            assert!(item[3..15].iter().all(|&v| v == 7), "body untouched");
-        }
+    fn quant_acts_reshape_zeroes_the_pads_around_the_body() {
+        let mut acts = QuantActs { codes: vec![7i16; 40], ..QuantActs::default() };
+        acts.reshape(3, 4, 1, 6);
+        assert_eq!(acts.codes.len(), 18);
+        assert!(acts.codes.iter().all(|&v| v == 0), "stale codes are cleared");
+        acts.body_mut().fill(5);
+        assert_eq!(&acts.codes[..3], &[0, 0, 0], "left pad row");
+        assert_eq!(&acts.codes[15..], &[0, 0, 0], "right pad row");
+        assert_eq!(acts.body().len(), 12);
+        assert!(acts.body().iter().all(|&v| v == 5), "body rows 1..5");
     }
 
     #[test]

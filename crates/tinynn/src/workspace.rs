@@ -7,7 +7,7 @@
 //! layers:
 //!
 //! * a **cache stack**: during a training forward every layer pushes exactly
-//!   one [`LayerCache`] entry; `backward` pops them in reverse. Because
+//!   one `LayerCache` entry; `backward` pops them in reverse. Because
 //!   backward traverses the network in exactly the reverse order of forward,
 //!   a LIFO stack needs no layer identity bookkeeping at all. Inference
 //!   (`training == false`) pushes nothing.
@@ -18,9 +18,10 @@
 //!   and reused by the register-tiled GEMM kernels); the fused `f32`
 //!   inference chain's per-call weight packing (`plan`) and per-window
 //!   staging and channels-last activations (`item`, see [`crate::fused`]);
-//!   and the fixed-point chain's `i64` pooling accumulators (`qacc`) —
-//!   reused across layers and calls, so steady-state inference performs no
-//!   allocation;
+//!   and the fixed-point chain's `i16` codes and `i64` pooling sums of one
+//!   window (`qitem`, see [`crate::qlayers::pooled_features`]) — reused
+//!   across layers, windows and calls, so steady-state inference performs
+//!   no allocation and the chains' scratch does not grow with the batch;
 //! * an **output-activation arena**: a small free list of recycled tensor
 //!   storage. Layers draw their outputs from [`Workspace::uninit_tensor`]
 //!   and sequential containers hand dead intermediates back through
@@ -35,6 +36,7 @@
 //! workspace.
 
 use crate::fused::{ItemScratch, Plan};
+use crate::qlayers::ItemCodes;
 use crate::tensor::Tensor;
 
 /// Upper bound on the number of buffers the arena retains; beyond it the
@@ -64,19 +66,13 @@ pub struct Workspace {
     /// rebuilt per layer call (weights may change between calls during
     /// training) into this one reused buffer.
     pub(crate) pack: Vec<f32>,
-    /// `i64` per-channel accumulators of the integer global-average-pooling
-    /// reduction of the fixed-point chain.
-    pub(crate) qacc: Vec<i64>,
     /// The fused `f32` inference chain's per-call weight packing
     /// ([`crate::fused::pooled_features`]).
     pub(crate) plan: Plan,
     /// The fused chain's per-window staging and activation buffers.
     pub(crate) item: ItemScratch,
-    /// Free list of `i16` code buffers — the activation arena of the
-    /// fixed-point chain, where whole inter-layer activations are `i16`
-    /// codes instead of `f32` tensors ([`Self::take_i16`] /
-    /// [`Self::recycle_i16`]).
-    qpool: Vec<Vec<i16>>,
+    /// The fixed-point chain's per-window code buffers.
+    pub(crate) qitem: ItemCodes,
     /// Output-activation free list: recycled `(data, shape)` tensor storage.
     arena: Vec<(Vec<f32>, Vec<usize>)>,
     /// Number of [`Self::uninit_tensor`] calls the arena could not serve
@@ -147,65 +143,6 @@ impl Workspace {
         self.arena.push((data, shape));
     }
 
-    /// Zeroed `i64` scratch of `len` accumulators — the per-channel sums of
-    /// the integer global-average-pooling reduction. The backing buffer
-    /// grows to the high-water mark and is reused across calls.
-    pub fn i64_scratch(&mut self, len: usize) -> &mut [i64] {
-        if self.qacc.len() < len {
-            self.qacc.resize(len, 0);
-        }
-        let scratch = &mut self.qacc[..len];
-        scratch.fill(0);
-        scratch
-    }
-
-    /// Hands out an `i16` code buffer of at least `len` elements (resized to
-    /// `len`, element values **unspecified** — the caller must overwrite or
-    /// zero every element it reads). Served best-fit from the `i16` free
-    /// list; a miss allocates and advances [`Self::arena_misses`], so the
-    /// zero-allocation pins cover the fixed-point chain too.
-    pub fn take_i16(&mut self, len: usize) -> Vec<i16> {
-        let mut best: Option<(usize, usize)> = None;
-        for (idx, buf) in self.qpool.iter().enumerate() {
-            let cap = buf.capacity();
-            if cap >= len && best.is_none_or(|(_, c)| cap < c) {
-                best = Some((idx, cap));
-            }
-        }
-        let mut buf = match best {
-            Some((idx, _)) => self.qpool.swap_remove(idx),
-            None => {
-                self.arena_misses += 1;
-                Vec::with_capacity(len)
-            }
-        };
-        buf.resize(len, 0);
-        buf
-    }
-
-    /// Returns a dead `i16` code buffer to the free list (mirror of
-    /// [`Self::recycle`]: beyond [`ARENA_SLOTS`] buffers the smallest is
-    /// evicted, or the incoming one dropped if smaller still).
-    pub fn recycle_i16(&mut self, buf: Vec<i16>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        if self.qpool.len() >= ARENA_SLOTS {
-            let (smallest, cap) = self
-                .qpool
-                .iter()
-                .enumerate()
-                .map(|(i, b)| (i, b.capacity()))
-                .min_by_key(|&(_, c)| c)
-                .expect("i16 pool is non-empty");
-            if cap >= buf.capacity() {
-                return;
-            }
-            self.qpool.swap_remove(smallest);
-        }
-        self.qpool.push(buf);
-    }
-
     /// Number of [`Self::uninit_tensor`] calls that had to allocate because
     /// the arena held no buffer of sufficient capacity. A warm steady-state
     /// inference loop must not advance this counter — the property the
@@ -215,21 +152,20 @@ impl Workspace {
     }
 
     /// Total bytes of scratch storage the workspace currently retains
-    /// (lowering/packing buffers plus the arena). Stable across steady-state
-    /// passes once warm.
+    /// (lowering/packing buffers, the inference chains' per-window buffers
+    /// and the arena). Stable across steady-state passes once warm.
     pub fn retained_bytes(&self) -> usize {
         let f32s = self.col.capacity()
             + self.dy_t.capacity()
             + self.grad_items.capacity()
             + self.pack.capacity()
             + self.item.capacity();
-        let i16s = self.qpool.iter().map(|b| b.capacity()).sum::<usize>();
         let arena: usize = self
             .arena
             .iter()
             .map(|(d, s)| d.capacity() * 4 + s.capacity() * std::mem::size_of::<usize>())
             .sum();
-        f32s * 4 + self.plan.retained_bytes() + i16s * 2 + self.qacc.capacity() * 8 + arena
+        f32s * 4 + self.plan.retained_bytes() + self.qitem.retained_bytes() + arena
     }
 
     /// Number of layer caches currently recorded (0 outside a training
@@ -326,39 +262,5 @@ mod tests {
     #[should_panic(expected = "backward called before forward")]
     fn pop_on_empty_stack_panics() {
         Workspace::new().pop("EmptyLayer");
-    }
-
-    #[test]
-    fn i16_pool_reuses_buffers_without_allocating() {
-        let mut ws = Workspace::new();
-        let a = ws.take_i16(100);
-        assert_eq!(a.len(), 100);
-        assert_eq!(ws.arena_misses(), 1);
-        ws.recycle_i16(a);
-        let retained = ws.retained_bytes();
-        assert!(retained >= 200, "recycled i16 storage must be counted");
-        // A smaller request is served from the recycled buffer: no new miss,
-        // no retained-bytes growth.
-        let b = ws.take_i16(40);
-        assert_eq!(b.len(), 40);
-        assert_eq!(ws.arena_misses(), 1);
-        ws.recycle_i16(b);
-        assert_eq!(ws.retained_bytes(), retained);
-    }
-
-    #[test]
-    fn i16_pool_is_bounded() {
-        let mut ws = Workspace::new();
-        // Fill past the slot cap; the pool must keep the largest buffers.
-        for len in 1..=ARENA_SLOTS + 4 {
-            ws.recycle_i16(Vec::with_capacity(len * 16));
-        }
-        let retained = ws.retained_bytes();
-        // All retained buffers are among the largest; total bounded by the
-        // slot cap times the largest buffer.
-        assert!(retained <= ARENA_SLOTS * (ARENA_SLOTS + 4) * 16 * 2);
-        // Recycling a tiny buffer into a full pool drops it.
-        ws.recycle_i16(Vec::with_capacity(1));
-        assert_eq!(ws.retained_bytes(), retained);
     }
 }

@@ -132,7 +132,7 @@ pub fn read_f32s_le<R: Read>(mut reader: R, count: usize) -> std::io::Result<Vec
 
 /// Reads exactly `out.len()` little-endian `f32` values into a
 /// caller-provided slice, in bounded chunks (no transient buffer ever exceeds
-/// [`READ_CHUNK_BYTES`]). The slice-filling counterpart of [`read_f32s_le`]
+/// `READ_CHUNK_BYTES`, 64 KiB). The slice-filling counterpart of [`read_f32s_le`]
 /// for callers that own the destination — e.g. the carry-buffer sequential
 /// trace source, which decodes a socket or pipe straight into its chunk
 /// buffer.

@@ -58,8 +58,9 @@ pub fn pearson(a: &[f32], b: &[f32]) -> f32 {
 ///
 /// This is the classic "online CPA" formulation: for every new trace we feed
 /// the hypothetical leakage value `h` and the trace samples `t[j]`, and the
-/// accumulator maintains Σh, Σh², Σt[j], Σt[j]², Σh·t[j]. The correlation at
-/// any point can then be computed in O(1) per sample without storing traces.
+/// accumulator maintains `Σh`, `Σh²`, `Σt[j]`, `Σt[j]²` and `Σh·t[j]`. The
+/// correlation at any point can then be computed in O(1) per sample without
+/// storing traces.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CorrelationAccumulator {
     n: u64,
