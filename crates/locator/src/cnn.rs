@@ -257,6 +257,12 @@ impl CoLocatorCnn {
         }
     }
 
+    /// Bytes of backbone scratch a scoring workspace holds after windows
+    /// of `len` samples ([`tinynn::fused::scratch_bytes`]).
+    pub fn scratch_bytes(&self, len: usize) -> usize {
+        tinynn::fused::scratch_bytes(&self.conv, &[&self.res1, &self.res2], len)
+    }
+
     /// Total number of trainable scalars.
     pub fn param_count(&self) -> usize {
         self.params().iter().map(|p| p.len()).sum()

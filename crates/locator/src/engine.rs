@@ -78,7 +78,7 @@ impl EngineModel {
     ///
     /// For `f32` models this is the parameter and buffer storage; for
     /// quantised models it counts the `i8` blocks *and* their derived
-    /// `i16`/pair-packed kernel operands plus the `f32` head (see
+    /// widened `i16` kernel operands plus the `f32` head (see
     /// [`QuantizedCoLocatorCnn::resident_weight_bytes`]). This is the
     /// per-model term a serving registry budgets against.
     pub fn weight_bytes(&self) -> usize {
@@ -158,18 +158,25 @@ impl LocatorEngine {
     }
 
     /// Estimated resident bytes of serving this engine: the weight set
-    /// ([`EngineModel::weight_bytes`]) plus a per-thread workspace estimate
-    /// for one scoring batch (`batch_size` windows staged as `[B, 1, N]`
-    /// input, the im2col expansion of the first convolution — the widest
-    /// intermediate — and the activation arena). The estimate is
+    /// ([`EngineModel::weight_bytes`]) plus a workspace estimate for one
+    /// scoring batch: `batch_size` windows staged as `[B, 1, N]` input, the
+    /// per-window scratch of the chain the model runs (the fused `f32`
+    /// chain's weight packing and activations, or the fixed-point chain's
+    /// `i16` codes — one window's worth either way), and the batch's
+    /// pooled features, head activations and logits. The estimate is
     /// deterministic in the engine's configuration, so an eviction budget
     /// compares like with like across save/load cycles.
     pub fn memory_footprint(&self) -> usize {
-        let weights = self.model.weight_bytes();
-        let kernel = self.model.config().kernel_size;
-        // [B, 1, N] staging + im2col [kernel, B·N] + ~2 activation copies.
-        let workspace = self.sliding.batch_size() * self.sliding.window_len() * (kernel + 3) * 4;
-        weights + workspace
+        let (batch, len) = (self.sliding.batch_size(), self.sliding.window_len());
+        let features = 2 * self.model.config().base_filters;
+        let chain = match &*self.model {
+            EngineModel::F32(cnn) => cnn.scratch_bytes(len),
+            EngineModel::Quantized(qcnn) => qcnn.scratch_bytes(len),
+        };
+        // Pooled features, the hidden layer before and after its ReLU, and
+        // the two logits of every window.
+        let head = batch * (3 * features + 2) * 4;
+        self.model.weight_bytes() + batch * len * 4 + chain + head
     }
 
     /// The trained `f32` CNN, or `None` for a quantised engine.
@@ -439,6 +446,43 @@ mod tests {
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("sca_locator_engine_{name}_{}", std::process::id()))
+    }
+
+    #[test]
+    fn memory_footprint_tracks_what_a_warm_workspace_retains() {
+        // The served shape: the scaled 8×9 network on 230-sample windows in
+        // batches of 64. A warm scoring workspace plus the staged batch is
+        // what the workspace term must cover, without inflating it.
+        let _serial = tinynn::parallel::serial_region();
+        let (len, batch) = (230, 64);
+        let f32_engine = LocatorEngine::new(
+            CoLocatorCnn::new(CnnConfig { seed: 5, ..CnnConfig::scaled() }),
+            SlidingWindowClassifier::new(len, 16).with_batch_size(batch),
+            Segmenter::new(SegmentationConfig::default()),
+        );
+        let windows = CoLocatorCnn::stack_windows(
+            &(0..batch).map(|i| wavy_trace(len, i).samples().to_vec()).collect::<Vec<_>>(),
+        );
+        let staged = windows.len() * 4;
+        for engine in [f32_engine.quantize(), f32_engine] {
+            let mut ws = Workspace::new();
+            let mut scores = Vec::new();
+            for _ in 0..3 {
+                match &*engine.model {
+                    EngineModel::F32(cnn) => cnn.score_windows_into(&windows, &mut ws, &mut scores),
+                    EngineModel::Quantized(q) => {
+                        q.score_windows_into(&windows, &mut ws, &mut scores)
+                    }
+                }
+            }
+            let held = ws.retained_bytes() + staged;
+            let estimate = engine.memory_footprint() - engine.model.weight_bytes();
+            let what = if engine.is_quantized() { "i8" } else { "f32" };
+            assert!(
+                held <= estimate && estimate * 2 <= held * 3,
+                "{what}: estimate {estimate} B against {held} B held (retained + staged)"
+            );
+        }
     }
 
     #[test]

@@ -89,11 +89,13 @@
 //! A loaded engine reports its resident size through
 //! [`LocatorEngine::memory_footprint`](crate::LocatorEngine::memory_footprint):
 //! the exact in-RAM weight bytes (`f32` parameters and buffers for v1;
-//! `i8` blocks plus 16-bit repacks, scale and bias vectors for v2/v3 —
-//! typically larger than the file, which stores each operand once) plus a
-//! deterministic estimate of the per-batch scoring workspace. The service
-//! registry uses this figure for its eviction budget, so models loaded from
-//! the same file always account identically.
+//! `i8` blocks plus their widened `i16` copies, scale and bias vectors for
+//! v2–v4 — typically larger than the file, which stores each operand once)
+//! plus a deterministic estimate of one scoring workspace: the staged
+//! `[B, 1, N]` batch, the per-window scratch of the chain the model runs
+//! and the batch's head tensors. The service registry uses this figure for
+//! its eviction budget, so models loaded from the same file always account
+//! identically.
 
 use std::fmt;
 use std::fs::File;

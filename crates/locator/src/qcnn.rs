@@ -434,12 +434,20 @@ impl QuantizedCoLocatorCnn {
 
     /// Total heap bytes the model keeps resident at serving time: every
     /// quantised operand's [`QuantizedGemm::resident_bytes`] (which counts
-    /// the derived `i16` and pair-packed copies, not just the `i8` block)
-    /// plus the `f32` head parameters.
+    /// the derived `i16` copy, not just the `i8` block) plus the `f32` head
+    /// parameters.
     pub fn resident_weight_bytes(&self) -> usize {
         let gemms: usize = self.qgemms().iter().map(|g| g.resident_bytes()).sum();
         let head: usize = self.head_params().iter().map(|p| p.len() * 4).sum();
         gemms + head
+    }
+}
+
+impl QuantizedCoLocatorCnn {
+    /// Bytes of backbone scratch a scoring workspace holds after windows
+    /// of `len` samples ([`tinynn::qlayers::scratch_bytes`]).
+    pub fn scratch_bytes(&self, len: usize) -> usize {
+        tinynn::qlayers::scratch_bytes(&self.conv, &[&self.res1, &self.res2], len)
     }
 }
 

@@ -23,8 +23,9 @@
 //!   request at a time: they pull up to a tile's worth of windows from *as
 //!   many queued requests as it takes* (front of the queue first, same
 //!   resident weights only) and pack them into one `[B, 1, N]` batch, so
-//!   the packed `MR=4×NR=16` GEMM micro-kernels of `tinynn` run full tiles
-//!   even when every individual request is tiny. Per-window scores are
+//!   one scoring pass serves many tiny requests. The engine scores the
+//!   batch with the fused `f32` chain or the fixed-point chain of
+//!   `tinynn`, one window at a time through every layer. Per-window scores are
 //!   independent of batch composition (the invariant every chunked/threaded
 //!   parity test in `sca-locator` pins), so the demuxed per-request results
 //!   are **bit-identical** to [`sca_locator::LocatorEngine::locate`] /

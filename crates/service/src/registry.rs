@@ -24,7 +24,8 @@
 //!   is ever torn out from under a running batch.
 //! * **Byte-budgeted residency.** Every resident model is accounted at
 //!   [`sca_locator::LocatorEngine::memory_footprint`] (exact weight bytes
-//!   plus a deterministic workspace estimate). When a load pushes the total
+//!   plus a deterministic estimate of one scoring workspace: the staged
+//!   batch and the per-window scratch of the model's chain). When a load pushes the total
 //!   over [`RegistryConfig::byte_budget`], least-recently-used file-backed
 //!   models are evicted until it fits; pinned models (installed in-process
 //!   via [`ModelRegistry::install`], no backing file) are never evicted.

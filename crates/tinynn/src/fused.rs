@@ -418,6 +418,34 @@ impl Plan {
     }
 }
 
+/// Bytes of scratch a workspace holds after [`pooled_features`] ran on
+/// windows of `len` samples: the per-call weight packing and the
+/// per-window staging and activation buffers, counted from the lengths the
+/// chain sizes them to (a buffer's capacity may round above its length).
+/// Deterministic in the layers' shapes and `len`.
+pub fn scratch_bytes(stem: &Conv1d, blocks: &[&ResidualBlock1d], len: usize) -> usize {
+    let mut convs = vec![stem];
+    for block in blocks {
+        let (conv1, _, conv2, _, projection) = block.parts();
+        convs.extend([conv1, conv2].into_iter().chain(projection.map(|(conv, _)| conv)));
+    }
+    let kmax = convs.iter().map(|c| c.kernel_size()).max().unwrap_or(1);
+    let (mut floats, mut offsets, mut widest_in, mut widest_out) = (0, 0, 0, 0);
+    for conv in &convs {
+        let (in_c, out_c, k) = (conv.in_channels(), conv.out_channels(), conv.kernel_size());
+        let strip = if out_c % (2 * LANES) == 0 { 2 * LANES } else { LANES };
+        floats += out_c.div_ceil(strip) * strip * (in_c * k + 3);
+        offsets += in_c * k;
+        (widest_in, widest_out) = (widest_in.max(in_c), widest_out.max(out_c));
+    }
+    // The staged input of the widest convolution, then `cur`, `mid`,
+    // `short` and `next` at the widest output.
+    floats += widest_in * (len + kmax - 1 + SLACK) + 4 * len * widest_out;
+    floats * 4
+        + offsets * std::mem::size_of::<usize>()
+        + convs.len() * std::mem::size_of::<ConvStep>()
+}
+
 /// Inference forward of a backbone — `stem conv → batch norm → ReLU`, then
 /// `blocks` in order, then global average pooling — on windows
 /// `[B, C, N]`, returning the pooled features `[B, F]`. Bit-identical to

@@ -33,11 +33,12 @@
 //! [`crate::fused`], reproducing [`matmul_packed_lhs`]'s per-block
 //! accumulation order bit for bit.)
 //!
-//! The quantised convolution has one kernel: [`matmul_q8_requant_sliding`]
-//! (with its SIMD fast path [`matmul_q8_requant_sliding_packed`]) maps
-//! exact integer dots of `i8`-range weight codes and `i16` activation
-//! windows straight onto the next layer's `i16` grid. The quantised layers'
-//! calibration forward reuses its exact dot.
+//! The quantised convolution has one kernel, `qsimd::conv_requant`, whose
+//! scalar fallback [`conv_q8_requant`] lives here: both map exact integer
+//! dots of `i8`-range weight codes and `i16` activation windows, on the
+//! channel-pair-major layout of [`crate::quant::QuantActs`], straight onto
+//! the next layer's `i16` grid. The quantised layers' calibration forward
+//! reuses its exact dot.
 
 use crate::quant::Requantizer;
 
@@ -611,190 +612,174 @@ pub(crate) fn q_dot_deep(a: &[i16], b: &[i16]) -> i64 {
     total + q_dot_any(ita.remainder(), itb.remainder()) as i64
 }
 
-/// Expands a `match` over the depth dimension that routes the common
-/// convolution fan-ins (`in_c · kernel` across the paper, scaled and test
-/// configurations) to their monomorphised constant-depth GEMM bodies,
-/// leaving every other depth on the runtime-length path.
-macro_rules! q8_dispatch {
-    ($k:expr, $const_body:ident, $any_body:ident, ($($args:expr),*)) => {
-        match $k {
+/// Expands a `match` over the per-plane window length `2·k` that routes
+/// the common kernel sizes (`k` across the paper, scaled and test
+/// configurations) to their monomorphised constant-length bodies, leaving
+/// every other length on the runtime-length path.
+macro_rules! span_dispatch {
+    ($span:expr, $const_body:ident, $any_body:ident, ($($args:expr),*)) => {
+        match $span {
+            2 => $const_body::<2>($($args),*),
+            4 => $const_body::<4>($($args),*),
+            6 => $const_body::<6>($($args),*),
             8 => $const_body::<8>($($args),*),
-            9 => $const_body::<9>($($args),*),
-            12 => $const_body::<12>($($args),*),
+            10 => $const_body::<10>($($args),*),
+            14 => $const_body::<14>($($args),*),
             16 => $const_body::<16>($($args),*),
             18 => $const_body::<18>($($args),*),
-            20 => $const_body::<20>($($args),*),
-            24 => $const_body::<24>($($args),*),
-            27 => $const_body::<27>($($args),*),
             32 => $const_body::<32>($($args),*),
-            36 => $const_body::<36>($($args),*),
-            40 => $const_body::<40>($($args),*),
-            48 => $const_body::<48>($($args),*),
             64 => $const_body::<64>($($args),*),
-            72 => $const_body::<72>($($args),*),
-            80 => $const_body::<80>($($args),*),
-            96 => $const_body::<96>($($args),*),
             128 => $const_body::<128>($($args),*),
-            144 => $const_body::<144>($($args),*),
-            160 => $const_body::<160>($($args),*),
-            192 => $const_body::<192>($($args),*),
             256 => $const_body::<256>($($args),*),
-            k => $any_body($($args,)* k),
+            _ => $any_body($($args),*),
         }
     };
 }
 
-/// The fused requantising convolution GEMM body, monomorphised per depth
-/// `K ≤ QK`: one vectorised constant-depth dot per output element, then the
-/// accumulator-unit bias and the per-channel fixed-point requantiser onto
-/// the consumer's `i16` grid, clamped to `[lo, hi]` (`lo = 0` is the fused
-/// ReLU). Measured dead end, twice: fusing 2 or 4 of these dots into one
-/// multi-accumulator loop (to share the `b_row` loads) breaks LLVM's
-/// `vpmaddwd` reduction pattern and costs ~1.7× throughput — the
-/// single-chain reduction *is* the widened-accumulate micro-kernel on this
-/// target, so this body deliberately does **not** re-tile.
-///
-/// The output is **position-major** `[n, m]` (`c[j·m + i]`): output position
-/// `j`'s channels are contiguous, which *is* the channels-last body layout
-/// the next layer's sliding windows read — chaining layers needs no
-/// transpose pass at all.
-#[allow(clippy::too_many_arguments)] // GEMM shape: operands + dims
-fn gemm_q8_requant_const<const K: usize>(
-    c: &mut [i16],
-    a: &[i16],
-    bias: &[i32],
-    mults: &[Requantizer],
-    b: &[i16],
-    m: usize,
-    n: usize,
-    stride: usize,
-    lo: i16,
-    hi: i16,
-) {
-    for j in 0..n {
-        let b_row = &b[j * stride..j * stride + K];
-        let c_row = &mut c[j * m..(j + 1) * m];
-        for (i, cv) in c_row.iter_mut().enumerate() {
-            let acc = q_dot_const::<K>(&a[i * K..(i + 1) * K], b_row).saturating_add(bias[i]);
-            *cv = mults[i].requantize_i16(acc, lo, hi);
-        }
-    }
-}
+/// Weight codes one output channel of [`conv_q8_requant`] gathers on the
+/// stack; longer rows gather into a heap buffer.
+const GATHER: usize = 4096;
 
-/// The fused requantising convolution GEMM body for depths without a
-/// specialisation (deep depths accumulate in `i64` across [`QK`]-panels and
-/// saturate into `i32` before the requantiser).
-#[allow(clippy::too_many_arguments)] // GEMM shape: operands + dims
-fn gemm_q8_requant_any(
-    c: &mut [i16],
-    a: &[i16],
-    bias: &[i32],
-    mults: &[Requantizer],
-    b: &[i16],
-    m: usize,
-    n: usize,
-    stride: usize,
-    lo: i16,
-    hi: i16,
-    k: usize,
-) {
-    let deep = k > QK;
-    for j in 0..n {
-        let b_row = &b[j * stride..j * stride + k];
-        let c_row = &mut c[j * m..(j + 1) * m];
-        for (i, cv) in c_row.iter_mut().enumerate() {
-            let a_row = &a[i * k..(i + 1) * k];
-            let acc = if deep {
-                let wide = q_dot_deep(a_row, b_row) + bias[i] as i64;
-                wide.clamp(i32::MIN as i64, i32::MAX as i64) as i32
-            } else {
-                q_dot_any(a_row, b_row).saturating_add(bias[i])
-            };
-            *cv = mults[i].requantize_i16(acc, lo, hi);
-        }
-    }
-}
-
-/// Fully fused integer convolution layer: `A: [m,k]` i8-range weight codes
-/// against the overlapping activation windows of one channels-last buffer
-/// (window `j` is `b[j·stride .. j·stride + k]`, so no im2col lowering
-/// exists), with bias add, per-channel fixed-point requantisation and
-/// output clamp folded into the accumulator store —
-/// `c[j·m + i] = clamp(requant_i(dot_i(j) + bias_q[i]), lo, hi)`.
+/// The scalar fused convolution layer of the fixed-point chain, on the
+/// channel-pair-major layout of [`crate::quant::QuantActs`] (planes of
+/// `rows × 2` codes; a 1-channel input stores tap pairs, whose first slots
+/// are the signal): for every output channel `o` and position `j < len`,
+/// `out[o, j] = clamp(requant_o(dot_o(j) + bias[o]), lo, hi)` with
+/// `dot_o(j)` the exact dot of weight row `o` (`w`, sample-major
+/// `[m, k, C]`, rows of [`qsimd::ConvShape::weight_stride`] codes) with
+/// input rows `in_first + j ..` of every channel. The dot is summed in
+/// `i64` and saturated into `i32` before the requantiser, so any depth is
+/// exact. `lo = 0` fuses the following ReLU.
 ///
-/// This is the whole layer body of the fixed-point inference chain:
-/// activations enter as `i16` codes (the overlapping windows of `b`) and
-/// leave as `i16` codes on the consumer's grid, position-major, with no
-/// `f32` value and no scale scan anywhere in between. `lo = 0` fuses the
-/// following ReLU.
+/// This is the fallback of [`qsimd::conv_requant`] and computes the **same
+/// codes bit for bit**: integer sums are exact in any order and the vector
+/// epilogue transcribes [`Requantizer::apply`] exactly (the property tests
+/// pin this). It writes the body positions only. A 1-channel output is
+/// written as tap pairs.
+///
+/// Each output channel first gathers its weights plane by plane (channels
+/// `2p, 2p + 1` at every tap, zero for a channel past `C`), so every plane
+/// contributes one contiguous dot of `2·k` codes against the plane's rows
+/// `in_first + j ..` — the `pmaddwd` idiom LLVM vectorises.
 ///
 /// # Panics
 ///
-/// Panics if a slice length disagrees with its dimensions.
-#[allow(clippy::too_many_arguments)] // GEMM shape: operands + dims
-pub fn matmul_q8_requant_sliding(
-    c: &mut [i16],
-    a: &[i16],
+/// Panics if a slice length disagrees with the shape.
+#[allow(clippy::too_many_arguments)] // layer shape: operands + requantisation
+pub fn conv_q8_requant(
+    out: &mut [i16],
+    x: &[i16],
+    w: &[i16],
+    g: &qsimd::ConvShape,
     bias: &[i32],
     mults: &[Requantizer],
-    b: &[i16],
-    m: usize,
-    k: usize,
-    n: usize,
-    stride: usize,
     lo: i16,
     hi: i16,
 ) {
-    assert_eq!(a.len(), m * k, "A must be m*k = {}x{}", m, k);
+    let (c_in, m, k, n) = (g.in_channels, g.out_channels, g.kernel, g.len);
+    assert_eq!(w.len(), m * g.weight_stride(), "A must be {m} rows of {} codes", g.weight_stride());
     assert_eq!(bias.len(), m, "A needs one bias per row ({m})");
     assert_eq!(mults.len(), m, "A needs one requantiser per row ({m})");
-    assert_eq!(c.len(), n * m, "C must be n*m = {}x{} (position-major)", n, m);
-    if n > 0 {
-        assert!(
-            b.len() >= (n - 1) * stride + k,
-            "B must cover {} windows of {} codes at stride {}",
-            n,
-            k,
-            stride
+    assert_eq!(x.len(), g.in_planes() * g.in_rows * 2, "input must be planes x rows x 2");
+    assert_eq!(out.len(), g.out_planes() * g.out_rows * 2, "output must be planes x rows x 2");
+    assert!(k > 0, "a convolution needs at least one tap");
+    if n == 0 || m == 0 {
+        return;
+    }
+    assert!(g.in_first + n - 1 + k <= g.in_rows, "input rows must cover {n} windows of {k} taps");
+    assert!(g.out_first + n <= g.out_rows, "output rows must cover {n} positions");
+    let span = 2 * k;
+    let need = g.in_planes() * span;
+    let mut stack = [0i16; GATHER];
+    let mut heap = Vec::new();
+    let gathered = if need <= GATHER {
+        &mut stack[..need]
+    } else {
+        heap.resize(need, 0);
+        &mut heap[..]
+    };
+    for o in 0..m {
+        let row = &w[o * g.weight_stride()..][..c_in * k];
+        for (p, plane) in gathered.chunks_exact_mut(span).enumerate() {
+            for (t, pair) in plane.chunks_exact_mut(2).enumerate() {
+                for (s, v) in pair.iter_mut().enumerate() {
+                    let c = 2 * p + s;
+                    *v = if c < c_in { row[t * c_in + c] } else { 0 };
+                }
+            }
+        }
+        let channel = Channel { bias: bias[o] as i64, mult: mults[o], lo, hi };
+        span_dispatch!(
+            span,
+            conv_channel_const,
+            conv_channel_any,
+            (out, x, gathered, g, o, channel)
         );
     }
-    q8_dispatch!(
-        k,
-        gemm_q8_requant_const,
-        gemm_q8_requant_any,
-        (c, a, bias, mults, b, m, n, stride, lo, hi)
-    );
 }
 
-/// The SIMD fast path of [`matmul_q8_requant_sliding`]: the same fused layer
-/// body on the pair-packed weight layout ([`crate::quant::QuantizedGemm::packed16`])
-/// with a per-layer uniform shift, computed by `qsimd`'s `vpmaddwd` kernel —
-/// accumulators live in channel lanes, so the per-output horizontal
-/// reductions that cap the scalar kernels at small depths disappear
-/// entirely.
-///
-/// Returns `false` without touching `c` when the shape is outside the
-/// accelerated envelope (`m % 8 != 0`, `k > QK`, no AVX2, oversized bias) —
-/// the caller then runs [`matmul_q8_requant_sliding`], which computes the
-/// **same codes bit for bit**: the integer sums are associative and the
-/// vector epilogue transcribes [`Requantizer::apply`] exactly (a property
-/// test pins this).
-#[allow(clippy::too_many_arguments)] // GEMM shape: operands + dims
-pub fn matmul_q8_requant_sliding_packed(
-    c: &mut [i16],
-    packed: &[i16],
-    bias: &[i32],
-    mults: &[i32],
-    shift: u8,
-    b: &[i16],
-    m: usize,
-    k: usize,
-    n: usize,
-    stride: usize,
+/// The requantisation of one output channel.
+#[derive(Clone, Copy)]
+struct Channel {
+    bias: i64,
+    mult: Requantizer,
     lo: i16,
     hi: i16,
-) -> bool {
-    qsimd::gemm_requant_packed(c, packed, bias, mults, shift, b, m, k, n, stride, lo, hi)
+}
+
+impl Channel {
+    /// Stores the code of accumulated `dot` at position `j` of channel `o`
+    /// (both slots of a tap pair for a 1-channel output).
+    #[inline]
+    fn store(self, out: &mut [i16], g: &qsimd::ConvShape, o: usize, j: usize, dot: i64) {
+        let acc = (dot + self.bias).clamp(i32::MIN as i64, i32::MAX as i64) as i32;
+        let code = self.mult.requantize_i16(acc, self.lo, self.hi);
+        let at = ((o / 2) * g.out_rows + g.out_first + j) * 2 + o % 2;
+        out[at] = code;
+        if g.out_channels == 1 && at > 0 {
+            out[at - 1] = code;
+        }
+    }
+}
+
+/// One output channel of [`conv_q8_requant`] whose plane windows are `S`
+/// codes (`S ≤ QK`, so each plane dot fits an `i32`).
+fn conv_channel_const<const S: usize>(
+    out: &mut [i16],
+    x: &[i16],
+    gathered: &[i16],
+    g: &qsimd::ConvShape,
+    o: usize,
+    channel: Channel,
+) {
+    for j in 0..g.len {
+        let mut dot = 0i64;
+        for (p, wp) in gathered.chunks_exact(S).enumerate() {
+            let at = (p * g.in_rows + g.in_first + j) * 2;
+            dot += q_dot_const::<S>(wp, &x[at..at + S]) as i64;
+        }
+        channel.store(out, g, o, j, dot);
+    }
+}
+
+/// [`conv_channel_const`] for window lengths without a specialisation.
+fn conv_channel_any(
+    out: &mut [i16],
+    x: &[i16],
+    gathered: &[i16],
+    g: &qsimd::ConvShape,
+    o: usize,
+    channel: Channel,
+) {
+    let span = 2 * g.kernel;
+    for j in 0..g.len {
+        let mut dot = 0i64;
+        for (p, wp) in gathered.chunks_exact(span).enumerate() {
+            let at = (p * g.in_rows + g.in_first + j) * 2;
+            dot += q_dot_deep(wp, &x[at..at + span]);
+        }
+        channel.store(out, g, o, j, dot);
+    }
 }
 
 /// Requantises existing `i16` codes onto another grid (`dst[i] =
@@ -1011,35 +996,61 @@ mod tests {
     #[test]
     #[should_panic(expected = "A needs one requantiser per row")]
     fn matmul_q8_scale_mismatch_panics() {
-        let mut c = [0i16; 4];
+        let g = qsimd::ConvShape {
+            in_channels: 2,
+            out_channels: 2,
+            kernel: 1,
+            len: 2,
+            in_rows: 2,
+            in_first: 0,
+            out_rows: 2,
+            out_first: 0,
+        };
         let mults = [Requantizer::from_ratio(1.0)];
-        matmul_q8_requant_sliding(&mut c, &[1; 4], &[0; 2], &mults, &[1; 4], 2, 2, 2, 2, -1, 1);
+        conv_q8_requant(&mut [0; 4], &[1; 4], &[1; 4], &g, &[0; 2], &mults, -1, 1);
     }
 
     #[test]
     fn matmul_q8_sliding_matches_packed_layout() {
-        // A channels-last sliding buffer with stride < k produces the same
-        // codes as explicitly materialising every overlapping window.
-        for &(m, stride, k, n) in
-            &[(3usize, 2usize, 6usize, 17usize), (5, 1, 9, 30), (4, 16, 144, 12), (2, 4, 4, 9)]
+        // A convolution reading its taps from the pair-major rows produces
+        // the same codes as a 1×1 convolution over explicitly materialised
+        // windows (channel t·C + c of row j is channel c at row j + t).
+        for &(m, in_c, k, n) in
+            &[(3usize, 2usize, 3usize, 17usize), (5, 1, 9, 30), (4, 16, 9, 12), (2, 3, 4, 9)]
         {
-            let len_b = (n - 1) * stride + k;
-            let (a, b_all) = q_operands(m, k, len_b.div_ceil(k), 31);
-            let buf = &b_all[..len_b];
+            let rows = n + k - 1;
+            let (a, signal) = q_operands(m, in_c * k, rows * in_c / (in_c * k) + 1, 31);
+            let signal = &signal[..rows * in_c];
             let mults: Vec<Requantizer> =
                 (0..m).map(|i| Requantizer::from_ratio(1e-4 * (1.0 + i as f64))).collect();
-            let bias = vec![0i32; m];
-            let (lo, hi) = (-32767, 32767);
-            let run = |b: &[i16], stride: usize| {
-                let mut c = vec![0i16; m * n];
-                matmul_q8_requant_sliding(&mut c, &a, &bias, &mults, b, m, k, n, stride, lo, hi);
-                c
+            let run = |c: usize, k: usize, rows: usize, code: &dyn Fn(usize, usize) -> i16| {
+                let g = qsimd::ConvShape {
+                    in_channels: c,
+                    out_channels: m,
+                    kernel: k,
+                    len: n,
+                    in_rows: rows,
+                    in_first: 0,
+                    out_rows: n,
+                    out_first: 0,
+                };
+                let mut x = vec![0i16; g.in_planes() * rows * 2];
+                for ch in 0..c {
+                    for r in 0..rows {
+                        x[((ch / 2) * rows + r) * 2 + ch % 2] = code(ch, r);
+                    }
+                }
+                let mut w = vec![0i16; m * g.weight_stride()];
+                for (dst, src) in w.chunks_exact_mut(g.weight_stride()).zip(a.chunks_exact(c * k)) {
+                    dst[..c * k].copy_from_slice(src);
+                }
+                let mut out = vec![0i16; g.out_planes() * n * 2];
+                conv_q8_requant(&mut out, &x, &w, &g, &vec![0; m], &mults, -32767, 32767);
+                out
             };
-            let mut packed = Vec::with_capacity(n * k);
-            for j in 0..n {
-                packed.extend_from_slice(&buf[j * stride..j * stride + k]);
-            }
-            assert_eq!(run(&packed, k), run(buf, stride), "m={m} stride={stride} k={k} n={n}");
+            let sliding = run(in_c, k, rows, &|c, r| signal[r * in_c + c]);
+            let windows = run(in_c * k, 1, n, &|c, j| signal[(j + c / in_c) * in_c + c % in_c]);
+            assert_eq!(sliding, windows, "m={m} C={in_c} k={k} n={n}");
         }
     }
 }

@@ -21,12 +21,13 @@
 //! * `forward_fixed`, the serving path, on one window: once static
 //!   activation scales are calibrated ([`QuantizedConv1d::set_fixed_point`]
 //!   builds a [`crate::quant::QuantPlan`]), activations stay `i16` codes
-//!   *between* layers ([`crate::quant::QuantActs`]), each layer is one fused
-//!   requantising GEMM ([`matmul::matmul_q8_requant_sliding`]) writing
-//!   position-major codes directly into the next layer's channels-last
-//!   window layout, ReLU is the output clamp and the residual add is an
-//!   integer add of same-grid codes. No `f32` roundtrip, scale scan or
-//!   transpose exists between layers. [`pooled_features`] drives a stem and
+//!   *between* layers ([`crate::quant::QuantActs`], channel-pair-major),
+//!   each layer is one fused requantising convolution (`qsimd`'s vector
+//!   kernel, or its scalar fallback [`matmul::conv_q8_requant`]) writing
+//!   codes directly into the next layer's input layout, ReLU is the output
+//!   clamp and the residual add is an integer add of same-grid codes. No
+//!   `f32` roundtrip, scale scan or transpose exists between layers.
+//!   [`pooled_features`] drives a stem and
 //!   residual blocks this way one window at a time, like the fused `f32`
 //!   chain ([`crate::fused`]), on one window's code buffers held in the
 //!   [`Workspace`].
@@ -41,8 +42,7 @@
 use crate::layers::{BatchNorm1d, Conv1d, ResidualBlock1d};
 use crate::matmul;
 use crate::quant::{
-    quantize_activations_into, quantize_with_scale, QuantActs, QuantPlan, QuantizedGemm,
-    Requantizer, ACT_QMAX,
+    quantize_activations_into, QuantActs, QuantPlan, QuantizedGemm, Requantizer, ACT_QMAX,
 };
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
@@ -167,80 +167,69 @@ impl QuantizedConv1d {
     }
 
     /// Fixed-point forward pass of one window: `i16` activation codes in,
-    /// `i16` codes out, one fused requantising GEMM and **no `f32` value
-    /// anywhere** — no dynamic scale scan, no dequantise/requantise
-    /// roundtrip, no transpose (the GEMM writes position-major, which *is*
-    /// the channels-last body layout `out` hands the next layer).
+    /// `i16` codes out, one fused requantising convolution and **no `f32`
+    /// value anywhere** — no dynamic scale scan, no dequantise/requantise
+    /// roundtrip, no transpose (the kernel writes the channel-pair-major
+    /// layout `out` hands the next layer).
     ///
     /// `out` must be shaped by the caller ([`QuantActs::reshape`]: same
     /// length, `out_channels` channels, pad geometry covering every
-    /// consumer). Only its body rows are written, and its scale is set to
-    /// the plan's output scale.
+    /// consumer). Only its body rows are written (the vector kernel also
+    /// stores zeros into slack rows), and its scale is set to the plan's
+    /// output scale.
     ///
     /// # Panics
     ///
     /// Panics if no plan is set ([`Self::set_fixed_point`]), if a geometry
     /// field disagrees, or if `x`'s grid is not the plan's input grid.
     pub fn forward_fixed(&self, x: &QuantActs, out: &mut QuantActs) {
-        assert_eq!(out.channels, self.out_channels, "output channel mismatch");
-        assert_eq!(x.len, out.len, "length mismatch (stride-1 same conv)");
-        out.scale = self.gemm_fixed(x, out.body_mut());
-    }
-
-    /// The requantising GEMM of [`Self::forward_fixed`] into a bare
-    /// position-major `[len, out_c]` destination; returns the output scale.
-    fn gemm_fixed(&self, x: &QuantActs, dst: &mut [i16]) -> f32 {
         let plan = self.plan.as_ref().expect("set_fixed_point before forward_fixed");
-        assert_eq!(x.channels, self.in_channels, "input channel mismatch");
         assert_eq!(
             plan.in_scale.to_bits(),
             x.scale.to_bits(),
             "input codes are on a different grid than the plan was built for"
         );
+        let g = self.conv_shape(x, out);
+        let w = self.gemm.data16();
+        let rq = qsimd::Requant {
+            bias: &plan.bias_q,
+            mults: &plan.mults_i32,
+            shift: plan.shift,
+            lo: plan.lo,
+            hi: plan.hi,
+        };
+        // SIMD fast path; the scalar fallback computes the same codes bit
+        // for bit.
+        if !qsimd::conv_requant(&mut out.codes, &x.codes, w, &g, &rq) {
+            let (bias, mults) = (&plan.bias_q, &plan.mults);
+            matmul::conv_q8_requant(&mut out.codes, &x.codes, w, &g, bias, mults, plan.lo, plan.hi);
+        }
+        out.scale = plan.out_scale;
+    }
+
+    /// The geometry of this layer's convolution from `x` into `out`: `x`'s
+    /// rows from `x.pad_left − (kernel − 1)/2` on, into `out`'s body rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a channel count or the length disagrees, or if `x`'s left
+    /// padding is shorter than the kernel's.
+    pub fn conv_shape(&self, x: &QuantActs, out: &QuantActs) -> qsimd::ConvShape {
+        assert_eq!(x.channels, self.in_channels, "input channel mismatch");
+        assert_eq!(out.channels, self.out_channels, "output channel mismatch");
+        assert_eq!(x.len, out.len, "length mismatch (stride-1 same conv)");
         let p = self.pad_left();
         assert!(x.pad_left >= p, "input pad {} cannot serve kernel pad {p}", x.pad_left);
-        let offset = x.pad_left - p;
-        assert!(
-            x.rows >= offset + x.len - 1 + self.kernel_size,
-            "input rows {} cannot cover {} windows of kernel {}",
-            x.rows,
-            x.len,
-            self.kernel_size
-        );
-        let (in_c, out_c, ck) = (self.in_channels, self.out_channels, self.gemm.cols());
-        let span = (x.len - 1) * in_c + ck;
-        let src = &x.codes[offset * in_c..offset * in_c + span];
-        // SIMD fast path on the packed weights; scalar fallback computes the
-        // same codes bit for bit.
-        if !matmul::matmul_q8_requant_sliding_packed(
-            dst,
-            self.gemm.packed16(),
-            &plan.bias_q,
-            &plan.mults_i32,
-            plan.shift,
-            src,
-            out_c,
-            ck,
-            x.len,
-            in_c,
-            plan.lo,
-            plan.hi,
-        ) {
-            matmul::matmul_q8_requant_sliding(
-                dst,
-                self.gemm.data16(),
-                &plan.bias_q,
-                &plan.mults,
-                src,
-                out_c,
-                ck,
-                x.len,
-                in_c,
-                plan.lo,
-                plan.hi,
-            );
+        qsimd::ConvShape {
+            in_channels: self.in_channels,
+            out_channels: self.out_channels,
+            kernel: self.kernel_size,
+            len: x.len,
+            in_rows: x.rows,
+            in_first: x.pad_left - p,
+            out_rows: out.rows,
+            out_first: out.pad_left,
         }
-        plan.out_scale
     }
 
     /// Calibration forward pass: `x` holds `[batch, in_c, len]` `f32`
@@ -260,6 +249,7 @@ impl QuantizedConv1d {
         let (in_c, out_c, ck) = (self.in_channels, self.out_channels, self.gemm.cols());
         assert_eq!(x.len(), batch * in_c * len, "input must be [batch, in_c, len]");
         let (weights, scales, bias) = (self.gemm.data16(), self.gemm.scales(), self.gemm.bias());
+        let stride = self.gemm.cols16();
         let pad = self.pad_left();
         let mut out = vec![0.0f32; batch * out_c * len];
         let mut codes = Vec::new();
@@ -274,7 +264,7 @@ impl QuantizedConv1d {
                 }
             }
             for (oc, out_row) in out_b.chunks_exact_mut(len).enumerate() {
-                let w_row = &weights[oc * ck..(oc + 1) * ck];
+                let w_row = &weights[oc * stride..oc * stride + ck];
                 for (j, y) in out_row.iter_mut().enumerate() {
                     let dot = matmul::q_dot_deep(w_row, &xt[j * in_c..j * in_c + ck]);
                     *y = bias[oc] + scales[oc] * s_x * dot as f32;
@@ -338,14 +328,15 @@ impl QuantizedResidualBlock1d {
     }
 
     /// Fixed-point forward pass of the whole block on one window: two fused
-    /// requantising GEMMs (conv1 with its ReLU clamp into `mid`, conv2 onto
-    /// the output grid), the shortcut rescaled onto the same grid into
-    /// `short` (projection GEMM or per-tensor requantise), and the residual
-    /// add + final ReLU as one integer add/clamp pass over the body codes.
+    /// requantising convolutions (conv1 with its ReLU clamp into `mid`,
+    /// conv2 onto the output grid), the shortcut rescaled onto the same
+    /// grid into `short` (projection convolution or per-tensor requantise),
+    /// and the residual add + final ReLU as one integer add/clamp pass.
     ///
-    /// `mid` must be shaped like `out` ([`QuantActs::reshape`]) so conv2
-    /// reads its windows in place; `short` holds at least `len ·
-    /// out_channels` codes (it only feeds the add, so it needs no pads).
+    /// `mid` and `short` must be shaped like `out` ([`QuantActs::reshape`])
+    /// so conv2 reads its windows in place and the add runs over whole
+    /// buffers (zero pads add to zero); an identity shortcut also needs `x`
+    /// shaped like `out`.
     ///
     /// # Panics
     ///
@@ -356,27 +347,35 @@ impl QuantizedResidualBlock1d {
         x: &QuantActs,
         out: &mut QuantActs,
         mid: &mut QuantActs,
-        short: &mut [i16],
+        short: &mut QuantActs,
     ) {
         self.conv1.forward_fixed(x, mid);
         self.conv2.forward_fixed(mid, out);
-        let short = &mut short[..x.len * self.out_channels()];
         match (self.projection.as_ref(), self.shortcut) {
-            (Some(conv), _) => {
-                conv.gemm_fixed(x, short);
-            }
+            (Some(conv), _) => conv.forward_fixed(x, short),
             // Identity shortcut: rescale the input codes onto the output
             // grid (no clamp asymmetry — the add below applies the ReLU).
+            // Pads and slack are zero in both and requantise to zero.
             (None, Some(r)) => {
+                assert_eq!(
+                    (x.rows, x.pad_left),
+                    (short.rows, short.pad_left),
+                    "an identity shortcut needs the input shaped like the output"
+                );
                 let qmax = ACT_QMAX as i16;
-                matmul::requantize_codes_into(short, x.body(), r, -qmax, qmax);
+                matmul::requantize_codes_into(&mut short.codes, &x.codes, r, -qmax, qmax);
             }
             (None, None) => panic!("set_fixed_point before forward_fixed"),
         }
         // Residual add + final ReLU: both operands are i16 codes on the
         // output grid, so the sum is exact in i32 and the ReLU is the
         // [0, 32767] clamp of the store.
-        for (d, &sv) in out.body_mut().iter_mut().zip(short.iter()) {
+        assert_eq!(
+            out.codes.len(),
+            short.codes.len(),
+            "the shortcut must be shaped like the output"
+        );
+        for (d, &sv) in out.codes.iter_mut().zip(short.codes.iter()) {
             *d = (*d as i32 + sv as i32).clamp(0, ACT_QMAX as i32) as i16;
         }
     }
@@ -386,14 +385,19 @@ impl QuantizedResidualBlock1d {
         self.conv2.out_channels()
     }
 
-    /// The block's quantised GEMM operands in a fixed order:
+    /// The block's quantised convolutions in a fixed order:
     /// `conv1, conv2, [projection conv]`.
+    pub fn convs(&self) -> Vec<&QuantizedConv1d> {
+        std::iter::once(&self.conv1)
+            .chain(Some(&self.conv2))
+            .chain(self.projection.as_ref())
+            .collect()
+    }
+
+    /// The block's quantised GEMM operands, in the order of
+    /// [`Self::convs`].
     pub fn gemms(&self) -> Vec<&QuantizedGemm> {
-        let mut gemms = vec![self.conv1.gemm(), self.conv2.gemm()];
-        if let Some(conv) = self.projection.as_ref() {
-            gemms.push(conv.gemm());
-        }
-        gemms
+        self.convs().into_iter().map(QuantizedConv1d::gemm).collect()
     }
 
     /// Mutable access to the quantised operands (same order as
@@ -461,10 +465,35 @@ pub fn pooled_features(
     pooled
 }
 
+/// Bytes of the per-window code buffers a workspace holds after
+/// [`pooled_features`] ran on windows of `len` samples: the input's tap
+/// pairs, the stem's output, each block's output, mid activations and
+/// shortcut operand (body, pads and slack rows), and the pool's sums.
+/// Deterministic in the layers' shapes and `len`.
+pub fn scratch_bytes(
+    stem: &QuantizedConv1d,
+    blocks: &[&QuantizedResidualBlock1d],
+    len: usize,
+) -> usize {
+    let rows = QuantActs::rows_for(len, chain_kernel(stem, blocks));
+    let planes = |channels: usize| channels.div_ceil(2);
+    let block_planes: usize = blocks.iter().map(|b| 3 * planes(b.out_channels())).sum();
+    let last = blocks.last().map_or(stem.out_channels, |b| b.out_channels());
+    let codes = (planes(stem.in_channels) + planes(stem.out_channels) + block_planes) * rows * 2;
+    codes * 2 + planes(last) * 2 * 8
+}
+
+/// The widest kernel of a chain: its buffers' one pad geometry serves
+/// every layer.
+fn chain_kernel(stem: &QuantizedConv1d, blocks: &[&QuantizedResidualBlock1d]) -> usize {
+    let convs = blocks.iter().flat_map(|b| b.convs());
+    convs.fold(stem.kernel_size, |k, conv| k.max(conv.kernel_size))
+}
+
 /// One window's `i16` code buffers of [`pooled_features`]: the quantised
-/// input, the stem's and every block's output, every block's mid
-/// activations, the shortcut operand the blocks share, and the pool's
-/// `i64` channel sums. Shaped once per call, which zeroes the pads; the
+/// input (tap pairs), the stem's and every block's output, every block's
+/// mid activations and shortcut operand, and the pool's `i64` channel
+/// sums. Shaped once per call, which zeroes the pads and slack rows; the
 /// windows of the call then overwrite body rows only.
 #[derive(Debug, Default)]
 pub(crate) struct ItemCodes {
@@ -473,7 +502,8 @@ pub(crate) struct ItemCodes {
     outs: Vec<QuantActs>,
     /// Each block's conv1 output.
     mids: Vec<QuantActs>,
-    short: Vec<i16>,
+    /// Each block's shortcut operand.
+    shorts: Vec<QuantActs>,
     acc: Vec<i64>,
 }
 
@@ -481,27 +511,22 @@ impl ItemCodes {
     /// Shapes every buffer for windows of `len` samples, with one pad
     /// geometry that serves every kernel of the chain.
     fn shape(&mut self, stem: &QuantizedConv1d, blocks: &[&QuantizedResidualBlock1d], len: usize) {
-        let k = blocks
-            .iter()
-            .flat_map(|b| [Some(&b.conv1), Some(&b.conv2), b.projection.as_ref()])
-            .flatten()
-            .fold(stem.kernel_size, |k, conv| k.max(conv.kernel_size));
-        let (pad, rows) = ((k - 1) / 2, len + k - 1);
+        let k = chain_kernel(stem, blocks);
+        let (pad, rows) = ((k - 1) / 2, QuantActs::rows_for(len, k));
         self.input.reshape(stem.in_channels, len, pad, rows);
         self.input.scale =
             stem.plan.as_ref().expect("set_fixed_point before forward_fixed").in_scale;
         self.outs.resize_with(blocks.len() + 1, QuantActs::default);
         self.mids.resize_with(blocks.len(), QuantActs::default);
+        self.shorts.resize_with(blocks.len(), QuantActs::default);
         self.outs[0].reshape(stem.out_channels, len, pad, rows);
-        let mut widest = 0;
-        for ((block, out), mid) in blocks.iter().zip(&mut self.outs[1..]).zip(&mut self.mids) {
-            let c = block.out_channels();
-            out.reshape(c, len, pad, rows);
-            mid.reshape(c, len, pad, rows);
-            widest = widest.max(c);
+        let buffers = self.outs[1..].iter_mut().zip(&mut self.mids).zip(&mut self.shorts);
+        for (block, ((out, mid), short)) in blocks.iter().zip(buffers) {
+            for acts in [out, mid, short] {
+                acts.reshape(block.out_channels(), len, pad, rows);
+            }
         }
-        self.short.resize(len * widest, 0);
-        self.acc.resize(self.outs[blocks.len()].channels, 0);
+        self.acc.resize(self.outs[blocks.len()].channels.div_ceil(2) * 2, 0);
     }
 
     /// One window through the chain into its pooled feature row.
@@ -512,18 +537,21 @@ impl ItemCodes {
         window: &[f32],
         row: &mut [f32],
     ) {
-        let Self { input, outs, mids, short, acc } = self;
-        quantize_with_scale(window, input.scale, input.body_mut());
+        let Self { input, outs, mids, shorts, acc } = self;
+        input.quantize_taps(window);
         stem.forward_fixed(input, &mut outs[0]);
-        for (i, (block, mid)) in blocks.iter().zip(mids.iter_mut()).enumerate() {
+        for (i, (block, (mid, short))) in blocks.iter().zip(mids.iter_mut().zip(shorts)).enumerate()
+        {
             let (done, next) = outs.split_at_mut(i + 1);
             block.forward_fixed(&done[i], &mut next[0], mid, short);
         }
         let last = &outs[blocks.len()];
         acc.fill(0);
-        for sample in last.body().chunks_exact(acc.len()) {
-            for (a, &v) in acc.iter_mut().zip(sample) {
-                *a += v as i64;
+        let body = 2 * last.pad_left..2 * (last.pad_left + last.len);
+        for (plane, sums) in last.codes.chunks_exact(2 * last.rows).zip(acc.chunks_exact_mut(2)) {
+            for pair in plane[body.clone()].chunks_exact(2) {
+                sums[0] += pair[0] as i64;
+                sums[1] += pair[1] as i64;
             }
         }
         let inv_len = 1.0 / last.len as f32;
@@ -533,10 +561,10 @@ impl ItemCodes {
     }
 
     pub(crate) fn retained_bytes(&self) -> usize {
-        let acts = std::iter::once(&self.input).chain(&self.outs).chain(&self.mids);
+        let lists = [&self.outs, &self.mids, &self.shorts];
+        let acts = std::iter::once(&self.input).chain(lists.into_iter().flatten());
         acts.map(|a| a.codes.capacity() * 2).sum::<usize>()
-            + (self.outs.capacity() + self.mids.capacity()) * std::mem::size_of::<QuantActs>()
-            + self.short.capacity() * 2
+            + lists.iter().map(|l| l.capacity()).sum::<usize>() * std::mem::size_of::<QuantActs>()
             + self.acc.capacity() * 8
     }
 }

@@ -13,7 +13,8 @@
 //!   *input* once against a statically calibrated scale
 //!   ([`quantize_with_scale`]) and then keeps every inter-layer activation
 //!   in `i16` — no f32 roundtrip between layers. One window's activation
-//!   travels between layers as a [`QuantActs`]. Calibration, which chooses
+//!   travels between layers as a [`QuantActs`], channel-pair-major (see
+//!   its docs). Calibration, which chooses
 //!   those static scales, quantises each window on its own grid (scale
 //!   `max|x| / 32767`, [`quantize_activations_into`]).
 //! * **Accumulation** is integer (`i32` within depth panels). Serving maps
@@ -44,17 +45,13 @@ pub const ACT_QMAX: f32 = 32767.0;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QuantizedGemm {
     data: Vec<i8>,
-    /// The same codes widened to `i16` once at construction: the integer
-    /// kernels multiply `i16 × i16` (the x86 `pmaddwd` shape), so keeping a
-    /// widened shadow copy moves the sign extension out of every inner loop.
-    /// Never serialised — rebuilt from `data` on load.
+    /// The same codes widened to `i16` once at construction, each row
+    /// padded with a zero to an even length (`[rows, cols16]`, see
+    /// [`Self::data16`]): the integer kernels multiply `i16 × i16` pairs
+    /// (the x86 `pmaddwd` shape), so keeping a widened shadow copy moves
+    /// the sign extension out of every inner loop. Never serialised —
+    /// rebuilt from `data` on load.
     data16: Vec<i16>,
-    /// The same codes pair-packed into the `[⌈cols/2⌉, rows, 2]` layout of
-    /// the SIMD GEMM (`qsimd::pack_weight_pairs`): one `vpmaddwd` against a
-    /// broadcast activation pair advances two depth steps for eight channels
-    /// with the accumulators held in channel lanes. Arch-independent derived
-    /// state — never serialised, rebuilt from `data` on load.
-    packed16: Vec<i16>,
     scales: Vec<f32>,
     bias: Vec<f32>,
     rows: usize,
@@ -101,10 +98,8 @@ impl QuantizedGemm {
                 row.iter().map(|&v| (v * inv).round().clamp(-WEIGHT_QMAX, WEIGHT_QMAX) as i8),
             );
         }
-        let data16: Vec<i16> = data.iter().map(|&q| q as i16).collect();
-        let mut packed16 = Vec::new();
-        qsimd::pack_weight_pairs(&mut packed16, &data16, rows, cols);
-        Self { data, data16, packed16, scales, bias: bias.to_vec(), rows, cols }
+        let data16 = widen_rows(&data, cols);
+        Self { data, data16, scales, bias: bias.to_vec(), rows, cols }
     }
 
     /// Number of rows (output channels).
@@ -124,15 +119,17 @@ impl QuantizedGemm {
     }
 
     /// The weight codes widened to `i16` (same values as [`Self::data`]),
-    /// the operand shape of the integer GEMM kernels.
+    /// row-major `[rows, cols16]` with each row zero-padded to the even
+    /// length [`Self::cols16`]: the operand of the integer convolution
+    /// kernels, which read two consecutive codes of a row as one pair.
     pub fn data16(&self) -> &[i16] {
         &self.data16
     }
 
-    /// The weight codes pair-packed for the SIMD GEMM
-    /// (`[⌈cols/2⌉, rows, 2]`, odd depths zero-padded).
-    pub fn packed16(&self) -> &[i16] {
-        &self.packed16
+    /// Row length of [`Self::data16`]: [`Self::cols`] rounded up to an
+    /// even count.
+    pub fn cols16(&self) -> usize {
+        self.cols.div_ceil(2) * 2
     }
 
     /// Per-row dequantisation scales.
@@ -151,15 +148,11 @@ impl QuantizedGemm {
     }
 
     /// Total heap bytes this operand keeps resident at serving time: the
-    /// `i8` block, its derived `i16` widened and pair-packed copies, and the
-    /// per-row scale/bias vectors. This is the number a model registry
-    /// should budget against, not [`Self::quantized_bytes`] (the on-disk
-    /// size).
+    /// `i8` block, its derived `i16` widened copy, and the per-row
+    /// scale/bias vectors. This is the number a model registry should
+    /// budget against, not [`Self::quantized_bytes`] (the on-disk size).
     pub fn resident_bytes(&self) -> usize {
-        self.data.len()
-            + self.data16.len() * 2
-            + self.packed16.len() * 2
-            + (self.scales.len() + self.bias.len()) * 4
+        self.data.len() + self.data16.len() * 2 + (self.scales.len() + self.bias.len()) * 4
     }
 
     /// Replaces the quantised payload (used by the model loader).
@@ -188,8 +181,7 @@ impl QuantizedGemm {
         if bias.len() != self.rows {
             return Err(format!("bias count {} does not match {} rows", bias.len(), self.rows));
         }
-        self.data16 = data.iter().map(|&q| q as i16).collect();
-        qsimd::pack_weight_pairs(&mut self.packed16, &self.data16, self.rows, self.cols);
+        self.data16 = widen_rows(&data, self.cols);
         self.data = data;
         self.scales = scales;
         self.bias = bias;
@@ -205,6 +197,19 @@ impl QuantizedGemm {
         }
         out
     }
+}
+
+/// Widens row-major `i8` codes of `cols` per row to `i16`, padding each row
+/// with a zero to an even length.
+fn widen_rows(data: &[i8], cols: usize) -> Vec<i16> {
+    let cols16 = cols.div_ceil(2) * 2;
+    let mut wide = vec![0i16; data.len().div_ceil(cols.max(1)) * cols16];
+    for (dst, src) in wide.chunks_exact_mut(cols16).zip(data.chunks_exact(cols.max(1))) {
+        for (d, &q) in dst.iter_mut().zip(src) {
+            *d = q as i16;
+        }
+    }
+    wide
 }
 
 /// `1.5 · 2²³` — for `|r| ≤ 2²², r + MAGIC` has a fixed exponent, so its
@@ -254,14 +259,20 @@ pub fn quantize_with_scale(src: &[f32], scale: f32, dst: &mut [i16]) {
     assert!(scale.is_finite() && scale > 0.0, "activation scale must be finite and positive");
     let inv = 1.0 / scale;
     for (d, &v) in dst.iter_mut().zip(src.iter()) {
-        // NaN → 0 before the grid clamp (a compare+select, vectorisable);
-        // max/min (not `clamp`) so the result of the multiply can never
-        // reach the bit trick as a NaN either.
-        let v = if v.is_nan() { 0.0 } else { v };
-        #[allow(clippy::manual_clamp)]
-        let r = (v * inv).max(-ACT_QMAX).min(ACT_QMAX);
-        *d = (r + MAGIC).to_bits() as u16 as i16;
+        *d = code(v, inv);
     }
+}
+
+/// The code of one sample on the grid of step `1 / inv`.
+#[inline]
+fn code(v: f32, inv: f32) -> i16 {
+    // NaN → 0 before the grid clamp (a compare+select, vectorisable);
+    // max/min (not `clamp`) so the result of the multiply can never reach
+    // the bit trick as a NaN either.
+    let v = if v.is_nan() { 0.0 } else { v };
+    #[allow(clippy::manual_clamp)]
+    let r = (v * inv).max(-ACT_QMAX).min(ACT_QMAX);
+    (r + MAGIC).to_bits() as u16 as i16
 }
 
 // ---------------------------------------------------------------------------
@@ -466,24 +477,34 @@ impl QuantPlan {
     }
 }
 
-/// One window's quantised activations in the channels-last zero-padded
-/// layout of the sliding integer GEMM — the unit that travels *between*
-/// layers of the fixed-point chain.
+/// One window's quantised activations in the channel-pair-major,
+/// zero-padded layout of the fixed-point convolutions — the unit that
+/// travels *between* layers of the fixed-point chain.
 ///
-/// The codes form a `[rows, channels]` matrix with `rows = len + pad_total`:
-/// rows `pad_left .. pad_left + len` hold the signal (sample-major,
-/// channel-minor) and the `pad_total` overhang rows are zero. A consumer
-/// with kernel `k' ≤ pad_total + 1` and left padding `p'` reads output
-/// position `j`'s window as the contiguous slice starting at row
-/// `pad_left - p' + j` — one layout serves every kernel size in the network
-/// (the uniform-`k` convolutions *and* the 1×1 projection).
+/// The codes form `⌈channels/2⌉` planes of `rows × 2` codes: row `r` of
+/// plane `p` holds channels `2p` and `2p + 1` (`codes[(p·rows + r)·2 +
+/// c % 2]`, see [`Self::get`]); an odd channel count leaves the last
+/// plane's second slot zero. A 1-channel buffer (the network input)
+/// instead stores overlapping tap pairs: row `r` holds `(x[r], x[r + 1])`,
+/// so its first slots read as the plain signal. One unaligned vector load
+/// at a row of a plane thus returns the depth pairs of consecutive output
+/// positions (see the `qsimd` crate docs).
+///
+/// Rows `pad_left .. pad_left + len` hold the signal and every other code
+/// is zero: the pads a kernel window reaches past the signal, and slack
+/// rows that round the body up to whole vectors of [`qsimd::LANES`]
+/// positions, which the vector kernel reads and writes (lanes past the
+/// signal store zero). A consumer with kernel `k'` and left padding `p'`
+/// reads output position `j`'s taps from rows `pad_left - p' + j ..`, so
+/// one geometry ([`Self::rows_for`]) serves every kernel size in the
+/// network — the uniform-`k` convolutions *and* the 1×1 projection.
 ///
 /// The chain shapes each buffer once per call ([`Self::reshape`]) and every
-/// window of the call then overwrites the body rows only, so the pads stay
-/// zero without being touched again.
+/// window of the call then overwrites the body rows only, so the pads and
+/// slack stay zero without being touched again.
 #[derive(Debug, Clone, Default)]
 pub struct QuantActs {
-    /// The codes, `[rows, channels]`.
+    /// The codes, `[⌈channels/2⌉, rows, 2]`.
     pub codes: Vec<i16>,
     /// Channel count.
     pub channels: usize,
@@ -491,13 +512,21 @@ pub struct QuantActs {
     pub len: usize,
     /// Zero rows before the body.
     pub pad_left: usize,
-    /// Total rows (`len + pad_total`).
+    /// Rows per plane: body, pads and slack.
     pub rows: usize,
     /// The activation scale of the codes (`value = code · scale`).
     pub scale: f32,
 }
 
 impl QuantActs {
+    /// Rows per plane that let every kernel up to `max_kernel` taps read
+    /// and write `len` positions with left padding `(max_kernel − 1) / 2`:
+    /// the body rounded up to whole [`qsimd::LANES`] vectors plus
+    /// `max_kernel − 1` pad rows.
+    pub fn rows_for(len: usize, max_kernel: usize) -> usize {
+        len.next_multiple_of(qsimd::LANES) + max_kernel.max(1) - 1
+    }
+
     /// Shapes the buffer as `rows` zero rows of `channels` codes, the body
     /// starting at row `pad_left`, reusing its capacity. The producer
     /// overwrites the body and sets the scale.
@@ -508,18 +537,44 @@ impl QuantActs {
     pub fn reshape(&mut self, channels: usize, len: usize, pad_left: usize, rows: usize) {
         assert!(rows >= pad_left + len, "padded rows must cover the body");
         self.codes.clear();
-        self.codes.resize(rows * channels, 0);
+        self.codes.resize(channels.div_ceil(2) * rows * 2, 0);
         (self.channels, self.len, self.pad_left, self.rows) = (channels, len, pad_left, rows);
     }
 
-    /// The body rows (the signal), `[len, channels]`.
-    pub fn body(&self) -> &[i16] {
-        &self.codes[self.pad_left * self.channels..(self.pad_left + self.len) * self.channels]
+    /// The code of channel `c` at row `r` (a body row is `pad_left + j`).
+    pub fn get(&self, c: usize, r: usize) -> i16 {
+        self.codes[((c / 2) * self.rows + r) * 2 + c % 2]
     }
 
-    /// Mutable access to the body rows.
-    pub fn body_mut(&mut self) -> &mut [i16] {
-        &mut self.codes[self.pad_left * self.channels..(self.pad_left + self.len) * self.channels]
+    /// Quantises one window onto [`Self::scale`] into the body of this
+    /// 1-channel buffer, as tap pairs: sample `i` lands in the first slot
+    /// of body row `i` and the second slot of the row before, with the
+    /// codes of [`quantize_with_scale`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer has more than one channel, if `src` is not one
+    /// sample per body row, or if the scale is not finite and positive.
+    pub fn quantize_taps(&mut self, src: &[f32]) {
+        assert_eq!(self.channels, 1, "tap pairs hold a single channel");
+        assert_eq!(src.len(), self.len, "one sample per body row");
+        let scale = self.scale;
+        assert!(scale.is_finite() && scale > 0.0, "activation scale must be finite and positive");
+        let inv = 1.0 / scale;
+        let Some((&first, rest)) = src.split_first() else { return };
+        // x[r] is code 2r (row r, first slot) and code 2r − 1 (row r − 1,
+        // second slot).
+        let start = 2 * self.pad_left;
+        let q = code(first, inv);
+        self.codes[start] = q;
+        if start > 0 {
+            self.codes[start - 1] = q;
+        }
+        let tail = &mut self.codes[start + 1..start + 2 * src.len() - 1];
+        for (pair, &v) in tail.chunks_exact_mut(2).zip(rest) {
+            let q = code(v, inv);
+            pair.fill(q);
+        }
     }
 }
 
@@ -665,14 +720,45 @@ mod tests {
     #[test]
     fn quant_acts_reshape_zeroes_the_pads_around_the_body() {
         let mut acts = QuantActs { codes: vec![7i16; 40], ..QuantActs::default() };
+        // 3 channels: two planes, the second with an empty slot.
         acts.reshape(3, 4, 1, 6);
-        assert_eq!(acts.codes.len(), 18);
+        assert_eq!(acts.codes.len(), 2 * 6 * 2);
         assert!(acts.codes.iter().all(|&v| v == 0), "stale codes are cleared");
-        acts.body_mut().fill(5);
-        assert_eq!(&acts.codes[..3], &[0, 0, 0], "left pad row");
-        assert_eq!(&acts.codes[15..], &[0, 0, 0], "right pad row");
-        assert_eq!(acts.body().len(), 12);
-        assert!(acts.body().iter().all(|&v| v == 5), "body rows 1..5");
+        assert_eq!(acts.get(2, 3), acts.codes[(6 + 3) * 2]);
+        assert_eq!(acts.get(1, 5), acts.codes[5 * 2 + 1]);
+        // A 1-channel buffer holds tap pairs: (x[r], x[r + 1]) per row.
+        let mut taps = QuantActs { scale: 1.0 / ACT_QMAX, ..QuantActs::default() };
+        taps.reshape(1, 3, 2, QuantActs::rows_for(3, 5));
+        assert_eq!(taps.rows, 8 + 4);
+        taps.quantize_taps(&[0.25, -1.0, 0.5]);
+        let rows: Vec<[i16; 2]> = taps.codes.chunks_exact(2).map(|p| [p[0], p[1]]).collect();
+        assert_eq!(
+            &rows[..6],
+            &[[0, 0], [0, 8192], [8192, -32767], [-32767, 16384], [16384, 0], [0, 0]]
+        );
+        assert!(rows[6..].iter().all(|&p| p == [0, 0]), "slack rows stay zero");
+        let body: Vec<i16> = (0..3).map(|j| taps.get(0, taps.pad_left + j)).collect();
+        let mut plain = [0i16; 3];
+        quantize_with_scale(&[0.25, -1.0, 0.5], taps.scale, &mut plain);
+        assert_eq!(body, plain, "the first slots are the plain codes");
+    }
+
+    #[test]
+    fn data16_rows_pair_up_and_zero_pad_odd_depths() {
+        // Depth 5: each widened row gains a zero, so two consecutive codes
+        // of a row always form a pair and no pair straddles two rows.
+        let w = [1.0f32, -2.0, 3.0, -4.0, 127.0, 5.0, 6.0, -7.0, 8.0, 127.0];
+        let mut g = QuantizedGemm::from_f32(&w, &[0.0; 2], 2, 5);
+        assert_eq!(g.cols16(), 6);
+        assert_eq!(g.data16(), &[1, -2, 3, -4, 127, 0, 5, 6, -7, 8, 127, 0]);
+        assert_eq!(g.resident_bytes(), 10 + 12 * 2 + 4 * 4, "i8 block, i16 rows, scales, bias");
+        // A loaded payload rebuilds the padded rows.
+        g.set_payload(vec![9, 8, 7, 6, 5, 4, 3, 2, 1, 0], vec![1.0; 2], vec![0.0; 2]).unwrap();
+        assert_eq!(g.data16(), &[9, 8, 7, 6, 5, 0, 4, 3, 2, 1, 0, 0]);
+        // Even depths need no padding.
+        let mut even = QuantizedGemm::from_f32(&w, &[0.0; 5], 5, 2);
+        even.set_payload((0..10).collect(), vec![1.0; 5], vec![0.0; 5]).unwrap();
+        assert_eq!(even.data16(), (0..10).collect::<Vec<i16>>());
     }
 
     #[test]

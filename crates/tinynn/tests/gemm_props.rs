@@ -17,9 +17,8 @@
 //! `Conv1d::backward` match its serial run.
 
 use tinynn::matmul::{
-    matmul_at_b, matmul_packed_lhs, matmul_packed_rhs, matmul_q8_reference,
-    matmul_q8_requant_sliding, matmul_reference, matmul_weight_grad, pack_lhs, pack_rhs_t,
-    packed_lhs_len, packed_rhs_len,
+    conv_q8_requant, matmul_at_b, matmul_packed_lhs, matmul_packed_rhs, matmul_q8_reference,
+    matmul_reference, matmul_weight_grad, pack_lhs, pack_rhs_t, packed_lhs_len, packed_rhs_len,
 };
 use tinynn::{init, parallel, Conv1d, Layer, Requantizer, Tensor, Workspace};
 
@@ -147,12 +146,45 @@ fn small_q_operands(rng: &mut Rng, len_a: usize, len_b: usize) -> (Vec<i16>, Vec
     (a, b)
 }
 
-/// The requantising kernel with unit ratios, zero biases and the full
-/// signed clamp: every output code is the plain integer dot.
-fn unit_requant(a: &[i16], b: &[i16], m: usize, k: usize, n: usize, stride: usize) -> Vec<i16> {
+/// The requantising convolution with unit ratios, zero biases and the full
+/// signed clamp over `n` positions of a `ch`-channel signal stored
+/// sample-major (`signal[r·ch + c]`), with `a` the `[m, k, ch]` weights:
+/// every output code is the plain integer dot. Returns the codes
+/// position-major, `[n, m]`.
+fn unit_conv(a: &[i16], signal: &[i16], m: usize, ch: usize, k: usize, n: usize) -> Vec<i16> {
+    let rows = n + k - 1;
+    let g = qsimd::ConvShape {
+        in_channels: ch,
+        out_channels: m,
+        kernel: k,
+        len: n,
+        in_rows: rows,
+        in_first: 0,
+        out_rows: n,
+        out_first: 0,
+    };
+    let mut x = vec![0i16; g.in_planes() * rows * 2];
+    for (r, sample) in signal.chunks_exact(ch.max(1)).take(rows).enumerate() {
+        for (c, &v) in sample.iter().enumerate() {
+            x[((c / 2) * rows + r) * 2 + c % 2] = v;
+        }
+    }
+    let mut w = vec![0i16; m * g.weight_stride()];
+    // A zero-depth layer (`ch = 0`) has no weights to copy.
+    for (dst, src) in
+        w.chunks_exact_mut(g.weight_stride().max(1)).zip(a.chunks_exact((ch * k).max(1)))
+    {
+        dst[..ch * k].copy_from_slice(src);
+    }
     let mults = vec![Requantizer::from_ratio(1.0); m];
+    let mut out = vec![0i16; g.out_planes() * n * 2];
+    conv_q8_requant(&mut out, &x, &w, &g, &vec![0; m], &mults, -32767, 32767);
     let mut c = vec![0i16; n * m];
-    matmul_q8_requant_sliding(&mut c, a, &vec![0; m], &mults, b, m, k, n, stride, -32767, 32767);
+    for j in 0..n {
+        for i in 0..m {
+            c[j * m + i] = out[((i / 2) * n + j) * 2 + i % 2];
+        }
+    }
     c
 }
 
@@ -164,14 +196,14 @@ fn q8_kernels_match_exact_reference_over_shape_sweep() {
     for (m, k, n) in shapes {
         let (a, b) = small_q_operands(&mut rng, m * k, n * k);
         let exact = matmul_q8_reference(&a, &b, m, k, n);
-        // Position-major output: c[j * m + i].
-        let c = unit_requant(&a, &b, m, k, n, k);
+        // A 1×1 convolution over k channels; position-major output.
+        let c = unit_conv(&a, &b, m, k, 1, n);
         for i in 0..m {
             for j in 0..n {
                 assert_eq!(
                     c[j * m + i] as i64,
                     exact[i * n + j],
-                    "matmul_q8_requant_sliding {m}x{k}x{n} at ({i},{j})"
+                    "conv_q8_requant {m}x{k}x{n} at ({i},{j})"
                 );
             }
         }
@@ -183,20 +215,20 @@ fn q8_sliding_matches_packed_windows_over_stride_sweep() {
     let mut rng = Rng::new(59);
     for _ in 0..40 {
         let m = rng.usize_in(1, 17);
-        let k = rng.usize_in(1, 60);
+        let ch = rng.usize_in(1, 6);
+        let k = rng.usize_in(1, 10);
         let n = rng.usize_in(1, 40);
-        let stride = rng.usize_in(1, k);
-        let len_b = (n - 1) * stride + k;
-        let (a, buf) = small_q_operands(&mut rng, m * k, len_b);
-        // Materialise every overlapping window for the packed layout.
-        let mut packed = Vec::with_capacity(n * k);
+        let (a, signal) = small_q_operands(&mut rng, m * ch * k, (n + k - 1) * ch);
+        // Materialise every overlapping window: window j is the ch·k
+        // codes from row j on, one row of a 1×1 convolution.
+        let mut packed = Vec::with_capacity(n * ch * k);
         for j in 0..n {
-            packed.extend_from_slice(&buf[j * stride..j * stride + k]);
+            packed.extend_from_slice(&signal[j * ch..(j + k) * ch]);
         }
         assert_eq!(
-            unit_requant(&a, &packed, m, k, n, k),
-            unit_requant(&a, &buf, m, k, n, stride),
-            "m={m} k={k} n={n} stride={stride}"
+            unit_conv(&a, &packed, m, ch * k, 1, n),
+            unit_conv(&a, &signal, m, ch, k, n),
+            "m={m} ch={ch} k={k} n={n}"
         );
     }
 }

@@ -1,17 +1,21 @@
 //! Deterministic, seeded property tests for the quantisation path:
 //! quantise→dequantise roundtrip bounds, scale correctness, degenerate
-//! inputs, the integer product against the f32 product, and the
-//! requantising kernels against their scalar references.
+//! inputs, the integer product against the f32 product, the requantising
+//! kernels against their scalar references, and the fixed-point chain's
+//! vector kernel against its scalar fallback, pads included.
 //!
 //! The offline build has no `proptest`, so cases are generated from a seeded
 //! xorshift generator — every run exercises the identical case set.
 
-use tinynn::matmul::{
-    matmul_q8_reference, matmul_q8_requant_sliding, matmul_q8_requant_sliding_packed,
-    matmul_reference,
-};
+use tinynn::matmul::{conv_q8_requant, matmul_q8_reference, matmul_reference};
+use tinynn::qlayers::pooled_features;
 use tinynn::quant::{
-    quantize_activations_into, QuantPlan, QuantizedGemm, Requantizer, ACT_QMAX, WEIGHT_QMAX,
+    quantize_activations_into, QuantActs, QuantPlan, QuantizedGemm, Requantizer, ACT_QMAX,
+    WEIGHT_QMAX,
+};
+use tinynn::{
+    BatchNorm1d, Conv1d, QuantizedConv1d, QuantizedResidualBlock1d, ResidualBlock1d, Tensor,
+    Workspace,
 };
 
 /// Deterministic xorshift64* stream.
@@ -148,7 +152,8 @@ fn quantised_gemm_tracks_f32_gemm_within_quantisation_error() {
         }
         let mut codes = Vec::new();
         let x_scale = quantize_activations_into(&xt, &mut codes);
-        let exact = matmul_q8_reference(gemm.data16(), &codes, m, k, n);
+        let a: Vec<i16> = gemm.data().iter().map(|&q| q as i16).collect();
+        let exact = matmul_q8_reference(&a, &codes, m, k, n);
 
         // Error bounded by the propagated weight/activation grid steps
         // (loose analytic bound).
@@ -314,11 +319,24 @@ fn per_channel_plan_mults_track_the_scale_products() {
     }
 }
 
+/// The `[rows, ch]` sample-major codes `b` laid out channel-pair-major
+/// (`ch` channels, `rows` rows per plane).
+fn pair_major(b: &[i16], ch: usize, rows: usize) -> Vec<i16> {
+    let mut x = vec![0i16; ch.div_ceil(2) * rows * 2];
+    for (r, sample) in b.chunks_exact(ch).enumerate() {
+        for (c, &v) in sample.iter().enumerate() {
+            x[((c / 2) * rows + r) * 2 + c % 2] = v;
+        }
+    }
+    x
+}
+
 #[test]
 fn requantising_gemm_matches_the_scalar_reference_exactly() {
     // The fused requantising kernel must agree bit-for-bit with the naive
-    // i64 dot → saturate → bias → RNE-rescale → clamp pipeline, on both the
-    // const-depth and the deep (k > 256) paths.
+    // i64 dot → saturate → bias → RNE-rescale → clamp pipeline, at shallow
+    // and deep (depth > 256) depths: a 1×1 convolution over k channels
+    // is the product of the weights with the rows of B.
     let mut rng = Rng::new(10);
     for case in 0..16 {
         let m = rng.usize_in(1, 10);
@@ -333,9 +351,22 @@ fn requantising_gemm_matches_the_scalar_reference_exactly() {
             .map(|_| Requantizer::from_ratio(1e-5 + rng.uniform(1.0).abs() as f64 * 0.1))
             .collect();
         let (lo, hi) = if case % 2 == 0 { (0i16, 32767i16) } else { (-32767i16, 32767i16) };
-        // Position-major output: c[j * m + i].
-        let mut c = vec![0i16; n * m];
-        matmul_q8_requant_sliding(&mut c, &a, &bias, &mults, &b, m, k, n, k, lo, hi);
+        let g = qsimd::ConvShape {
+            in_channels: k,
+            out_channels: m,
+            kernel: 1,
+            len: n,
+            in_rows: n,
+            in_first: 0,
+            out_rows: n,
+            out_first: 0,
+        };
+        let mut w = vec![0i16; m * g.weight_stride()];
+        for (dst, src) in w.chunks_exact_mut(g.weight_stride()).zip(a.chunks_exact(k)) {
+            dst[..k].copy_from_slice(src);
+        }
+        let mut out = vec![0i16; g.out_planes() * n * 2];
+        conv_q8_requant(&mut out, &pair_major(&b, k, n), &w, &g, &bias, &mults, lo, hi);
         let exact = matmul_q8_reference(&a, &b, m, k, n);
         for i in 0..m {
             for j in 0..n {
@@ -343,7 +374,7 @@ fn requantising_gemm_matches_the_scalar_reference_exactly() {
                     .clamp(i32::MIN as i64, i32::MAX as i64) as i32;
                 let expect = mults[i].requantize_i16(acc, lo, hi);
                 assert_eq!(
-                    c[j * m + i],
+                    out[((i / 2) * n + j) * 2 + i % 2],
                     expect,
                     "case {case} ({i},{j}): kernel diverged from scalar reference"
                 );
@@ -352,45 +383,67 @@ fn requantising_gemm_matches_the_scalar_reference_exactly() {
     }
 }
 
+/// A zero-padded `ch`-channel buffer of `len` random body rows, shaped for
+/// kernels up to `k` taps (tap pairs when `ch == 1`).
+fn random_acts(rng: &mut Rng, ch: usize, len: usize, k: usize) -> QuantActs {
+    let mut acts = QuantActs { scale: 1.0 / ACT_QMAX, ..QuantActs::default() };
+    acts.reshape(ch, len, (k - 1) / 2, QuantActs::rows_for(len, k));
+    let signal: Vec<f32> = (0..len * ch).map(|_| rng.uniform(1.0)).collect();
+    if ch == 1 {
+        acts.quantize_taps(&signal);
+    } else {
+        let mut codes = vec![0i16; signal.len()];
+        tinynn::quant::quantize_with_scale(&signal, acts.scale, &mut codes);
+        for (j, sample) in codes.chunks_exact(ch).enumerate() {
+            for (c, &v) in sample.iter().enumerate() {
+                acts.codes[((c / 2) * acts.rows + acts.pad_left + j) * 2 + c % 2] = v;
+            }
+        }
+    }
+    acts
+}
+
 #[test]
 fn packed_simd_gemm_agrees_with_the_scalar_kernel_bit_for_bit() {
     // The SIMD fast path and the scalar fallback must be interchangeable:
-    // same plan, same codes. Shapes cover the bench model's layers (m ∈ {8,
-    // 16}, odd and even depths) plus multi-block channel counts; when the
-    // build has no AVX2 the packed entry declines and the property is
+    // same plan, same codes, zeros outside the body. Shapes cover the bench
+    // model's layers (tap-pair stems, 8 and 16 channels, odd and even
+    // kernels, the 1×1 projection) plus other channel blocks; when the
+    // build has no AVX2 the vector entry declines and the property is
     // vacuously covered by the fallback itself.
     let mut rng = Rng::new(12);
-    for case in 0..20 {
-        let m = 8 * rng.usize_in(1, 3);
-        let k = rng.usize_in(1, 160);
-        let n = rng.usize_in(1, 40);
-        let stride = rng.usize_in(1, k);
-        let weights: Vec<f32> = (0..m * k).map(|_| rng.uniform(2.0)).collect();
+    for case in 0..24 {
+        let m = 4 * rng.usize_in(1, 4);
+        let ch = [1usize, 2, 4, 8, 16][rng.usize_in(0, 4)];
+        let k = rng.usize_in(1, (qsimd::QK / ch).min(12));
+        let n = rng.usize_in(1, 60);
+        let weights: Vec<f32> = (0..m * ch * k).map(|_| rng.uniform(2.0)).collect();
         let bias: Vec<f32> = (0..m).map(|_| rng.uniform(1.0)).collect();
-        let gemm = QuantizedGemm::from_f32(&weights, &bias, m, k);
-        let in_scale = 1e-4 + rng.uniform(1.0).abs() * 1e-2;
+        let gemm = QuantizedGemm::from_f32(&weights, &bias, m, ch * k);
+        let x = random_acts(&mut rng, ch, n, k);
         // Keep every channel ratio s_w · in/out ≤ ½ (s_w ≤ 2/127 here), the
         // SIMD dispatch envelope — like any calibrated layer's grids.
-        let out_scale = in_scale * (0.1 + rng.uniform(1.0).abs());
-        let plan = QuantPlan::new(&gemm, in_scale, out_scale, case % 2 == 0);
-        let blen = (n - 1) * stride + k;
-        let b: Vec<i16> =
-            (0..blen).map(|_| ((rng.next_u64() % 65535) as i64 - 32767) as i16).collect();
-        let mut c_simd = vec![0i16; n * m];
-        let taken = matmul_q8_requant_sliding_packed(
-            &mut c_simd,
-            gemm.packed16(),
-            &plan.bias_q,
-            &plan.mults_i32,
-            plan.shift,
-            &b,
-            m,
-            k,
-            n,
-            stride,
-            plan.lo,
-            plan.hi,
-        );
+        let out_scale = x.scale * (0.1 + rng.uniform(1.0).abs());
+        let plan = QuantPlan::new(&gemm, x.scale, out_scale, case % 2 == 0);
+        let g = qsimd::ConvShape {
+            in_channels: ch,
+            out_channels: m,
+            kernel: k,
+            len: n,
+            in_rows: x.rows,
+            in_first: 0,
+            out_rows: x.rows,
+            out_first: x.pad_left,
+        };
+        let rq = qsimd::Requant {
+            bias: &plan.bias_q,
+            mults: &plan.mults_i32,
+            shift: plan.shift,
+            lo: plan.lo,
+            hi: plan.hi,
+        };
+        let mut c_simd = vec![0i16; g.out_planes() * g.out_rows * 2];
+        let taken = qsimd::conv_requant(&mut c_simd, &x.codes, gemm.data16(), &g, &rq);
         assert_eq!(
             taken,
             qsimd::available(),
@@ -399,20 +452,118 @@ fn packed_simd_gemm_agrees_with_the_scalar_kernel_bit_for_bit() {
         if !taken {
             continue;
         }
-        let mut c_scalar = vec![0i16; n * m];
-        matmul_q8_requant_sliding(
-            &mut c_scalar,
-            gemm.data16(),
-            &plan.bias_q,
-            &plan.mults,
-            &b,
-            m,
-            k,
-            n,
-            stride,
-            plan.lo,
-            plan.hi,
-        );
-        assert_eq!(c_simd, c_scalar, "case {case}: m={m} k={k} n={n} stride={stride}");
+        let mut c_scalar = vec![0i16; c_simd.len()];
+        let (b, mults) = (&plan.bias_q, &plan.mults);
+        conv_q8_requant(&mut c_scalar, &x.codes, gemm.data16(), &g, b, mults, plan.lo, plan.hi);
+        assert_eq!(c_simd, c_scalar, "case {case}: m={m} C={ch} k={k} n={n}");
+    }
+}
+
+/// A quantised backbone with fixed-point plans in the CO-locator's shape:
+/// the stem, an identity block and a projection block, `f` filters,
+/// kernel `k`.
+fn backbone(f: usize, k: usize, seed: u64) -> (QuantizedConv1d, [QuantizedResidualBlock1d; 2]) {
+    let stem_f32 = Conv1d::new(1, f, k, seed);
+    let mut stem = QuantizedConv1d::from_conv_folded(&stem_f32, &BatchNorm1d::new(f), true);
+    let mut res1 =
+        QuantizedResidualBlock1d::from_residual(&ResidualBlock1d::new(f, f, k, seed + 1));
+    let mut res2 =
+        QuantizedResidualBlock1d::from_residual(&ResidualBlock1d::new(f, 2 * f, k, seed + 2));
+    let grid = |max: f32| max / ACT_QMAX;
+    stem.set_fixed_point(grid(2.0), grid(3.0));
+    res1.set_fixed_point(grid(3.0), grid(3.0), grid(4.0));
+    res2.set_fixed_point(grid(4.0), grid(4.0), grid(5.0));
+    (stem, [res1, res2])
+}
+
+/// `conv` on `x` by the scalar fallback, into a fresh buffer shaped like
+/// `like`.
+fn fallback(conv: &QuantizedConv1d, x: &QuantActs, like: &QuantActs) -> QuantActs {
+    let mut out = QuantActs::default();
+    out.reshape(like.channels, like.len, like.pad_left, like.rows);
+    let plan = conv.plan().expect("planned");
+    let g = conv.conv_shape(x, &out);
+    let (b, mults) = (&plan.bias_q, &plan.mults);
+    conv_q8_requant(&mut out.codes, &x.codes, conv.gemm().data16(), &g, b, mults, plan.lo, plan.hi);
+    out.scale = plan.out_scale;
+    out
+}
+
+/// Asserts that `got` (the chain's codes) equals the scalar reference and
+/// holds zeros in every row outside its body: pads and slack.
+fn assert_layer(got: &QuantActs, want: &QuantActs, what: &str) {
+    assert_eq!(got.codes, want.codes, "{what}: codes differ from the scalar fallback");
+    assert_eq!(got.scale.to_bits(), want.scale.to_bits(), "{what}: grid");
+    for (p, plane) in got.codes.chunks_exact(2 * got.rows).enumerate() {
+        for (r, pair) in plane.chunks_exact(2).enumerate() {
+            if !(got.pad_left..got.pad_left + got.len).contains(&r) {
+                assert_eq!(pair, [0, 0], "{what}: plane {p} row {r} lies outside the body");
+            }
+        }
+    }
+}
+
+#[test]
+fn vector_tiles_never_leak_into_pads_at_any_length() {
+    // The chain as served (vector kernel where the host has it) against
+    // the scalar fallback, layer by layer, at lengths around every tile
+    // boundary (8-position vectors, 24-position tiles) and the served
+    // window, for the served (8×9) and golden (2×3) channel counts.
+    let mut rng = Rng::new(13);
+    let mut ws = Workspace::new();
+    for (f, k) in [(8usize, 9usize), (2, 3)] {
+        let (stem, blocks) = backbone(f, k, 40 + f as u64);
+        for len in [1usize, 7, 8, 23, 24, 25, 215, 216, 229, 230, 231] {
+            let what = |layer: &str| format!("{f}x{k} len {len} {layer}");
+            let shaped = |ch: usize| {
+                let mut acts = QuantActs::default();
+                acts.reshape(ch, len, (k - 1) / 2, QuantActs::rows_for(len, k));
+                acts
+            };
+            let window: Vec<f32> = (0..len).map(|_| rng.uniform(2.5)).collect();
+            let mut input = shaped(1);
+            input.scale = stem.plan().expect("planned").in_scale;
+            input.quantize_taps(&window);
+            let mut x = shaped(f);
+            stem.forward_fixed(&input, &mut x);
+            let mut x_ref = fallback(&stem, &input, &x);
+            assert_layer(&x, &x_ref, &what("stem"));
+            for (b, block) in blocks.iter().enumerate() {
+                let ch = block.out_channels();
+                let (mut out, mut mid, mut short) = (shaped(ch), shaped(ch), shaped(ch));
+                block.forward_fixed(&x, &mut out, &mut mid, &mut short);
+                let convs = block.convs();
+                let mid_ref = fallback(convs[0], &x_ref, &mid);
+                let mut out_ref = fallback(convs[1], &mid_ref, &out);
+                let short_ref = match convs.get(2) {
+                    Some(projection) => fallback(projection, &x_ref, &short),
+                    None => {
+                        let r = Requantizer::from_ratio(x_ref.scale as f64 / out_ref.scale as f64);
+                        let mut short_ref = x_ref.clone();
+                        for v in &mut short_ref.codes {
+                            *v = r.requantize_i16(*v as i32, -32767, 32767);
+                        }
+                        short_ref
+                    }
+                };
+                for (d, &sv) in out_ref.codes.iter_mut().zip(&short_ref.codes) {
+                    *d = (*d as i32 + sv as i32).clamp(0, 32767) as i16;
+                }
+                assert_layer(&mid, &mid_ref, &what(&format!("res{} conv1", b + 1)));
+                assert_layer(&out, &out_ref, &what(&format!("res{}", b + 1)));
+                (x, x_ref) = (out, out_ref);
+            }
+            let blocks: Vec<&QuantizedResidualBlock1d> = blocks.iter().collect();
+            let pooled =
+                pooled_features(&stem, &blocks, &Tensor::from_vec(window, &[1, 1, len]), &mut ws);
+            let pad = x_ref.pad_left;
+            let expect: Vec<f32> = (0..x_ref.channels)
+                .map(|c| {
+                    let sum: i64 = (0..len).map(|j| x_ref.get(c, pad + j) as i64).sum();
+                    sum as f32 * x_ref.scale * (1.0 / len as f32)
+                })
+                .collect();
+            assert_eq!(pooled.data(), &expect[..], "{}", what("pool"));
+        }
     }
 }

@@ -9,12 +9,16 @@
 #         claim cursor under the scheduler lock, the per-request output
 #         state the workers scatter scores into, and the fault-injection
 #         counters shared across workers.
-#   asan  AddressSanitizer over the qsimd kernel tests and the tinynn
-#         quantisation property tests — the code with raw-pointer SIMD
-#         and hand-rolled packing arithmetic.
-#   miri  Miri over qsimd. The AVX2 dispatch reports unavailable under
-#         the interpreter (see `qsimd::avx2::available`), so this pass
-#         covers the scalar fallbacks and the packing/layout paths,
+#   asan  AddressSanitizer over the qsimd kernel tests, the tinynn
+#         quantisation property tests and the locator's bit pins — the
+#         code with raw-pointer SIMD. The property tests drive whole
+#         windows through the convolution at lengths around every tile
+#         boundary, and the bit pins drive the golden, served and paper
+#         shapes: every tile reads and writes the slack rows past a
+#         buffer's body, so these are the runs that reach its edges.
+#   miri  Miri over qsimd. The AVX2 and AVX-VNNI dispatch report
+#         unavailable under the interpreter (see `qsimd::available()` and
+#         `qsimd::vnni()`), so this pass covers the scalar fallbacks,
 #         where Miri's UB detection is strongest.
 #
 # Sanitizers need a nightly toolchain (-Zsanitizer, -Zbuild-std) plus
@@ -109,13 +113,14 @@ run_asan() {
         skip asan "nightly lacks rust-src (-Zbuild-std needs it)"
         return 0
     fi
-    note "asan: qsimd kernel tests + tinynn quant_props"
+    note "asan: qsimd kernel tests + tinynn quant_props + sca-locator f32_bit_pin"
     status=0
     RUSTFLAGS="$cpu -Z sanitizer=address" \
         CARGO_TARGET_DIR=target/sanitize/asan \
         cargo +nightly test -Z build-std --target "$triple" \
         -p qsimd \
-        -p tinynn --test quant_props || status=$?
+        -p tinynn --test quant_props \
+        -p sca-locator --test f32_bit_pin || status=$?
     ran asan "$status"
 }
 
@@ -128,7 +133,7 @@ run_miri() {
         skip miri "nightly lacks the miri component"
         return 0
     fi
-    note "miri: qsimd scalar fallbacks and packing paths"
+    note "miri: qsimd scalar fallbacks"
     status=0
     CARGO_TARGET_DIR=target/sanitize/miri \
         cargo +nightly miri test -p qsimd || status=$?
