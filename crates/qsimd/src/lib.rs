@@ -350,6 +350,8 @@ mod avx2 {
     /// Requires `1 ≤ shift ≤ 62` (the dispatch gates guarantee it).
     struct Epilogue {
         shift: __m256i,
+        /// 63 in every lane: masks the shift count (see [`Self::rne4`]).
+        low6: __m256i,
         one: __m256i,
         /// `2⁶² + half − 1`: the rounding bias plus an offset that makes
         /// every biased product non-negative.
@@ -367,6 +369,7 @@ mod avx2 {
             debug_assert!((1..=62).contains(&shift));
             Self {
                 shift: _mm256_set1_epi64x(shift as i64),
+                low6: _mm256_set1_epi64x(63),
                 one: _mm256_set1_epi64x(1),
                 round: _mm256_set1_epi64x((1i64 << 62) + (1i64 << (shift - 1)) - 1),
                 offset: _mm256_set1_epi32((1u64 << (62 - shift)) as u32 as i32),
@@ -388,9 +391,13 @@ mod avx2 {
         #[inline]
         #[target_feature(enable = "avx2")]
         fn rne4(&self, prod: __m256i) -> __m256i {
-            let parity = _mm256_and_si256(_mm256_srlv_epi64(prod, self.shift), self.one);
+            // `shift ≤ 62`, so the mask changes nothing; it lets LLVM see
+            // the count is below 64 and drop its out-of-range guard (a
+            // compare and an and-not per shift).
+            let shift = _mm256_and_si256(self.shift, self.low6);
+            let parity = _mm256_and_si256(_mm256_srlv_epi64(prod, shift), self.one);
             let biased = _mm256_add_epi64(_mm256_add_epi64(prod, self.round), parity);
-            _mm256_srlv_epi64(biased, self.shift)
+            _mm256_srlv_epi64(biased, shift)
         }
 
         /// Requantises eight `i32` accumulators (bias already added) by the
