@@ -1,12 +1,13 @@
 //! Multi-trace engine throughput benchmark.
 //!
-//! Measures the batched serving path introduced with
-//! [`sca_locator::LocatorEngine`]: N synthetic traces are scored through one
-//! shared weight set, once by looping the single-trace `locate` (per-trace
-//! shard parallelism) and once through `locate_batch` (across-trace
-//! parallelism). A save → load roundtrip of the engine is also timed and the
-//! restored model is verified to reproduce the located starts exactly. The
-//! numbers are printed; the run fails if batching is slower than looping.
+//! N synthetic traces are scored through one shared weight set of a
+//! [`sca_locator::LocatorEngine`], once by looping the single-trace `locate`
+//! and once through `locate_batch`, which is that same loop: each trace's
+//! windows are split in shards across the engine's scoring threads. A save →
+//! load roundtrip of the engine is also timed and the restored model is
+//! verified to reproduce the located starts exactly. The numbers are
+//! printed; the run fails if the two routes disagree, or if batching reads
+//! slower than looping by more than the run's own rep-to-rep noise.
 //!
 //! Usage: `engine_bench [--traces N] [--trace-len N]`
 //! (defaults: 8 traces of 1,000,000 samples).
@@ -74,10 +75,10 @@ fn main() {
         total_windows
     );
 
-    // Warm-up: fault in code paths and thread-local buffers. (The batch
-    // route needs no separate warm-up: its workers spawn fresh scoped
-    // threads with fresh workspaces every call, and the median-pair
-    // selection below rejects a cold outlier rep.)
+    // Warm-up: fault in code paths. (Neither route keeps per-thread state
+    // to warm: every call scores on fresh scoped shard threads with fresh
+    // workspaces, and the median-pair selection below rejects a cold
+    // outlier rep.)
     let _ = engine.locate(&traces[0]);
 
     // Interleaved measurement: looped and batched runs alternate
@@ -129,16 +130,14 @@ fn main() {
     // Acceptance: the two routes must agree exactly.
     assert_eq!(batched, looped, "locate_batch must reproduce per-trace locate exactly");
 
-    // Acceptance: batch scheduling must never be slower than looping the
-    // single-trace path — the dynamic trace-stealing scheduler either fans
-    // out across traces or *is* the looped path (narrow batches, 1 core),
-    // so any real gap is a regression. The assertion's noise floor is
-    // calibrated from the measurement itself: the worst rep-to-rep spread
-    // either path showed this run (capped at 10%). On a quiet machine the
-    // floor is tight; on a noisy shared runner it widens exactly as much as
-    // the run demonstrably wobbles, so timer noise between two reps of what
-    // can be byte-for-byte the same code cannot fail the build while a real
-    // scheduling regression still trips it.
+    // Acceptance: `locate_batch` must never be slower than looping the
+    // single-trace path — it *is* that loop, so any real gap is a
+    // regression. The assertion's noise floor is calibrated from the
+    // measurement itself: the worst rep-to-rep spread either path showed
+    // this run (capped at 10%). On a quiet machine the floor is tight; on a
+    // noisy shared runner it widens exactly as much as the run demonstrably
+    // wobbles, so timer noise between two reps of the same code cannot fail
+    // the build while a real regression still trips it.
     let spread = |reps: &[std::time::Duration; REPS]| {
         let min = reps.iter().min().expect("REPS > 0").as_secs_f64();
         let max = reps.iter().max().expect("REPS > 0").as_secs_f64();

@@ -474,11 +474,10 @@ mod tests {
         // the batch shape, repeated forwards must neither allocate (the
         // arena-miss counter freezes) nor grow any retained scratch buffer —
         // including the fused chain's weight packing, staging and
-        // per-window activations. The serial region keeps the batch on this
-        // thread, so every buffer comes from the workspace.
+        // per-window activations, every one of which comes from the
+        // workspace.
         let served = CnnConfig { base_filters: 8, kernel_size: 9, seed: 3 };
         for (config, batch, len) in [(tiny_config(), 4, 32), (served, 7, 230)] {
-            let _serial = tinynn::parallel::serial_region();
             let cnn = CoLocatorCnn::new(config);
             let mut ws = Workspace::new();
             let x = CoLocatorCnn::stack_windows(&vec![vec![0.25; len]; batch]);

@@ -7,10 +7,11 @@
 //! * every entry point takes **`&self`** — one warm weight set is shared by
 //!   all scoring threads, which allocate only a per-thread
 //!   [`tinynn::Workspace`] (no weight clones anywhere);
-//! * [`LocatorEngine::locate_batch`] streams many traces through one thread
-//!   pool, parallelising across traces when the batch is wide and falling
-//!   back to intra-trace shard parallelism when it is narrow — the scores
-//!   are identical either way;
+//! * a trace's windows are scored in shards across
+//!   [`LocatorEngine::with_threads`] threads, the calling thread among
+//!   them. Neither scoring chain starts threads of its own, so a caller
+//!   that runs its own workers and scores through [`EngineModel`]
+//!   directly, as the locate service does, uses one thread per worker;
 //! * [`LocatorEngine::save`] / [`LocatorEngine::load`] persist a trained
 //!   model in the versioned binary format of [`crate::persist`], so a fleet
 //!   of workers can load one profile from disk instead of retraining.
@@ -209,9 +210,10 @@ impl LocatorEngine {
     /// Like [`Self::quantize`], but calibrates the fixed-point chain on
     /// caller-provided sample windows (raw, equal-length slices of real
     /// traces — typically cut with this engine's window length). The
-    /// windows are standardized exactly as the sliding classifier would
-    /// standardize them before they drive the calibration pass, so the
-    /// grids match what inference will actually see.
+    /// windows are staged exactly as the sliding classifier stages them
+    /// ([`SlidingWindowClassifier::stage_window`]) before they drive the
+    /// calibration pass, so the grids match what inference will actually
+    /// see.
     ///
     /// Beyond the activation grids, the samples also align the head: the
     /// quantised backbone's systematic pooled-feature offset under the
@@ -222,14 +224,12 @@ impl LocatorEngine {
     /// already quantised engine recalibrates its grids on the samples but
     /// cannot re-align the head (the `f32` reference is gone).
     pub fn quantize_with_samples(&self, windows: &[Vec<f32>]) -> LocatorEngine {
-        let samples = (!windows.is_empty()).then(|| {
-            let mut prepared = windows.to_vec();
-            if self.sliding.standardize() {
-                for w in &mut prepared {
-                    sca_trace::dsp::standardize_in_place(w);
-                }
+        let samples = windows.first().map(|w| {
+            let mut stacked = Tensor::zeros(&[windows.len(), 1, w.len()]);
+            for (row, window) in stacked.data_mut().chunks_exact_mut(w.len()).zip(windows) {
+                self.sliding.stage_window(row, window);
             }
-            CoLocatorCnn::stack_windows(&prepared)
+            stacked
         });
         // Each path calibrates exactly once.
         let model = match (&*self.model, &samples) {
@@ -266,9 +266,10 @@ impl LocatorEngine {
         &self.segmenter
     }
 
-    /// Sets the number of scoring threads (`0` = one per available core).
-    /// Scores are independent per window, so the located starts do not
-    /// depend on the thread count.
+    /// Sets the number of scoring threads (`0` = one per available core);
+    /// the calling thread is one of them, so `1` scores on the calling
+    /// thread alone, for either precision. Scores are independent per
+    /// window, so the located starts do not depend on the thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.sliding = self.sliding.with_threads(threads);
         self
@@ -320,66 +321,11 @@ impl LocatorEngine {
         Ok(segmenter.finish())
     }
 
-    /// Locates the CO starts of every trace in `traces`, streaming all of
-    /// them through the one shared weight set and one scoped thread pool.
-    ///
-    /// Wide batches fan out **across traces**: workers pull the next
-    /// unscored trace from a shared atomic counter (intra-trace scoring
-    /// kept sequential), so a trailing remainder of `n mod cores` traces
-    /// never idles most of the pool — the static chunking this replaces
-    /// could leave almost half the cores parked on uneven fleets, which is
-    /// what made the batch path measurably *slower* than looped locate.
-    /// "Wide" means the batch either fills the pool's waves exactly
-    /// (`cores` divides `n`) or is at least two waves deep, so the
-    /// under-filled final wave is a minority of the makespan; anything
-    /// narrower (and single-core hosts) falls back to per-trace calls so
-    /// the intra-trace shard parallelism of [`SlidingWindowClassifier`]
-    /// can use every core instead. Per-window scores depend on neither
-    /// batching nor threading, and each trace's result is written by
-    /// exactly one worker, so both routes return results identical to
-    /// looping [`Self::locate`] — the choice is purely a throughput matter.
+    /// Locates the CO starts of every trace in `traces`: [`Self::locate`]
+    /// on each trace in turn, each one's windows split across this
+    /// engine's scoring threads.
     pub fn locate_batch(&self, traces: &[Trace]) -> Vec<Vec<usize>> {
-        let n = traces.len();
-        let cores = tinynn::parallel::max_threads();
-        // Fall back to per-trace inner parallelism unless the across-trace
-        // pool stays well filled: e.g. 8 traces on 6 cores would run a
-        // 6-trace wave and then park 4 cores for a 2-trace tail (~33% of
-        // the makespan idle), losing to looped locate's intra-trace shards.
-        let wide = n >= cores && (n.is_multiple_of(cores) || n >= 2 * cores);
-        if n <= 1 || cores <= 1 || !wide {
-            return traces.iter().map(|t| self.locate(t)).collect();
-        }
-        let workers = cores.min(n);
-        // Inside a worker the whole pipeline must stay sequential: the
-        // across-traces split is the parallelism.
-        let serial_sliding = self.sliding.with_threads(1);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut out: Vec<Vec<usize>> = vec![Vec::new(); n];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let sliding = serial_sliding;
-                    let next = &next;
-                    scope.spawn(move || {
-                        let _serial = tinynn::parallel::serial_region();
-                        let mut local: Vec<(usize, Vec<usize>)> = Vec::new();
-                        loop {
-                            let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(trace) = traces.get(idx) else { break };
-                            let swc = sliding.classify(self.model.as_ref(), trace);
-                            local.push((idx, self.segmenter.segment(&swc, sliding.stride())));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (idx, starts) in handle.join().expect("batch worker panicked") {
-                    out[idx] = starts;
-                }
-            }
-        });
-        out
+        traces.iter().map(|t| self.locate(t)).collect()
     }
 
     /// Serialises the engine (weights + inference parameters) to `path` in
@@ -453,7 +399,6 @@ mod tests {
         // The served shape: the scaled 8×9 network on 230-sample windows in
         // batches of 64. A warm scoring workspace plus the staged batch is
         // what the workspace term must cover, without inflating it.
-        let _serial = tinynn::parallel::serial_region();
         let (len, batch) = (230, 64);
         let f32_engine = LocatorEngine::new(
             CoLocatorCnn::new(CnnConfig { seed: 5, ..CnnConfig::scaled() }),

@@ -8,28 +8,37 @@
 //! This stage dominates the pipeline's runtime (hundreds of thousands of CNN
 //! forward passes on a long trace), so the scoring loop is zero-copy: windows
 //! are written straight from the trace into one reused `[B, 1, N]` batch
-//! tensor, standardised in place, and scored through
+//! tensor, standardised in place ([`SlidingWindowClassifier::stage_window`],
+//! the one staging rule of every scoring path, the locate service's
+//! included), and scored through
 //! [`CoLocatorCnn::class1_scores_into`](crate::CoLocatorCnn::class1_scores_into)
 //! without any per-window allocation.
 //! For the `f32` network that call is the fused channels-last chain of
 //! [`tinynn::fused`] (direct convolutions with batch norm, ReLU and the
 //! residual add in the tile epilogue; im2col serves training only), whose
 //! scores are bit-identical to the layer-by-layer forward.
-//! Independent shards of the window list fan out across OS threads, every
+//! The window shards are the one place scoring runs in parallel: contiguous
+//! shards of the window list go to [`tinynn::parallel::for_each_run`], the
+//! first on the calling thread and each other on a scoped thread, every
 //! shard scoring through **one shared `&CoLocatorCnn`** with its own
-//! [`Workspace`] — the weights are never cloned. Per-window scores do not
-//! depend on batching, so the output is identical for any thread or batch
+//! [`Workspace`] — the weights are never cloned. Neither scoring chain fans
+//! out on its own, so [`SlidingWindowClassifier::with_threads`] is the
+//! number of threads that score. Per-window scores do not depend on
+//! batching, so the output is identical for any thread or batch
 //! configuration.
 //!
 //! For traces too long to hold in memory, [`SlidingWindowClassifier::classify_source`]
 //! scores any [`TraceSource`] (e.g. an on-disk [`sca_trace::FileTraceSource`])
 //! chunk by chunk — stride-aligned chunk boundaries with window-tail overlap
-//! — producing the **bit-identical** `swc` signal in O(chunk) memory. The
-//! chunks are double-buffered: a reader thread prefetches chunk `i + 1`
-//! while chunk `i` is scored, hiding the source's read latency behind the
-//! CNN work. Note that, in memory or streamed, only complete windows are
+//! ([`SlidingWindowClassifier::chunk_at`], which the locate service's
+//! streamed requests cut by too) — producing the **bit-identical** `swc`
+//! signal in O(chunk) memory. The chunks are double-buffered: a reader
+//! thread prefetches chunk `i + 1` while chunk `i` is scored, hiding the
+//! source's read latency behind the CNN work. Note that, in memory or streamed, only complete windows are
 //! scored: trailing samples shorter than one window never contribute a
 //! score (see [`SlidingWindowClassifier::output_len`]).
+
+use std::ops::Range;
 
 use sca_trace::{Trace, TraceError, TraceSource, WindowSlicer};
 use serde::{Deserialize, Serialize};
@@ -74,9 +83,10 @@ impl SlidingWindowClassifier {
         self
     }
 
-    /// Sets the number of scoring threads (`0` = one per available core).
-    /// Scores are independent per window, so any thread count produces
-    /// identical output.
+    /// Sets the number of scoring threads (`0` = one per available core);
+    /// the calling thread is one of them, so `1` scores on the calling
+    /// thread alone. Scores are independent per window, so any thread
+    /// count produces identical output.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -197,19 +207,11 @@ impl SlidingWindowClassifier {
         if total_windows == 0 {
             return Ok(0);
         }
-        // Windows per chunk: as many stride-aligned windows as fit in
-        // `chunk_len` samples, but at least one (a chunk shorter than a
-        // window would make no progress).
-        let slicer = WindowSlicer::new(self.window_len, self.stride)
-            .expect("parameters validated at construction");
-        let windows_per_chunk = slicer.window_count(chunk_len).max(1);
-        // Fills `buf` with the samples backing windows `[first, last)`.
+        // Fills `buf` with the samples backing the chunk at window `first`.
         let fill_chunk = |buf: &mut Vec<f32>, first: usize| -> sca_trace::Result<()> {
-            let last = (first + windows_per_chunk).min(total_windows);
-            let sample_start = first * self.stride;
-            let sample_end = (last - 1) * self.stride + self.window_len;
-            buf.resize(sample_end - sample_start, 0.0);
-            source.fill(sample_start, buf)
+            let (_, samples) = self.chunk_at(first, chunk_len, total_windows);
+            buf.resize(samples.len(), 0.0);
+            source.fill(samples.start, buf)
         };
 
         // Double-buffered streaming: while chunk i is scored, a reader
@@ -227,7 +229,7 @@ impl SlidingWindowClassifier {
         fill_chunk(&mut cur, 0)?;
         let mut first = 0usize;
         while first < total_windows {
-            let last = (first + windows_per_chunk).min(total_windows);
+            let last = self.chunk_at(first, chunk_len, total_windows).0.end;
             // Window starts relative to the chunk buffer: the stride grid
             // re-based to the chunk's first sample.
             starts.clear();
@@ -252,9 +254,49 @@ impl SlidingWindowClassifier {
         Ok(total_windows)
     }
 
+    /// The chunk of a streamed trace of `total_windows` windows that starts
+    /// at window `first`, for chunks of at most `chunk_len` samples: the
+    /// windows it scores and the trace samples backing them. A chunk holds
+    /// as many stride-aligned windows as fit in `chunk_len` samples, but at
+    /// least one (a chunk shorter than a window would make no progress);
+    /// the next chunk starts at the window this one ends at, so
+    /// consecutive chunks overlap by the tail a window needs and every
+    /// window sees exactly the samples it sees in memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `first` is not below `total_windows`.
+    pub fn chunk_at(
+        &self,
+        first: usize,
+        chunk_len: usize,
+        total_windows: usize,
+    ) -> (Range<usize>, Range<usize>) {
+        assert!(first < total_windows, "chunk start past the last window");
+        let last = (first + self.output_len(chunk_len).max(1)).min(total_windows);
+        (first..last, first * self.stride..(last - 1) * self.stride + self.window_len)
+    }
+
+    /// Stages one raw window for scoring: copies it into `row` and, when
+    /// the classifier standardises, standardises the row in place. Every
+    /// path that scores windows — the sliding shards, calibration samples
+    /// and the locate service's batches — stages them through this one
+    /// method, which keeps their scores bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` and `window` differ in length.
+    pub fn stage_window(&self, row: &mut [f32], window: &[f32]) {
+        row.copy_from_slice(window);
+        if self.standardize {
+            sca_trace::dsp::standardize_in_place(row);
+        }
+    }
+
     /// Scores the windows at `starts` (relative to `samples`) into `out`,
-    /// fanning independent shards out across threads. This is the one
-    /// scoring path shared by the in-memory and the chunked classifiers.
+    /// in contiguous shards across [`Self::effective_threads`] threads.
+    /// This is the one scoring path shared by the in-memory and the chunked
+    /// classifiers.
     fn score_starts<S: WindowScorer>(
         &self,
         cnn: &S,
@@ -263,27 +305,10 @@ impl SlidingWindowClassifier {
         out: &mut [f32],
     ) {
         debug_assert_eq!(starts.len(), out.len());
-        if starts.is_empty() {
-            return;
-        }
         let threads = self.effective_threads(starts.len());
-        if threads <= 1 {
-            let mut ws = Workspace::new();
-            self.classify_shard(cnn, &mut ws, starts, samples, out);
-        } else {
-            let per_shard = starts.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (shard, shard_out) in starts.chunks(per_shard).zip(out.chunks_mut(per_shard)) {
-                    scope.spawn(move || {
-                        // The shards are the parallelism; the CNN's own batch
-                        // fan-out must stay sequential inside them.
-                        let _serial = tinynn::parallel::serial_region();
-                        let mut ws = Workspace::new();
-                        self.classify_shard(cnn, &mut ws, shard, samples, shard_out);
-                    });
-                }
-            });
-        }
+        tinynn::parallel::for_each_run(out, 1, threads, &mut Workspace::new(), |first, run, ws| {
+            self.classify_shard(cnn, ws, &starts[first..first + run.len()], samples, run);
+        });
     }
 
     /// The pre-optimisation scoring path (per-window `Vec` staging through
@@ -374,10 +399,7 @@ impl SlidingWindowClassifier {
                 batch = ws.uninit_tensor(&[chunk.len(), 1, n]);
             }
             for (row, &start) in batch.data_mut().chunks_mut(n).zip(chunk.iter()) {
-                row.copy_from_slice(&samples[start..start + n]);
-                if self.standardize {
-                    sca_trace::dsp::standardize_in_place(row);
-                }
+                self.stage_window(row, &samples[start..start + n]);
             }
             cnn.score_windows_into(&batch, ws, &mut scores_buf);
             out[offset..offset + chunk.len()].copy_from_slice(&scores_buf);

@@ -78,7 +78,7 @@ pub const LANES: usize = 8;
 
 /// Whether the accelerated kernels are compiled in (x86-64 with AVX2
 /// statically enabled). When `false`, [`conv_requant`] and
-/// [`requantize_codes`] always return `false` and callers use their scalar
+/// [`requantize_add`] always return `false` and callers use their scalar
 /// paths.
 ///
 /// Under Miri this is `false` even when AVX2 is statically enabled: the
@@ -279,28 +279,23 @@ fn conv_requant_with(
     }
 }
 
-/// Vectorised elementwise requantisation of existing `i16` codes onto
-/// another grid (the residual-shortcut rescale):
-/// `dst[i] = clamp(rne(src[i] · mult / 2^shift), lo, hi)`.
+/// Vectorised requantise-add of an identity residual shortcut: the block
+/// input's codes `src` rescaled onto the output grid and added to the
+/// block's output codes `dst`, the final ReLU as the clamp:
+/// `dst[i] = clamp(dst[i] + clamp(rne(src[i] · mult / 2^shift), −qmax,
+/// qmax), 0, qmax)`, with `qmax ≥ 0`.
 ///
 /// Returns `false` (computing nothing) when unaccelerated or outside the
 /// envelope (`1 ≤ shift ≤ 62` and, for `shift < 16`,
 /// `0 ≤ mult ≤ 2^(shift+15)`) — caller falls back to the scalar loop. The
 /// mult bound keeps `|code · mult / 2^shift| ≤ 2³⁰` for i16 codes, the
-/// epilogue's fits-in-i32 invariant; grid-to-grid rescales (ratios near 1,
-/// shift ≈ 30) always qualify.
+/// epilogue's fits-in-i32 invariant, so the sum of two clamped codes fits
+/// too; grid-to-grid rescales (ratios near 1, shift ≈ 30) always qualify.
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths differ.
-pub fn requantize_codes(
-    dst: &mut [i16],
-    src: &[i16],
-    mult: i32,
-    shift: u8,
-    lo: i16,
-    hi: i16,
-) -> bool {
+pub fn requantize_add(dst: &mut [i16], src: &[i16], mult: i32, shift: u8, qmax: i16) -> bool {
     assert_eq!(dst.len(), src.len(), "one destination code per source code");
     if !available() || shift == 0 || shift > 62 || mult < 0 {
         return false;
@@ -311,7 +306,7 @@ pub fn requantize_codes(
     #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
     {
         // SAFETY: AVX2 statically enabled; equal lengths asserted.
-        unsafe { avx2::requantize_codes(dst, src, mult, shift, lo, hi) };
+        unsafe { avx2::requantize_add(dst, src, mult, shift, qmax) };
         true
     }
     #[cfg(not(all(target_arch = "x86_64", target_feature = "avx2")))]
@@ -578,29 +573,36 @@ mod avx2 {
     conv_body!(conv_madd, tile_madd, "avx2", madd);
     conv_body!(conv_vnni, tile_vnni, "avx2,avxvnni", dpwssd);
 
-    /// Vectorised elementwise requantisation (uniform multiplier): widen
-    /// 8 codes to `i32`, apply the fixed-point map, clamp, pack and store.
-    /// Tail handled scalar.
+    /// Vectorised requantise-add (uniform multiplier): widen 8 codes of
+    /// each operand to `i32`, requantise and clamp the shortcut, add,
+    /// clamp to `[0, qmax]`, pack and store. Tail handled scalar.
     ///
     /// # Safety
     ///
     /// `dst.len() == src.len()` must have been asserted by the caller.
     #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn requantize_codes(
+    pub(crate) unsafe fn requantize_add(
         dst: &mut [i16],
         src: &[i16],
         mult: i32,
         shift: u8,
-        lo: i16,
-        hi: i16,
+        qmax: i16,
     ) {
-        let epi = Epilogue::new(shift, lo, hi);
+        let epi = Epilogue::new(shift, -qmax, qmax);
         let mult_v = _mm256_set1_epi32(mult);
+        let (zero, top) = (_mm256_setzero_si256(), _mm256_set1_epi32(qmax as i32));
         let n8 = src.len() / LANES * LANES;
         for i0 in (0..n8).step_by(LANES) {
-            // SAFETY: i0 + 8 <= src.len() == dst.len().
-            let codes = unsafe { _mm_loadu_si128(src.as_ptr().add(i0) as *const __m128i) };
-            let v8 = epi.apply8(_mm256_cvtepi16_epi32(codes), mult_v);
+            // SAFETY: i0 + 8 <= src.len() == dst.len(), two 16-byte loads.
+            let (codes, out) = unsafe {
+                (
+                    _mm_loadu_si128(src.as_ptr().add(i0) as *const __m128i),
+                    _mm_loadu_si128(dst.as_ptr().add(i0) as *const __m128i),
+                )
+            };
+            let short = epi.apply8(_mm256_cvtepi16_epi32(codes), mult_v);
+            let sum = _mm256_add_epi32(_mm256_cvtepi16_epi32(out), short);
+            let v8 = _mm256_min_epi32(_mm256_max_epi32(sum, zero), top);
             // Pack to i16 (saturation is a no-op post-clamp) and fix the
             // 128-bit lane interleave.
             let packed = _mm256_permute4x64_epi64::<0b00_00_10_00>(_mm256_packs_epi32(v8, v8));
@@ -613,8 +615,9 @@ mod avx2 {
             };
         }
         for i in n8..src.len() {
-            let r = crate::rne_apply(src[i] as i32, mult, shift);
-            dst[i] = r.clamp(lo as i64, hi as i64) as i16;
+            let short =
+                crate::rne_apply(src[i] as i32, mult, shift).clamp(-qmax as i64, qmax as i64);
+            dst[i] = (dst[i] as i64 + short).clamp(0, qmax as i64) as i16;
         }
     }
 }
@@ -804,21 +807,28 @@ mod tests {
         }
         let mut rng = Rng(0xBADC0DE);
         let src: Vec<i16> = (0..1003).map(|_| rng.i16_in(32767)).collect();
+        let out: Vec<i16> = (0..src.len()).map(|_| rng.i16_in(32767)).collect();
         for &(mult, shift) in
             &[(1_500_000_000i32, 31u8), (1 << 30, 62), (123_456_789, 17), (7, 1), (65_536, 14)]
         {
-            let mut dst = vec![0i16; src.len()];
-            assert!(requantize_codes(&mut dst, &src, mult, shift, -32767, 32767));
-            for (i, (&d, &s)) in dst.iter().zip(src.iter()).enumerate() {
-                let expect = rne_apply(s as i32, mult, shift).clamp(-32767, 32767) as i16;
-                assert_eq!(d, expect, "index {i} code {s} mult {mult} shift {shift}");
+            for qmax in [32767i16, 1000] {
+                let mut dst = out.clone();
+                assert!(requantize_add(&mut dst, &src, mult, shift, qmax));
+                for (i, ((&d, &o), &s)) in dst.iter().zip(&out).zip(&src).enumerate() {
+                    let q = qmax as i64;
+                    let short = rne_apply(s as i32, mult, shift).clamp(-q, q);
+                    let expect = (o as i64 + short).clamp(0, q) as i16;
+                    assert_eq!(d, expect, "index {i} code {s} onto {o}, mult {mult} shift {shift}");
+                }
             }
         }
         // shift 0 (no rounding step) and low-shift multipliers beyond
-        // 2^(shift+15) fall outside the fits-in-i32 envelope → declined.
-        let mut dst = vec![0i16; src.len()];
-        assert!(!requantize_codes(&mut dst, &src, 7, 0, -32767, 32767));
-        assert!(!requantize_codes(&mut dst, &src, (1 << 29) + 1, 14, -32767, 32767));
+        // 2^(shift+15) fall outside the fits-in-i32 envelope → declined,
+        // leaving the destination alone.
+        let mut dst = out.clone();
+        assert!(!requantize_add(&mut dst, &src, 7, 0, 32767));
+        assert!(!requantize_add(&mut dst, &src, (1 << 29) + 1, 14, 32767));
+        assert_eq!(dst, out);
     }
 
     #[test]
@@ -827,11 +837,14 @@ mod tests {
             return;
         }
         // acc · mult = prod; shift 2 → /4. prod 6 → 1.5 → 2 (even); prod
-        // 10 → 2.5 → 2 (even); prod −6 → −1.5 → −2 (even).
+        // 10 → 2.5 → 2 (even); prod −6 → −1.5 → −2 (even). Added onto 10,
+        // through two full vectors and a scalar tail.
         let src = [6i16, 10, -6, 7, -10];
-        let mut dst = [0i16; 5];
-        assert!(requantize_codes(&mut dst, &src, 1, 2, -32767, 32767));
-        assert_eq!(dst, [2, 2, -2, 2, -2]);
+        let mut dst = [10i16; 21];
+        let cycled: Vec<i16> = src.iter().copied().cycle().take(dst.len()).collect();
+        assert!(requantize_add(&mut dst, &cycled, 1, 2, 32767));
+        let expect: Vec<i16> = [12i16, 12, 8, 12, 8].into_iter().cycle().take(21).collect();
+        assert_eq!(dst[..], expect[..]);
         // The same ties through every convolution body: a 1×1 convolution
         // with unit weights on channel 0 passes the codes through as
         // accumulators.

@@ -421,7 +421,9 @@ enum Sink {
     Streaming {
         source: Box<dyn TraceSource + Send>,
         segmenter: Option<StreamingSegmenter>,
-        windows_per_chunk: usize,
+        /// Samples per chunk at most
+        /// ([`sca_locator::SlidingWindowClassifier::chunk_at`]).
+        chunk_len: usize,
         total_windows: usize,
         /// First window of the next chunk to load.
         next_first: usize,
@@ -654,7 +656,7 @@ impl LocatorService {
                 *handle.engine().segmenter().config(),
                 sliding.stride(),
             )),
-            windows_per_chunk: sliding.output_len(chunk_len).max(1),
+            chunk_len,
             total_windows: total,
             next_first: 0,
         };
@@ -877,9 +879,6 @@ impl Drop for LocatorService {
 // ---------------------------------------------------------------------------
 
 fn worker_loop(shared: &Shared) {
-    // Scoring must stay sequential inside a worker: the workers themselves
-    // are the parallelism (same rule as `locate_batch`'s trace stealing).
-    let _serial = tinynn::parallel::serial_region();
     let mut ws = Workspace::new();
     let mut scores = Vec::new();
     loop {
@@ -996,10 +995,11 @@ fn next_step(shared: &Shared) -> Step {
 }
 
 /// Packs the claimed windows into one `[B, 1, N]` tensor, scores it through
-/// the shared weights, and scatters the scores back per request. Row
-/// staging is byte-for-byte the sliding classifier's (copy, standardize in
-/// place, score via `score_windows_into`), so the scores are bit-identical
-/// to the single-request paths regardless of how requests were packed.
+/// the shared weights on this worker's thread, and scatters the scores back
+/// per request. Rows are staged by the sliding classifier's own
+/// [`sca_locator::SlidingWindowClassifier::stage_window`] and scored via
+/// `score_windows_into`, so the scores are bit-identical to the
+/// single-request paths regardless of how requests were packed.
 fn score_batch(shared: &Shared, ws: &mut Workspace, scores: &mut Vec<f32>, batch: &[Claim]) {
     let started = Instant::now();
     match shared.cfg.faults.check(faults::FaultSite::Score) {
@@ -1011,20 +1011,12 @@ fn score_batch(shared: &Shared, ws: &mut Workspace, scores: &mut Vec<f32>, batch
     }
     let engine = batch[0].req.handle.engine();
     let sliding = engine.sliding();
-    let (n, stride, standardize) = (sliding.window_len(), sliding.stride(), sliding.standardize());
+    let (n, stride) = (sliding.window_len(), sliding.stride());
     let total: usize = batch.iter().map(|c| c.count).sum();
     let mut input = ws.uninit_tensor(&[total, 1, n]);
-    let mut row = 0usize;
-    for c in batch {
-        let data = input.data_mut();
-        for w in c.first..c.first + c.count {
-            let dst = &mut data[row * n..(row + 1) * n];
-            dst.copy_from_slice(&c.chunk.samples[w * stride..w * stride + n]);
-            if standardize {
-                sca_trace::dsp::standardize_in_place(dst);
-            }
-            row += 1;
-        }
+    let windows = batch.iter().flat_map(|c| (c.first..c.first + c.count).map(move |w| (c, w)));
+    for (row, (c, w)) in input.data_mut().chunks_exact_mut(n).zip(windows) {
+        sliding.stage_window(row, &c.chunk.samples[w * stride..w * stride + n]);
     }
     engine.model().score_windows_into(&input, ws, scores);
     ws.recycle(input);
@@ -1098,24 +1090,17 @@ fn finish_chunk(shared: &Shared, req: &Arc<ActiveRequest>, out: &mut OutputState
 /// new chunk — it was at the head, and FIFO latency order should survive
 /// the I/O detour.
 fn load_chunk(shared: &Shared, req: &Arc<ActiveRequest>) {
-    let engine = req.handle.engine();
-    let sliding = engine.sliding();
-    let (n, stride) = (sliding.window_len(), sliding.stride());
+    let sliding = req.handle.engine().sliding();
     let mut out = lock_poisoned(&req.output);
     if out.done.is_none() {
         return;
     }
-    let Sink::Streaming { source, windows_per_chunk, total_windows, next_first, .. } =
-        &mut out.sink
-    else {
+    let Sink::Streaming { source, chunk_len, total_windows, next_first, .. } = &mut out.sink else {
         unreachable!("only streamed requests ever need a chunk load")
     };
-    let first = *next_first;
-    let last = (first + *windows_per_chunk).min(*total_windows);
-    let sample_start = first * stride;
-    let sample_end = (last - 1) * stride + n;
-    let mut samples = vec![0.0f32; sample_end - sample_start];
-    if let Err(e) = source.fill(sample_start, &mut samples) {
+    let (windows, span) = sliding.chunk_at(*next_first, *chunk_len, *total_windows);
+    let mut samples = vec![0.0f32; span.len()];
+    if let Err(e) = source.fill(span.start, &mut samples) {
         shared.counters.failed.fetch_add(1, Ordering::Relaxed);
         if matches!(e, TraceError::Io(_)) {
             shared.counters.io_errors.fetch_add(1, Ordering::Relaxed);
@@ -1123,8 +1108,8 @@ fn load_chunk(shared: &Shared, req: &Arc<ActiveRequest>) {
         complete(shared, req, &mut out, Err(ServiceError::Source(e)));
         return;
     }
-    *next_first = last;
-    let count = last - first;
+    *next_first = windows.end;
+    let count = windows.len();
     out.span.clear();
     out.span.resize(count, 0.0);
     out.remaining = count;

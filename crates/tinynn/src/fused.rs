@@ -23,8 +23,10 @@
 //!   store of each output.
 //! * **Per-window pass.** A window runs through every layer before the next
 //!   window starts, so its activations stay in L1/L2. Weights are packed
-//!   once per call and shared read-only by every window of the batch (and
-//!   by every thread of a fan-out).
+//!   once per call and shared read-only by every window of the batch. The
+//!   windows run in order on the calling thread: a caller that wants
+//!   several cores splits its windows first (the locator's sliding
+//!   classifier does), so this chain never fans out.
 //!
 //! # Bit-identity with the layer chain
 //!
@@ -44,13 +46,11 @@
 //!   neutral element of `f32` summation, then multiplies by `1 / len`.
 //!
 //! Each window's result depends only on that window, so the output is
-//! independent of batch composition and thread count.
+//! independent of batch composition and of how a caller splits its windows
+//! across threads.
 
-use std::cell::RefCell;
-
-use crate::layers::{BatchNorm1d, Conv1d, ResidualBlock1d, CONV_PAR_MIN_FLOPS};
+use crate::layers::{BatchNorm1d, Conv1d, ResidualBlock1d};
 use crate::matmul::{fmadd, KC};
-use crate::parallel;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
 
@@ -67,12 +67,6 @@ const P_WIDE: usize = 6;
 /// signal's end can still read a full `P` samples (its extra outputs are
 /// never stored).
 const SLACK: usize = P_NARROW;
-
-thread_local! {
-    /// Per-window scratch of a fan-out worker (workers cannot share the
-    /// caller's workspace).
-    static ITEM_SCRATCH: RefCell<ItemScratch> = RefCell::new(ItemScratch::default());
-}
 
 /// One convolution of the chain with its batch norm, as laid out in a
 /// [`Plan`].
@@ -178,11 +172,6 @@ impl Plan {
             self.offsets.extend((0..k).map(|t| c * self.row + shift_cols + t));
         }
         self.steps.push(ConvStep { in_c, out_c, depth: ck, strip, pack, affine, offsets });
-    }
-
-    /// FLOPs of one window through every convolution.
-    fn flops_per_item(&self) -> usize {
-        self.steps.iter().map(|s| 2 * s.out_c * s.depth * self.len).sum()
     }
 
     /// Stages a channel-major `[C, len]` signal: row `c` of the staged
@@ -452,10 +441,9 @@ pub fn scratch_bytes(stem: &Conv1d, blocks: &[&ResidualBlock1d], len: usize) -> 
 /// running the same layers through `Layer::forward(.., false)` (see the
 /// [module documentation](self)).
 ///
-/// A batch fans out across threads per window, like the layer chain's
-/// convolution, unless the caller is already a parallel-region worker. The
-/// sequential path draws every buffer from `ws`, so a warm workspace
-/// serves a pass without allocating.
+/// The windows run in order on the calling thread, every buffer drawn from
+/// `ws`, so a warm workspace serves a pass without allocating and the
+/// scratch follows the window length, never the batch.
 ///
 /// # Panics
 ///
@@ -479,22 +467,9 @@ pub fn pooled_features(
     }
     let mut pooled = ws.uninit_tensor(&[batch, channels]);
     ws.plan.build((stem, stem_bn), blocks, len);
-    let plan = &ws.plan;
-    let x = input.data();
-    let item_len = in_c * len;
-    let threads =
-        parallel::thread_count_for(batch, batch * plan.flops_per_item(), CONV_PAR_MIN_FLOPS);
-    if threads <= 1 {
-        let scratch = &mut ws.item;
-        for (b, row) in pooled.data_mut().chunks_exact_mut(channels).enumerate() {
-            plan.run_item(blocks, &x[b * item_len..(b + 1) * item_len], row, scratch);
-        }
-    } else {
-        parallel::for_each_item_mut(pooled.data_mut(), channels, threads, |b, row| {
-            ITEM_SCRATCH.with_borrow_mut(|scratch| {
-                plan.run_item(blocks, &x[b * item_len..(b + 1) * item_len], row, scratch);
-            });
-        });
+    let windows = input.data().chunks_exact(in_c * len);
+    for (x, row) in windows.zip(pooled.data_mut().chunks_exact_mut(channels)) {
+        ws.plan.run_item(blocks, x, row, &mut ws.item);
     }
     pooled
 }

@@ -45,8 +45,6 @@
 //! chain's. The original scalar implementations survive as `*_reference`
 //! methods so parity tests can pin the optimised kernels against them.
 
-use std::cell::RefCell;
-
 use serde::{Deserialize, Serialize};
 
 use crate::init;
@@ -56,9 +54,9 @@ use crate::param::Param;
 use crate::tensor::Tensor;
 use crate::workspace::{LayerCache, Workspace};
 
-/// Work threshold (in FLOPs) below which convolution stays single-threaded
-/// (also the batch fan-out threshold of the fused inference chain).
-pub(crate) const CONV_PAR_MIN_FLOPS: usize = 1 << 21;
+/// Work threshold (in FLOPs) below which a convolution pass stays on the
+/// calling thread.
+const CONV_PAR_MIN_FLOPS: usize = 1 << 21;
 
 /// Panic for a cache entry that does not belong to the popping layer — a
 /// programming error in the forward/backward traversal order, not a user
@@ -353,12 +351,25 @@ impl Layer for Linear {
 // Conv1d
 // ---------------------------------------------------------------------------
 
-thread_local! {
-    /// Per-thread im2col scratch of the batch fan-outs (worker threads
-    /// cannot share the caller's workspace buffer, `Workspace::col`).
-    static COL_BUF: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread counterpart of `Workspace::dy_t` in the backward fan-out.
-    static DY_T_BUF: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+/// Scratch of one run of a convolution's batch items
+/// ([`parallel::for_each_run`]): the workspace's own on the calling thread,
+/// a local of the run on every other worker.
+#[derive(Debug, Default)]
+pub(crate) struct ConvScratch {
+    /// im2col lowering buffer, reused across items and, on the calling
+    /// thread, across the layers of a pass (the backward also reuses it
+    /// for the column gradient).
+    col: Vec<f32>,
+    /// Positions-major copy of one item's output gradient: the lanes of
+    /// [`matmul::matmul_weight_grad`].
+    dy_t: Vec<f32>,
+}
+
+impl ConvScratch {
+    /// `f32`s of capacity the buffers hold.
+    pub(crate) fn capacity(&self) -> usize {
+        self.col.capacity() + self.dy_t.capacity()
+    }
 }
 
 /// Writes the im2col lowering of one `[C, len]` input signal into `col`.
@@ -433,13 +444,13 @@ fn col2im_add(
 /// `[out_c, in_c, kernel]` weight tensor is row-major exactly the
 /// `[out_c, in_c*kernel]` GEMM operand, and the im2col matrix is built with
 /// contiguous row copies, so the whole convolution is three matrix
-/// products. Large batches fan out across threads in both passes; the
-/// scratch comes from the workspace on the sequential paths and from
-/// per-thread buffers inside the fan-outs. The backward's items each write
-/// their own input gradient and weight/bias-gradient partials, which are
-/// added into the gradients in item order, so the gradient bits do not
-/// depend on the thread count. Inference of a whole backbone runs the
-/// direct convolution of [`crate::fused`] instead.
+/// products. Large batches fan out across threads in both passes, in runs
+/// of whole items ([`parallel::for_each_run`]); the calling thread's run
+/// uses the workspace's scratch. The backward's items each write their own
+/// input gradient and weight/bias-gradient partials, which are added into
+/// the gradients in item order, so the gradient bits do not depend on the
+/// thread count. Inference of a whole backbone runs the direct convolution
+/// of [`crate::fused`] instead.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Conv1d {
     weight: Param, // [out_c, in_c, k]
@@ -591,30 +602,16 @@ impl Layer for Conv1d {
         matmul::pack_lhs(&mut ws.pack, self.weight.value.data(), out_c, ck);
         let flops = 2 * batch * out_c * ck * len;
         let threads = parallel::thread_count_for(batch, flops, CONV_PAR_MIN_FLOPS);
-        if threads <= 1 {
-            // Sequential over the batch: reuse the workspace im2col buffer
-            // across items (and across layers of the whole pass).
-            let pack = &ws.pack;
-            let col = &mut ws.col;
-            for (b, out_b) in out.data_mut().chunks_mut(out_c * len).enumerate() {
-                im2col(col, &x[b * in_c * len..(b + 1) * in_c * len], in_c, len, k, pad);
+        let pack = &ws.pack;
+        parallel::for_each_run(out.data_mut(), out_c * len, threads, &mut ws.conv, |b0, run, s| {
+            for (b, out_b) in (b0..).zip(run.chunks_exact_mut(out_c * len)) {
+                im2col(&mut s.col, &x[b * in_c * len..(b + 1) * in_c * len], in_c, len, k, pad);
                 for (oc, out_row) in out_b.chunks_mut(len).enumerate() {
                     out_row.fill(bias[oc]);
                 }
-                matmul::matmul_packed_lhs(out_b, pack, col, out_c, ck, len);
+                matmul::matmul_packed_lhs(out_b, pack, &s.col, out_c, ck, len);
             }
-        } else {
-            let pack = &ws.pack;
-            parallel::for_each_item_mut(out.data_mut(), out_c * len, threads, |b, out_b| {
-                COL_BUF.with_borrow_mut(|col| {
-                    im2col(col, &x[b * in_c * len..(b + 1) * in_c * len], in_c, len, k, pad);
-                    for (oc, out_row) in out_b.chunks_mut(len).enumerate() {
-                        out_row.fill(bias[oc]);
-                    }
-                    matmul::matmul_packed_lhs(out_b, pack, col, out_c, ck, len);
-                });
-            });
-        }
+        });
         if training {
             ws.push(LayerCache::Input(input.clone()));
         }
@@ -639,38 +636,36 @@ impl Layer for Conv1d {
         let (x, dy, w) = (input.data(), grad_output.data(), self.weight.value.data());
         let flops = 4 * batch * out_c * ck * len;
         let threads = parallel::thread_count_for(batch, flops, CONV_PAR_MIN_FLOPS);
-        let item = |b: usize, out: &mut [f32], col: &mut Vec<f32>, g_t: &mut Vec<f32>| {
-            let (dw, rest) = out.split_at_mut(dw_len);
-            let (db, dx) = rest.split_at_mut(out_c);
-            let g_b = &dy[b * out_c * len..(b + 1) * out_c * len];
-            for (d, g_row) in db.iter_mut().zip(g_b.chunks_exact(len)) {
-                *d = g_row.iter().sum::<f32>();
-            }
-            im2col(col, &x[b * in_c * len..(b + 1) * in_c * len], in_c, len, k, pad);
-            transpose_into(g_t, g_b, out_c, len);
-            // dW partial = dY · colᵀ. `-0.0` is the exact additive identity,
-            // so the kernel's single add leaves each partial equal to its sum.
-            dw.fill(-0.0);
-            matmul::matmul_weight_grad(dw, g_t, col, len, out_c, ck);
-            // dcol = Wᵀ · dY in the im2col buffer, then scatter it back onto
-            // the item's input gradient.
-            let dcol = &mut col[..ck * len];
-            dcol.fill(0.0);
-            matmul::matmul_at_b(dcol, w, g_b, out_c, ck, len);
-            dx.fill(0.0);
-            col2im_add(dx, dcol, in_c, len, k, pad);
-        };
-        if threads <= 1 {
-            // Sequential over the batch: reuse the workspace scratch.
-            for (b, out) in ws.grad_items.chunks_exact_mut(item_len).enumerate() {
-                item(b, out, &mut ws.col, &mut ws.dy_t);
-            }
-        } else {
-            parallel::for_each_item_mut(&mut ws.grad_items, item_len, threads, |b, out| {
-                COL_BUF
-                    .with_borrow_mut(|col| DY_T_BUF.with_borrow_mut(|g_t| item(b, out, col, g_t)))
-            });
-        }
+        parallel::for_each_run(
+            &mut ws.grad_items,
+            item_len,
+            threads,
+            &mut ws.conv,
+            |b0, run, s| {
+                let ConvScratch { col, dy_t: g_t } = s;
+                for (b, out) in (b0..).zip(run.chunks_exact_mut(item_len)) {
+                    let (dw, rest) = out.split_at_mut(dw_len);
+                    let (db, dx) = rest.split_at_mut(out_c);
+                    let g_b = &dy[b * out_c * len..(b + 1) * out_c * len];
+                    for (d, g_row) in db.iter_mut().zip(g_b.chunks_exact(len)) {
+                        *d = g_row.iter().sum::<f32>();
+                    }
+                    im2col(col, &x[b * in_c * len..(b + 1) * in_c * len], in_c, len, k, pad);
+                    transpose_into(g_t, g_b, out_c, len);
+                    // dW partial = dY · colᵀ. `-0.0` is the exact additive identity,
+                    // so the kernel's single add leaves each partial equal to its sum.
+                    dw.fill(-0.0);
+                    matmul::matmul_weight_grad(dw, g_t, col, len, out_c, ck);
+                    // dcol = Wᵀ · dY in the im2col buffer, then scatter it back onto
+                    // the item's input gradient.
+                    let dcol = &mut col[..ck * len];
+                    dcol.fill(0.0);
+                    matmul::matmul_at_b(dcol, w, g_b, out_c, ck, len);
+                    dx.fill(0.0);
+                    col2im_add(dx, dcol, in_c, len, k, pad);
+                }
+            },
+        );
         // Add the partials into the gradients in item order: each gradient
         // element receives exactly the adds of a sequential batch loop.
         let mut grad_input = Tensor::zeros(&[batch, in_c, len]);

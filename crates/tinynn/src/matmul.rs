@@ -782,26 +782,6 @@ fn conv_channel_any(
     }
 }
 
-/// Requantises existing `i16` codes onto another grid (`dst[i] =
-/// clamp(requant(src[i]), lo, hi)`) — the identity-shortcut rescale of the
-/// fixed-point residual block, where the block input's codes must move onto
-/// the block output's grid before the integer add.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn requantize_codes_into(dst: &mut [i16], src: &[i16], r: Requantizer, lo: i16, hi: i16) {
-    assert_eq!(dst.len(), src.len(), "one destination code per source code");
-    // The vector path computes the identical fixed-point map (qsimd's parity
-    // tests pin it against the scalar `apply` bit for bit).
-    if qsimd::requantize_codes(dst, src, r.mult(), r.shift(), lo, hi) {
-        return;
-    }
-    for (d, &s) in dst.iter_mut().zip(src.iter()) {
-        *d = r.requantize_i16(s as i32, lo, hi);
-    }
-}
-
 /// Reference (naive, exact `i64`) integer product `A[m,k] · B[n,k]ᵀ` of the
 /// quantised operands, kept for parity tests of the optimised kernels.
 pub fn matmul_q8_reference(a: &[i16], b: &[i16], m: usize, k: usize, n: usize) -> Vec<i64> {

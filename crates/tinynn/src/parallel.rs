@@ -1,49 +1,21 @@
 //! Deterministic work splitting across OS threads.
 //!
-//! The offline build has no `rayon`, so heavy loops fan out with
-//! [`std::thread::scope`] instead: contiguous chunks of the output buffer are
-//! handed to short-lived worker threads. Splits are purely a function of the
-//! input size and thread count — never of timing — so results are
-//! reproducible run to run.
+//! The one compute fan-out of the workspace: the training convolutions
+//! split a batch with it, and the locator's sliding classifier splits a
+//! trace's windows. Scoring kernels never fan out on their own;
+//! parallelism belongs to the entry point, so nothing nests.
+//!
+//! The offline build has no `rayon`, so [`for_each_run`] hands contiguous
+//! runs of whole items to [`std::thread::scope`] workers, each with its
+//! scratch a local of the run. Splits are purely a function of the item
+//! count and thread count — never of timing — so results are reproducible
+//! run to run.
 //!
 //! The thread count defaults to [`std::thread::available_parallelism`] and
 //! can be pinned with the `TINYNN_THREADS` environment variable (`1` forces
 //! the sequential path everywhere).
 
-use std::cell::Cell;
 use std::sync::OnceLock;
-
-thread_local! {
-    /// `true` on threads that are already workers of an enclosing parallel
-    /// region (ours or a caller's): nested fan-out would oversubscribe the
-    /// cores and defeat thread-local buffer reuse, so such threads stay
-    /// sequential.
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Marks the current thread as a parallel-region worker until the returned
-/// guard is dropped; while marked, [`thread_count_for`] answers `1` so any
-/// nested tinynn fan-out runs inline.
-///
-/// Callers that spread tinynn work across their own threads (e.g. the
-/// locator's sliding-window shards) should hold one of these per worker.
-pub fn serial_region() -> SerialRegionGuard {
-    let prev = IN_WORKER.with(|f| f.replace(true));
-    SerialRegionGuard { prev }
-}
-
-/// RAII guard of [`serial_region`]; restores the previous marking on drop.
-#[must_use = "the serial region ends when the guard is dropped"]
-pub struct SerialRegionGuard {
-    prev: bool,
-}
-
-impl Drop for SerialRegionGuard {
-    fn drop(&mut self) {
-        let prev = self.prev;
-        IN_WORKER.with(|f| f.set(prev));
-    }
-}
 
 /// Parses a `TINYNN_THREADS` value: a positive thread count, or a reason
 /// the override cannot be honoured.
@@ -77,50 +49,55 @@ pub fn max_threads() -> usize {
 }
 
 /// Picks a thread count for a loop of `items` units costing `flops` total:
-/// `1` (sequential) unless the work exceeds `min_flops`, there is more than
-/// one item and one core, and the current thread is not itself already a
-/// parallel-region worker.
+/// `1` (sequential) unless the work exceeds `min_flops` and there is more
+/// than one item and one core.
 pub fn thread_count_for(items: usize, flops: usize, min_flops: usize) -> usize {
-    if flops < min_flops || IN_WORKER.with(|f| f.get()) {
+    if flops < min_flops {
         return 1;
     }
     max_threads().min(items).max(1)
 }
 
-/// Splits `out` into per-item chunks of `item_len` and processes contiguous
-/// runs of items on up to `threads` scoped threads.
+/// Splits `items` into items of `item_len` elements and hands contiguous
+/// runs of whole items to up to `threads` threads.
 ///
-/// `f` is called as `f(item_index, item_chunk)` for every item; with
-/// `threads <= 1` it runs inline in item order. The assignment of items to
-/// threads is deterministic.
+/// `f` is called as `f(first_item, run, scratch)` once per run, where `run`
+/// holds the items `first_item..` in order. The first run executes on the
+/// calling thread with the caller's `scratch`; every other run executes on
+/// a scoped thread with a fresh `S::default()` as its scratch. With
+/// `threads <= 1` (or at most one item) the whole slice is one run on the
+/// calling thread. The assignment of items to runs is deterministic.
 ///
 /// # Panics
 ///
-/// Panics if `out.len()` is not a multiple of `item_len`.
-pub fn for_each_item_mut<F>(out: &mut [f32], item_len: usize, threads: usize, f: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
+/// Panics if `item_len` is zero or `items.len()` is not a multiple of it.
+pub fn for_each_run<T, S, F>(
+    items: &mut [T],
+    item_len: usize,
+    threads: usize,
+    scratch: &mut S,
+    f: F,
+) where
+    T: Send,
+    S: Default,
+    F: Fn(usize, &mut [T], &mut S) + Sync,
 {
     assert!(item_len > 0, "item_len must be non-zero");
-    assert_eq!(out.len() % item_len, 0, "output not a multiple of item_len");
-    let items = out.len() / item_len;
-    if threads <= 1 || items <= 1 {
-        for (i, chunk) in out.chunks_mut(item_len).enumerate() {
-            f(i, chunk);
-        }
+    assert_eq!(items.len() % item_len, 0, "output not a multiple of item_len");
+    let count = items.len() / item_len;
+    if threads <= 1 || count <= 1 {
+        f(0, items, scratch);
         return;
     }
-    let per_thread = items.div_ceil(threads.min(items));
+    let per_run = count.div_ceil(threads.min(count));
     std::thread::scope(|scope| {
-        for (run_idx, run) in out.chunks_mut(per_thread * item_len).enumerate() {
+        let mut runs = items.chunks_mut(per_run * item_len);
+        let first = runs.next().expect("at least two items");
+        for (r, run) in runs.enumerate() {
             let f = &f;
-            scope.spawn(move || {
-                let _serial = serial_region();
-                for (offset, chunk) in run.chunks_mut(item_len).enumerate() {
-                    f(run_idx * per_thread + offset, chunk);
-                }
-            });
+            scope.spawn(move || f((r + 1) * per_run, run, &mut S::default()));
         }
+        f(0, first, scratch);
     });
 }
 
@@ -130,29 +107,41 @@ mod tests {
 
     #[test]
     fn sequential_and_parallel_agree() {
-        let item_len = 7;
-        let items = 23;
-        let mut seq = vec![0.0f32; item_len * items];
-        let mut par = vec![0.0f32; item_len * items];
-        let fill = |i: usize, chunk: &mut [f32]| {
-            for (j, v) in chunk.iter_mut().enumerate() {
-                *v = (i * 100 + j) as f32;
+        // Items of a non-`f32` type: 23 items of 7 `u64`s.
+        let (item_len, items) = (7, 23);
+        let fill = |first: usize, run: &mut [u64], _: &mut ()| {
+            for (i, item) in run.chunks_exact_mut(item_len).enumerate() {
+                for (j, v) in item.iter_mut().enumerate() {
+                    *v = ((first + i) * 100 + j) as u64;
+                }
             }
         };
-        for_each_item_mut(&mut seq, item_len, 1, fill);
-        for_each_item_mut(&mut par, item_len, 4, fill);
-        assert_eq!(seq, par);
+        let run = |threads: usize| {
+            let mut out = vec![0u64; item_len * items];
+            for_each_run(&mut out, item_len, threads, &mut (), fill);
+            out
+        };
+        let seq = run(1);
+        for threads in [2, 4, 23, 64] {
+            assert_eq!(run(threads), seq, "threads = {threads}");
+        }
     }
 
     #[test]
     fn covers_every_item_exactly_once() {
-        let mut out = vec![0.0f32; 12];
-        for_each_item_mut(&mut out, 3, 3, |_i, chunk| {
-            for v in chunk.iter_mut() {
-                *v += 1.0;
-            }
-        });
-        assert!(out.iter().all(|&v| v == 1.0));
+        for threads in [1, 3, 5] {
+            let mut out = vec![0u8; 12];
+            let mut caller_items = 0usize;
+            for_each_run(&mut out, 3, threads, &mut caller_items, |_, run, seen| {
+                *seen += run.len() / 3;
+                for v in run.iter_mut() {
+                    *v += 1;
+                }
+            });
+            assert!(out.iter().all(|&v| v == 1), "threads = {threads}");
+            // The calling thread runs the first run on its own scratch.
+            assert_eq!(caller_items, 4usize.div_ceil(threads.min(4)), "threads = {threads}");
+        }
     }
 
     #[test]
@@ -162,36 +151,10 @@ mod tests {
     }
 
     #[test]
-    fn serial_region_disables_nested_fan_out() {
-        {
-            let _guard = serial_region();
-            assert_eq!(thread_count_for(8, 1 << 30, 1), 1);
-            // Nested guards restore correctly.
-            {
-                let _inner = serial_region();
-            }
-            assert_eq!(thread_count_for(8, 1 << 30, 1), 1);
-        }
-        // Dropping the guard restores the unrestricted count.
-        assert_eq!(thread_count_for(8, 1 << 30, 1), max_threads().min(8));
-    }
-
-    #[test]
-    fn workers_are_marked_serial() {
-        // Each spawned worker must see the serial flag so nested fan-out
-        // stays inline (recorded as 1.0 = serial, 2.0 = would fan out).
-        let mut out = vec![0.0f32; 4];
-        for_each_item_mut(&mut out, 1, 4, |_i, chunk| {
-            chunk[0] = if thread_count_for(8, 1 << 30, 1) == 1 { 1.0 } else { 2.0 };
-        });
-        assert_eq!(out, vec![1.0; 4]);
-    }
-
-    #[test]
     #[should_panic(expected = "multiple of item_len")]
     fn misaligned_output_panics() {
         let mut out = vec![0.0f32; 10];
-        for_each_item_mut(&mut out, 3, 1, |_, _| {});
+        for_each_run(&mut out, 3, 1, &mut (), |_, _, _| {});
     }
 
     #[test]

@@ -329,14 +329,16 @@ impl QuantizedResidualBlock1d {
 
     /// Fixed-point forward pass of the whole block on one window: two fused
     /// requantising convolutions (conv1 with its ReLU clamp into `mid`,
-    /// conv2 onto the output grid), the shortcut rescaled onto the same
-    /// grid into `short` (projection convolution or per-tensor requantise),
-    /// and the residual add + final ReLU as one integer add/clamp pass.
+    /// conv2 onto the output grid), then the shortcut added onto the output
+    /// codes with the final ReLU as the clamp, in one integer pass. A
+    /// projection shortcut first convolves onto the output grid into
+    /// `short`; an identity shortcut is rescaled in that same pass (one
+    /// per-tensor requantise-add) and leaves `short` alone.
     ///
-    /// `mid` and `short` must be shaped like `out` ([`QuantActs::reshape`])
-    /// so conv2 reads its windows in place and the add runs over whole
-    /// buffers (zero pads add to zero); an identity shortcut also needs `x`
-    /// shaped like `out`.
+    /// `mid` (and `short`, for a projection) must be shaped like `out`
+    /// ([`QuantActs::reshape`]) so conv2 reads its windows in place and the
+    /// add runs over whole buffers (zero pads add to zero); an identity
+    /// shortcut needs `x` shaped like `out`.
     ///
     /// # Panics
     ///
@@ -351,32 +353,43 @@ impl QuantizedResidualBlock1d {
     ) {
         self.conv1.forward_fixed(x, mid);
         self.conv2.forward_fixed(mid, out);
-        match (self.projection.as_ref(), self.shortcut) {
-            (Some(conv), _) => conv.forward_fixed(x, short),
-            // Identity shortcut: rescale the input codes onto the output
-            // grid (no clamp asymmetry — the add below applies the ReLU).
-            // Pads and slack are zero in both and requantise to zero.
-            (None, Some(r)) => {
-                assert_eq!(
-                    (x.rows, x.pad_left),
-                    (short.rows, short.pad_left),
-                    "an identity shortcut needs the input shaped like the output"
-                );
-                let qmax = ACT_QMAX as i16;
-                matmul::requantize_codes_into(&mut short.codes, &x.codes, r, -qmax, qmax);
-            }
-            (None, None) => panic!("set_fixed_point before forward_fixed"),
-        }
         // Residual add + final ReLU: both operands are i16 codes on the
         // output grid, so the sum is exact in i32 and the ReLU is the
         // [0, 32767] clamp of the store.
-        assert_eq!(
-            out.codes.len(),
-            short.codes.len(),
-            "the shortcut must be shaped like the output"
-        );
-        for (d, &sv) in out.codes.iter_mut().zip(short.codes.iter()) {
+        let add_relu = |d: &mut i16, sv: i16| {
             *d = (*d as i32 + sv as i32).clamp(0, ACT_QMAX as i32) as i16;
+        };
+        match (self.projection.as_ref(), self.shortcut) {
+            (Some(conv), _) => {
+                conv.forward_fixed(x, short);
+                assert_eq!(
+                    out.codes.len(),
+                    short.codes.len(),
+                    "the shortcut must be shaped like the output"
+                );
+                for (d, &sv) in out.codes.iter_mut().zip(&short.codes) {
+                    add_relu(d, sv);
+                }
+            }
+            // Identity shortcut: rescale the input codes onto the output
+            // grid (no clamp asymmetry — the add applies the ReLU) as they
+            // are added. Pads and slack are zero in both and stay zero.
+            (None, Some(r)) => {
+                assert_eq!(
+                    (x.rows, x.pad_left),
+                    (out.rows, out.pad_left),
+                    "an identity shortcut needs the input shaped like the output"
+                );
+                let qmax = ACT_QMAX as i16;
+                // The vector path computes the identical fixed-point map
+                // (qsimd's parity tests pin it against the scalar map).
+                if !qsimd::requantize_add(&mut out.codes, &x.codes, r.mult(), r.shift(), qmax) {
+                    for (d, &s) in out.codes.iter_mut().zip(&x.codes) {
+                        add_relu(d, r.requantize_i16(s as i32, -qmax, qmax));
+                    }
+                }
+            }
+            (None, None) => panic!("set_fixed_point before forward_fixed"),
         }
     }
 
@@ -467,8 +480,9 @@ pub fn pooled_features(
 
 /// Bytes of the per-window code buffers a workspace holds after
 /// [`pooled_features`] ran on windows of `len` samples: the input's tap
-/// pairs, the stem's output, each block's output, mid activations and
-/// shortcut operand (body, pads and slack rows), and the pool's sums.
+/// pairs, the stem's output, each block's output and mid activations, each
+/// projection block's shortcut operand (body, pads and slack rows), and
+/// the pool's sums.
 /// Deterministic in the layers' shapes and `len`.
 pub fn scratch_bytes(
     stem: &QuantizedConv1d,
@@ -477,7 +491,8 @@ pub fn scratch_bytes(
 ) -> usize {
     let rows = QuantActs::rows_for(len, chain_kernel(stem, blocks));
     let planes = |channels: usize| channels.div_ceil(2);
-    let block_planes: usize = blocks.iter().map(|b| 3 * planes(b.out_channels())).sum();
+    let buffers = |b: &QuantizedResidualBlock1d| 2 + b.projection.is_some() as usize;
+    let block_planes: usize = blocks.iter().map(|b| buffers(b) * planes(b.out_channels())).sum();
     let last = blocks.last().map_or(stem.out_channels, |b| b.out_channels());
     let codes = (planes(stem.in_channels) + planes(stem.out_channels) + block_planes) * rows * 2;
     codes * 2 + planes(last) * 2 * 8
@@ -492,9 +507,9 @@ fn chain_kernel(stem: &QuantizedConv1d, blocks: &[&QuantizedResidualBlock1d]) ->
 
 /// One window's `i16` code buffers of [`pooled_features`]: the quantised
 /// input (tap pairs), the stem's and every block's output, every block's
-/// mid activations and shortcut operand, and the pool's `i64` channel
-/// sums. Shaped once per call, which zeroes the pads and slack rows; the
-/// windows of the call then overwrite body rows only.
+/// mid activations, every projection block's shortcut operand, and the
+/// pool's `i64` channel sums. Shaped once per call, which zeroes the pads
+/// and slack rows; the windows of the call then overwrite body rows only.
 #[derive(Debug, Default)]
 pub(crate) struct ItemCodes {
     input: QuantActs,
@@ -502,7 +517,8 @@ pub(crate) struct ItemCodes {
     outs: Vec<QuantActs>,
     /// Each block's conv1 output.
     mids: Vec<QuantActs>,
-    /// Each block's shortcut operand.
+    /// Each block's shortcut operand; left empty for an identity block,
+    /// which adds its input in place.
     shorts: Vec<QuantActs>,
     acc: Vec<i64>,
 }
@@ -522,8 +538,11 @@ impl ItemCodes {
         self.outs[0].reshape(stem.out_channels, len, pad, rows);
         let buffers = self.outs[1..].iter_mut().zip(&mut self.mids).zip(&mut self.shorts);
         for (block, ((out, mid), short)) in blocks.iter().zip(buffers) {
-            for acts in [out, mid, short] {
-                acts.reshape(block.out_channels(), len, pad, rows);
+            let channels = block.out_channels();
+            out.reshape(channels, len, pad, rows);
+            mid.reshape(channels, len, pad, rows);
+            if block.projection.is_some() {
+                short.reshape(channels, len, pad, rows);
             }
         }
         self.acc.resize(self.outs[blocks.len()].channels.div_ceil(2) * 2, 0);

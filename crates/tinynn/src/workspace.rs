@@ -11,10 +11,10 @@
 //!   backward traverses the network in exactly the reverse order of forward,
 //!   a LIFO stack needs no layer identity bookkeeping at all. Inference
 //!   (`training == false`) pushes nothing.
-//! * **scratch buffers** — the layer chain's f32 im2col buffer (`col`)
-//!   and the convolution backward's transposed output gradient (`dy_t`)
-//!   and per-item gradient outputs (`grad_items`), which serve training
-//!   only; the packed weight-panel buffer (`pack`, rebuilt per layer call
+//! * **scratch buffers** — the layer chain's convolution scratch (`conv`:
+//!   the f32 im2col buffer and the backward's transposed output gradient)
+//!   and the convolution backward's per-item gradient outputs
+//!   (`grad_items`), which serve training only; the packed weight-panel buffer (`pack`, rebuilt per layer call
 //!   and reused by the register-tiled GEMM kernels); the fused `f32`
 //!   inference chain's per-call weight packing (`plan`) and per-window
 //!   staging and channels-last activations (`item`, see [`crate::fused`]);
@@ -31,11 +31,16 @@
 //!   once the pool is warm.
 //!
 //! A workspace is cheap to create (empty vectors) and grows to the high-water
-//! mark of the network it serves. One workspace serves one thread; parallel
-//! scoring shares a single immutable network and gives every thread its own
-//! workspace.
+//! mark of the network it serves. One workspace serves one thread, and no
+//! pass hides threads behind it: the inference chains run their windows on
+//! the calling thread, and a convolution that splits its batch
+//! ([`crate::parallel::for_each_run`]) runs its first run on this
+//! workspace's scratch and gives every other worker scratch of its own.
+//! Parallel scoring shares a single immutable network and gives every
+//! thread its own workspace.
 
 use crate::fused::{ItemScratch, Plan};
+use crate::layers::ConvScratch;
 use crate::qlayers::ItemCodes;
 use crate::tensor::Tensor;
 
@@ -52,12 +57,10 @@ const ARENA_SLOTS: usize = 16;
 #[derive(Debug, Default)]
 pub struct Workspace {
     stack: Vec<LayerCache>,
-    /// im2col lowering buffer, reused across layers of one pass (the
-    /// convolution backward also reuses it for the column gradient).
-    pub(crate) col: Vec<f32>,
-    /// Positions-major copy of one item's convolution output gradient: the
-    /// lanes of [`crate::matmul::matmul_weight_grad`].
-    pub(crate) dy_t: Vec<f32>,
+    /// The layer chain's convolution scratch: the im2col lowering buffer,
+    /// reused across layers of one pass, and the backward's transposed
+    /// output gradient.
+    pub(crate) conv: ConvScratch,
     /// Per-item outputs of the convolution backward pass: each batch
     /// item's weight- and bias-gradient partials and its input gradient.
     pub(crate) grad_items: Vec<f32>,
@@ -155,8 +158,7 @@ impl Workspace {
     /// (lowering/packing buffers, the inference chains' per-window buffers
     /// and the arena). Stable across steady-state passes once warm.
     pub fn retained_bytes(&self) -> usize {
-        let f32s = self.col.capacity()
-            + self.dy_t.capacity()
+        let f32s = self.conv.capacity()
             + self.grad_items.capacity()
             + self.pack.capacity()
             + self.item.capacity();

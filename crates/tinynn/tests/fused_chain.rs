@@ -7,10 +7,9 @@
 //! the oracle here; the sweep covers channel counts below, at and above one
 //! register strip, kernels from 1×1 to the paper's 64 (depths of several
 //! `KC` blocks), window lengths from a single sample through below, equal
-//! to and above the kernel, and batches of 1, 7 and 64, each on one thread
-//! and with the batch fan-out enabled.
+//! to and above the kernel, and batches of 1, 7 and 64. The chain runs its
+//! windows on the calling thread, so one run per case covers it.
 
-use tinynn::parallel::serial_region;
 use tinynn::{
     BatchNorm1d, Conv1d, GlobalAvgPool1d, Layer, Relu, ResidualBlock1d, Tensor, Workspace,
 };
@@ -120,11 +119,7 @@ fn fused_chain_matches_layer_chain_bit_for_bit() {
                 let x = windows(batch, len, (f * 1000 + k * 10 + len) as u64);
                 let want = backbone.layer_chain(&x);
                 let what = format!("f={f} k={k} len={len} batch={batch}");
-                {
-                    let _one_thread = serial_region();
-                    assert_bits(&backbone.fused(&x, &mut ws), &want, &format!("{what}, 1 thread"));
-                }
-                assert_bits(&backbone.fused(&x, &mut ws), &want, &format!("{what}, fan-out"));
+                assert_bits(&backbone.fused(&x, &mut ws), &want, &what);
                 cases += 1;
             }
         }
@@ -134,20 +129,30 @@ fn fused_chain_matches_layer_chain_bit_for_bit() {
 
 #[test]
 fn every_batch_size_runs_on_the_served_shape() {
-    // Batches of 1, 7 and 64 at f = 8, k = 9, window 230: a full batch
-    // fans out across threads, and a window's features never depend on
-    // its batch neighbours.
+    // Batches of 1, 7 and 64 at f = 8, k = 9, window 230: a window's
+    // features never depend on its batch neighbours, and every window runs
+    // on the caller's workspace. After one call on a fresh workspace, it
+    // holds exactly the scratch a one-window call leaves, whatever the
+    // batch, and no more than `scratch_bytes`, the bound an engine's
+    // memory footprint budgets.
     let backbone = Backbone::new(8, 9, 99);
     let all = windows(64, 230, 7);
     let want = backbone.layer_chain(&all);
-    let mut ws = Workspace::new();
+    let bound =
+        tinynn::fused::scratch_bytes(&backbone.stem, &[&backbone.res1, &backbone.res2], 230);
+    let mut one_window = None;
     for batch in [1usize, 7, 64] {
         let x = Tensor::from_vec(all.data()[..batch * 230].to_vec(), &[batch, 1, 230]);
+        let mut ws = Workspace::new();
         let got = backbone.fused(&x, &mut ws);
         let rows = &want.data()[..batch * 16];
         for (i, (g, w)) in got.data().iter().zip(rows).enumerate() {
             assert_eq!(g.to_bits(), w.to_bits(), "batch {batch}: feature {i}");
         }
+        let held = ws.retained_bytes();
+        let one = *one_window.get_or_insert(held);
+        assert_eq!(held, one, "batch {batch}: scratch held against one window's");
+        assert!(held <= bound, "batch {batch}: {held} B held above the {bound} B bound");
     }
 }
 

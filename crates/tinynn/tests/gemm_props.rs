@@ -13,14 +13,15 @@
 //!
 //! The training kernels ([`matmul_weight_grad`], [`matmul_at_b`]) must
 //! instead match the plain scalar loops they replaced bit for bit; those
-//! loops live here as oracles. So must the batch fan-out of
-//! `Conv1d::backward` match its serial run.
+//! loops live here as oracles. So must a batched `Conv1d::backward`, which
+//! fans out across threads, match the same layer stepped one item at a
+//! time.
 
 use tinynn::matmul::{
     conv_q8_requant, matmul_at_b, matmul_packed_lhs, matmul_packed_rhs, matmul_q8_reference,
     matmul_reference, matmul_weight_grad, pack_lhs, pack_rhs_t, packed_lhs_len, packed_rhs_len,
 };
-use tinynn::{init, parallel, Conv1d, Layer, Requantizer, Tensor, Workspace};
+use tinynn::{init, Conv1d, Layer, Requantizer, Tensor, Workspace};
 
 /// Small deterministic LCG (same recipe as the quantisation property tests).
 struct Rng(u64);
@@ -360,22 +361,38 @@ fn gradient_kernels_leave_c_alone_for_empty_products() {
     assert_eq!(c, vec![1.5; 6]);
 }
 
-/// The bits of one `Conv1d` training step: the input gradient, then the
-/// weight and bias gradients.
-fn conv_backward_bits(conv: &Conv1d, x: &Tensor, dy: &Tensor) -> Vec<u32> {
+/// The bits of `Conv1d` training steps on one layer, one step per entry of
+/// `steps` (each an input and output gradient of some batch size): the
+/// input gradients in order, then the accumulated weight and bias
+/// gradients.
+fn conv_backward_bits(conv: &Conv1d, steps: &[(Tensor, Tensor)]) -> Vec<u32> {
     let mut conv = conv.clone();
     let mut ws = Workspace::new();
-    let _ = conv.forward(x, &mut ws, true);
-    let dx = conv.backward(dy, &mut ws);
+    let mut bits = Vec::new();
+    for (x, dy) in steps {
+        let _ = conv.forward(x, &mut ws, true);
+        bits.extend(conv.backward(dy, &mut ws).data().iter().map(|v| v.to_bits()));
+    }
     let grads = conv.params().into_iter().flat_map(|p| p.grad.data().to_vec());
-    dx.data().iter().copied().chain(grads).map(f32::to_bits).collect()
+    bits.extend(grads.map(f32::to_bits));
+    bits
+}
+
+/// Item `b` of a `[batch, C, len]` tensor as a batch of one.
+fn item(t: &Tensor, b: usize) -> Tensor {
+    let (c, len) = (t.shape()[1], t.shape()[2]);
+    Tensor::from_vec(t.data()[b * c * len..(b + 1) * c * len].to_vec(), &[1, c, len])
 }
 
 #[test]
 fn conv_backward_fan_out_matches_the_serial_bits() {
     // 8 → 16 channels, kernel 9, 100 positions: each item's backward
     // costs about 0.46 MFLOP, so batches of 7 and 32 pass the fan-out gate
-    // of 2 MFLOP (a host with one core runs both sides serially).
+    // of 2 MFLOP (a host with one core runs both sides serially). The
+    // serial reference is the same layer stepped on one item at a time, in
+    // item order: a batch of one never fans out, and the layer adds each
+    // item's partials onto its gradients in item order, so these are the
+    // serial loop's bits.
     for batch in [1usize, 7, 32] {
         let conv = Conv1d::new(8, 16, 9, 3);
         let x = init::uniform(&[batch, 8, 100], -1.0, 1.0, 5);
@@ -384,10 +401,8 @@ fn conv_backward_fan_out_matches_the_serial_bits() {
         for v in dy.data_mut().iter_mut().step_by(5) {
             *v = 0.0;
         }
-        let serial = {
-            let _serial = parallel::serial_region();
-            conv_backward_bits(&conv, &x, &dy)
-        };
-        assert_eq!(conv_backward_bits(&conv, &x, &dy), serial, "batch {batch}");
+        let serial: Vec<_> = (0..batch).map(|b| (item(&x, b), item(&dy, b))).collect();
+        let want = conv_backward_bits(&conv, &serial);
+        assert_eq!(conv_backward_bits(&conv, &[(x, dy)]), want, "batch {batch}");
     }
 }
