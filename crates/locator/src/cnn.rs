@@ -30,10 +30,10 @@
 //! ([`tinynn::fused::pooled_features`]): direct register-tiled
 //! convolutions with bias, batch norm, ReLU and the residual add fused into
 //! the tile epilogue, one window at a time. Training runs the layer chain
-//! (im2col convolutions and separate normalisation, activation and add
-//! passes), which records the backward caches. The two are bit-identical
-//! at inference, so epoch selection, head alignment and every located
-//! start are the same whichever ran.
+//! (the same convolution tile one layer at a time, then separate
+//! normalisation, activation and add passes), which records the backward
+//! caches. The two are bit-identical at inference, so epoch selection,
+//! head alignment and every located start are the same whichever ran.
 
 use serde::{Deserialize, Serialize};
 use tinynn::{
@@ -167,7 +167,7 @@ impl CoLocatorCnn {
     /// of [`tinynn::fused::pooled_features`]: direct convolutions with
     /// batch norm, ReLU and the residual add in the tile epilogue,
     /// bit-identical to the layer chain. Training runs the layer chain
-    /// (im2col convolutions, one layer at a time), which records the
+    /// (the same convolutions, one layer at a time), which records the
     /// backward caches.
     pub fn pooled_features(&self, input: &Tensor, ws: &mut Workspace, training: bool) -> Tensor {
         if !training {

@@ -1,23 +1,26 @@
-//! The fused channels-last `f32` inference chain of a convolutional
-//! backbone: `Conv1d → BatchNorm1d → ReLU`, then residual blocks, then the
-//! global average pool, in one pass per window.
+//! The direct `f32` convolution of the crate, and the fused
+//! channels-last inference chain of a convolutional backbone built on it:
+//! `Conv1d → BatchNorm1d → ReLU`, then residual blocks, then the global
+//! average pool, in one pass per window.
 //!
-//! The layer chain (`Layer::forward` on each sub-layer) lowers every
-//! convolution to im2col → GEMM and then makes separate passes for batch
-//! norm, ReLU and the residual add. At inference those passes cost as much
-//! as the GEMM itself on the network's small shapes. This module runs the
-//! same arithmetic without them:
+//! Every `f32` forward convolution runs the one register tile of this
+//! module. `Conv1d`'s layer forward (training, and any inference through
+//! the layer chain) calls it one layer and one item at a time with a
+//! bias-only epilogue; [`pooled_features`] runs a whole backbone through it
+//! with the rest of each stage fused into the epilogue:
 //!
-//! * **Channels-last activations.** Between layers an item's activation is
-//!   a `[len, C]` matrix: one row of `C` channels per sample. A register
-//!   tile's accumulators hold output-channel lanes, so an epilogue stores
-//!   whole rows and reads the residual operand the same way.
 //! * **A direct convolution.** Each convolution first stages its input into
 //!   a zero-padded channel-major window buffer (`C` rows of `len + k - 1`
 //!   samples plus slack), `kernel` times smaller than im2col. The register
 //!   tile then walks the depth in the canonical `c·k + t` order: one
 //!   contiguous load of `P` staged samples and one packed load of the
 //!   weight lanes feed `P × lanes` fused multiply-adds.
+//! * **Channels-last activations.** Between the chain's layers an item's
+//!   activation is a `[len, C]` matrix: one row of `C` channels per sample.
+//!   A register tile's accumulators hold output-channel lanes, so an
+//!   epilogue stores whole rows and reads the residual operand the same
+//!   way. The layer forward's epilogue stores the layer's channel-major
+//!   `[C, len]` layout instead.
 //! * **Fused epilogue.** Bias, the batch-norm inference affine, the ReLU
 //!   and the residual add are applied to the accumulators before the one
 //!   store of each output.
@@ -28,17 +31,18 @@
 //!   several cores splits its windows first (the locator's sliding
 //!   classifier does), so this chain never fans out.
 //!
-//! # Bit-identity with the layer chain
+//! # One accumulation order
 //!
-//! The scores are **bit-identical** to the layer chain's, not merely close:
-//! `Trainer::evaluate_loss` selects epochs and the quantiser aligns its head
-//! through this path, so any drift would change trained models. Every
-//! output therefore repeats the layer chain's exact operation sequence:
+//! Training selects epochs (`Trainer::evaluate_loss`) and the quantiser
+//! aligns its head through the fused chain, while the weights are trained
+//! through the layer forward, so the two must agree **bit for bit**. They
+//! share the tile, so every convolution output has one operation sequence:
+//! the bias, then each `KC` = 256 deep block of the depth accumulated from
+//! `0` in canonical `c·k + t` order with the fused multiply-add helper
+//! (zero padding included, read from the staged zeros), the block sums
+//! added in turn. The epilogues then differ only in what follows that sum:
 //!
-//! * the depth is cut into the same [`crate::matmul::KC`] blocks; each
-//!   block is accumulated from `0` in canonical `c·k + t` order with the
-//!   same fused multiply-add helper (zero padding included, read from the
-//!   staged zeros), and the block sums are added in turn onto the bias;
+//! * the layer forward stores it;
 //! * batch norm is a separate multiply then add, `v · scale + shift`, with
 //!   `scale` and `shift` computed exactly as `BatchNorm1d::forward` does;
 //! * the residual add and ReLU are `y + r` and `y.max(0.0)`;
@@ -50,9 +54,15 @@
 //! across threads.
 
 use crate::layers::{BatchNorm1d, Conv1d, ResidualBlock1d};
-use crate::matmul::{fmadd, KC};
+use crate::matmul::fmadd;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
+
+/// Depth block of the tile: each output sums `KC` depth columns from zero
+/// before adding the block onto its running value. Pinned: the blocks'
+/// rounding is part of every score bit and every trained weight, so
+/// changing it changes both.
+const KC: usize = 256;
 
 /// Output channels of one accumulator vector (one 256-bit register).
 const LANES: usize = 8;
@@ -68,8 +78,7 @@ const P_WIDE: usize = 6;
 /// never stored).
 const SLACK: usize = P_NARROW;
 
-/// One convolution of the chain with its batch norm, as laid out in a
-/// [`Plan`].
+/// One convolution with its batch norm (if any), as laid out in a [`Plan`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ConvStep {
     in_c: usize,
@@ -83,7 +92,8 @@ pub(crate) struct ConvStep {
     /// `[strips][in_c · k][strip]`, depth in canonical `c·k + t` order.
     pack: usize,
     /// Start of the bias, scale and shift vectors in [`Plan::weights`]
-    /// (each `strips · strip` long, zero-padded).
+    /// (each `strips · strip` long, zero-padded; scale and shift stay zero
+    /// without a batch norm).
     affine: usize,
     /// Start of the `in_c · k` staged-column offsets in [`Plan::offsets`].
     offsets: usize,
@@ -95,7 +105,72 @@ impl ConvStep {
     }
 }
 
-/// The per-call packing of a backbone: every convolution's weights in
+/// Output channels per register strip of a convolution with `out_c`
+/// outputs.
+fn strip_width(out_c: usize) -> usize {
+    if out_c.is_multiple_of(2 * LANES) {
+        2 * LANES
+    } else {
+        LANES
+    }
+}
+
+/// A backbone's convolutions in plan order: the stem, then each block's
+/// conv1, conv2 and projection.
+fn convs<'a>(
+    stem: &'a Conv1d,
+    blocks: &'a [&'a ResidualBlock1d],
+) -> impl Iterator<Item = &'a Conv1d> + Clone + 'a {
+    std::iter::once(stem).chain(blocks.iter().flat_map(|block| {
+        let (conv1, _, conv2, _, projection) = block.parts();
+        [conv1, conv2].into_iter().chain(projection.map(|(conv, _)| conv))
+    }))
+}
+
+/// What a plan of some convolutions holds, counted once so that
+/// [`Plan::layout`] sizes its vectors exactly and [`scratch_bytes`] counts
+/// the same lengths.
+struct Extent {
+    steps: usize,
+    /// Floats of packed weights and affine vectors.
+    weights: usize,
+    /// Staged-column offsets: the summed depths.
+    offsets: usize,
+    kmax: usize,
+    widest_in: usize,
+}
+
+impl Extent {
+    fn of<'a>(convs: impl Iterator<Item = &'a Conv1d>) -> Self {
+        let mut e = Extent { steps: 0, weights: 0, offsets: 0, kmax: 1, widest_in: 0 };
+        for conv in convs {
+            let (in_c, out_c, k) = (conv.in_channels(), conv.out_channels(), conv.kernel_size());
+            let strip = strip_width(out_c);
+            e.steps += 1;
+            e.weights += out_c.div_ceil(strip) * strip * (in_c * k + 3);
+            e.offsets += in_c * k;
+            e.kmax = e.kmax.max(k);
+            e.widest_in = e.widest_in.max(in_c);
+        }
+        e
+    }
+
+    /// Length of one staged channel row for windows of `len` samples.
+    fn row(&self, len: usize) -> usize {
+        len + self.kmax - 1 + SLACK
+    }
+}
+
+/// `buf` resized to `n` floats. A buffer that must grow grows to exactly
+/// `n`, so it retains the largest size it was given and no more (what
+/// [`scratch_bytes`] counts).
+fn sized(buf: &mut Vec<f32>, n: usize) -> &mut [f32] {
+    buf.reserve_exact(n.saturating_sub(buf.len()));
+    buf.resize(n, 0.0);
+    buf
+}
+
+/// The per-call packing of one or more convolutions: each one's weights in
 /// register-strip order, its bias and batch-norm affine, and the staged
 /// offsets of its depth columns for the call's window length. Rebuilt on
 /// every call (weights change between calls during training) into buffers
@@ -115,37 +190,42 @@ pub(crate) struct Plan {
 
 impl Plan {
     fn build(&mut self, stem: (&Conv1d, &BatchNorm1d), blocks: &[&ResidualBlock1d], len: usize) {
-        self.steps.clear();
-        self.weights.clear();
-        self.offsets.clear();
-        let mut kmax = stem.0.kernel_size();
-        for block in blocks {
-            let (conv1, _, conv2, _, projection) = block.parts();
-            kmax = kmax.max(conv1.kernel_size()).max(conv2.kernel_size());
-            if let Some((conv, _)) = projection {
-                kmax = kmax.max(conv.kernel_size());
-            }
-        }
-        self.len = len;
-        self.pad = (kmax - 1) / 2;
-        self.row = len + kmax - 1 + SLACK;
-        self.push(stem.0, stem.1);
+        self.layout(&Extent::of(convs(stem.0, blocks)), len);
+        self.push(stem.0, Some(stem.1));
         for block in blocks {
             let (conv1, bn1, conv2, bn2, projection) = block.parts();
-            self.push(conv1, bn1);
-            self.push(conv2, bn2);
+            self.push(conv1, Some(bn1));
+            self.push(conv2, Some(bn2));
             if let Some((conv, bn)) = projection {
-                self.push(conv, bn);
+                self.push(conv, Some(bn));
             }
         }
     }
 
-    fn push(&mut self, conv: &Conv1d, bn: &BatchNorm1d) {
+    /// Lays out `conv` alone, without a batch norm, for [`Self::conv_item`].
+    pub(crate) fn build_conv(&mut self, conv: &Conv1d, len: usize) {
+        self.layout(&Extent::of(std::iter::once(conv)), len);
+        self.push(conv, None);
+    }
+
+    /// Empties the plan and reserves exactly what `extent` needs.
+    fn layout(&mut self, extent: &Extent, len: usize) {
+        self.steps.clear();
+        self.weights.clear();
+        self.offsets.clear();
+        self.steps.reserve_exact(extent.steps);
+        self.weights.reserve_exact(extent.weights);
+        self.offsets.reserve_exact(extent.offsets);
+        self.len = len;
+        self.pad = (extent.kmax - 1) / 2;
+        self.row = extent.row(len);
+    }
+
+    fn push(&mut self, conv: &Conv1d, bn: Option<&BatchNorm1d>) {
         let (in_c, out_c, k) = (conv.in_channels(), conv.out_channels(), conv.kernel_size());
-        assert_eq!(bn.channels(), out_c, "batch norm must follow its convolution's channels");
         let ck = in_c * k;
         assert!(ck > 0, "a convolution needs at least one input channel");
-        let strip = if out_c % (2 * LANES) == 0 { 2 * LANES } else { LANES };
+        let strip = strip_width(out_c);
         let strips = out_c.div_ceil(strip);
         let pack = self.weights.len();
         let affine = pack + strips * ck * strip;
@@ -163,8 +243,11 @@ impl Plan {
         let (bias, rest) = self.weights[affine..].split_at_mut(lanes);
         let (scale, shift) = rest.split_at_mut(lanes);
         bias[..out_c].copy_from_slice(conv.bias().data());
-        for o in 0..out_c {
-            (scale[o], shift[o]) = bn.inference_scale_shift(o);
+        if let Some(bn) = bn {
+            assert_eq!(bn.channels(), out_c, "batch norm must follow its convolution's channels");
+            for o in 0..out_c {
+                (scale[o], shift[o]) = bn.inference_scale_shift(o);
+            }
         }
         let offsets = self.offsets.len();
         let shift_cols = self.pad - (k - 1) / 2;
@@ -174,11 +257,21 @@ impl Plan {
         self.steps.push(ConvStep { in_c, out_c, depth: ck, strip, pack, affine, offsets });
     }
 
+    /// `Conv1d`'s layer forward on one item, with the plan of
+    /// [`Self::build_conv`]: stages the channel-major `[in_c, len]` input
+    /// `x` into `stage` and writes the bias plus the convolution into `out`,
+    /// `[out_c, len]`.
+    pub(crate) fn conv_item(&self, x: &[f32], stage: &mut Vec<f32>, out: &mut [f32]) {
+        let step = &self.steps[0];
+        self.stage_channel_major(stage, x, step.in_c);
+        self.conv(step, stage, Epilogue::Bias, out);
+    }
+
     /// Stages a channel-major `[C, len]` signal: row `c` of the staged
     /// buffer is `pad` zeros, the channel's samples, then zeros.
     fn stage_channel_major(&self, stage: &mut Vec<f32>, x: &[f32], channels: usize) {
         let (len, pad, row) = (self.len, self.pad, self.row);
-        stage.resize(channels * row, 0.0);
+        let stage = sized(stage, channels * row);
         for (dst, src) in stage.chunks_exact_mut(row).zip(x.chunks_exact(len)) {
             dst[..pad].fill(0.0);
             dst[pad..pad + len].copy_from_slice(src);
@@ -190,7 +283,7 @@ impl Plan {
     /// same channel-major padded layout).
     fn stage_channels_last(&self, stage: &mut Vec<f32>, x: &[f32], channels: usize) {
         let (len, pad, row) = (self.len, self.pad, self.row);
-        stage.resize(channels * row, 0.0);
+        let stage = sized(stage, channels * row);
         for (c, dst) in stage.chunks_exact_mut(row).enumerate() {
             dst[..pad].fill(0.0);
             for (d, src) in dst[pad..pad + len].iter_mut().zip(x.chunks_exact(channels)) {
@@ -200,10 +293,10 @@ impl Plan {
         }
     }
 
-    /// Runs one convolution step on a staged input, writing the
-    /// channels-last `[len, out_c]` output through `epilogue`.
-    fn conv(&self, step: &ConvStep, stage: &[f32], epilogue: Epilogue, out: &mut Vec<f32>) {
-        out.resize(self.len * step.out_c, 0.0);
+    /// Runs one convolution step on a staged input, writing its `len ·
+    /// out_c` outputs through `epilogue`.
+    fn conv(&self, step: &ConvStep, stage: &[f32], epilogue: Epilogue, out: &mut [f32]) {
+        assert_eq!(out.len(), self.len * step.out_c, "one output per position and channel");
         if step.strip == 2 * LANES {
             self.conv_tiles::<2, P_WIDE, { 2 * P_WIDE }>(step, stage, epilogue, out);
         } else {
@@ -242,8 +335,8 @@ impl Plan {
             for s in 0..step.strips() {
                 let c0 = s * strip;
                 let strip_pack = &pack[s * ck * strip..(s + 1) * ck * strip];
-                // The layer chain's order: the bias, then each depth
-                // block's sum accumulated from zero, added in turn.
+                // The pinned order: the bias, then each depth block's sum
+                // accumulated from zero, added in turn.
                 let mut v = [[0.0f32; LANES]; N];
                 for vp in v.chunks_exact_mut(S) {
                     vp.as_flattened_mut().copy_from_slice(&bias[c0..c0 + strip]);
@@ -288,6 +381,12 @@ impl Plan {
                                 *d = (v * a + b + r).max(0.0);
                             }
                         }
+                        Epilogue::Bias => {
+                            // The layer's channel-major layout, not `dst`.
+                            for (c, &v) in (c0..).zip(vp) {
+                                out[c * len + j0 + p] = v;
+                            }
+                        }
                     }
                 }
             }
@@ -303,36 +402,49 @@ impl Plan {
         s: &mut ItemScratch,
     ) {
         let ItemScratch { stage, cur, mid, short, next } = s;
+        // The blocks swap which buffer each name refers to, never the
+        // buffers themselves, so every window gives each buffer the same
+        // widths (what `scratch_bytes` counts).
+        let (mut cur, mut next) = (cur, next);
+        let len = self.len;
         let mut steps = self.steps.iter();
         let mut step = || steps.next().expect("one plan step per convolution");
         let stem = step();
         self.stage_channel_major(stage, x, stem.in_c);
-        self.conv(stem, stage, Epilogue::Relu, cur);
+        self.conv(stem, stage, Epilogue::Relu, sized(cur, len * stem.out_c));
         let mut channels = stem.out_c;
         for block in blocks {
             let (conv1, conv2) = (step(), step());
             self.stage_channels_last(stage, cur, channels);
-            self.conv(conv1, stage, Epilogue::Relu, mid);
+            self.conv(conv1, stage, Epilogue::Relu, sized(mid, len * conv1.out_c));
             // The projection reads the same staged input as conv1.
             let residual: &[f32] = match block.parts().4 {
                 Some(_) => {
-                    self.conv(step(), stage, Epilogue::Affine, short);
+                    let projection = step();
+                    let out = sized(short, len * projection.out_c);
+                    self.conv(projection, stage, Epilogue::Affine, out);
                     short
                 }
                 None => cur,
             };
             self.stage_channels_last(stage, mid, conv1.out_c);
-            self.conv(conv2, stage, Epilogue::AddRelu(residual), next);
-            std::mem::swap(cur, next);
+            let out = sized(next, len * conv2.out_c);
+            self.conv(conv2, stage, Epilogue::AddRelu(residual), out);
+            std::mem::swap(&mut cur, &mut next);
             channels = conv2.out_c;
         }
         pool_into(row, cur, self.len);
     }
 }
 
-/// What a convolution's tile epilogue applies after the batch-norm affine.
+/// What a convolution's tile epilogue does with the bias plus the
+/// convolution.
 #[derive(Clone, Copy)]
 enum Epilogue<'a> {
+    /// Store it in the layer's channel-major `[out_c, len]` layout —
+    /// `Conv1d`'s layer forward. Every other epilogue applies the batch-norm
+    /// affine and stores channels-last.
+    Bias,
     /// `max(affine, 0)` — a conv → BN → ReLU stage.
     Relu,
     /// The affine alone — a projection shortcut.
@@ -344,7 +456,7 @@ enum Epilogue<'a> {
 
 /// The depth sweep of one register tile over one depth block: for each
 /// depth column, `P` consecutive staged samples times the packed weight
-/// lanes, accumulated with the GEMM kernels' fused multiply-add.
+/// lanes, accumulated with the fused multiply-add helper.
 #[inline(always)]
 fn sweep<const S: usize, const P: usize, const N: usize>(
     acc: &mut [[f32; LANES]; N],
@@ -407,32 +519,27 @@ impl Plan {
     }
 }
 
-/// Bytes of scratch a workspace holds after [`pooled_features`] ran on
-/// windows of `len` samples: the per-call weight packing and the
-/// per-window staging and activation buffers, counted from the lengths the
-/// chain sizes them to (a buffer's capacity may round above its length).
-/// Deterministic in the layers' shapes and `len`.
+/// Bytes of scratch a fresh workspace holds after [`pooled_features`] ran
+/// on windows of `len` samples: the per-call weight packing and the
+/// per-window staging and activation buffers, each at the largest size the
+/// chain gives it. Exact, and deterministic in the layers' shapes and
+/// `len`; a later call at the same shapes keeps the same buffers.
 pub fn scratch_bytes(stem: &Conv1d, blocks: &[&ResidualBlock1d], len: usize) -> usize {
-    let mut convs = vec![stem];
-    for block in blocks {
+    let extent = Extent::of(convs(stem, blocks));
+    // `cur` holds the stem's output and every second block's after it,
+    // `next` the first block's and every second one's after it.
+    let (mut cur, mut next, mut mid, mut short) = (stem.out_channels(), 0, 0, 0);
+    for (i, block) in blocks.iter().enumerate() {
         let (conv1, _, conv2, _, projection) = block.parts();
-        convs.extend([conv1, conv2].into_iter().chain(projection.map(|(conv, _)| conv)));
+        let out = if i % 2 == 0 { &mut next } else { &mut cur };
+        *out = (*out).max(conv2.out_channels());
+        mid = mid.max(conv1.out_channels());
+        short = short.max(projection.map_or(0, |(conv, _)| conv.out_channels()));
     }
-    let kmax = convs.iter().map(|c| c.kernel_size()).max().unwrap_or(1);
-    let (mut floats, mut offsets, mut widest_in, mut widest_out) = (0, 0, 0, 0);
-    for conv in &convs {
-        let (in_c, out_c, k) = (conv.in_channels(), conv.out_channels(), conv.kernel_size());
-        let strip = if out_c % (2 * LANES) == 0 { 2 * LANES } else { LANES };
-        floats += out_c.div_ceil(strip) * strip * (in_c * k + 3);
-        offsets += in_c * k;
-        (widest_in, widest_out) = (widest_in.max(in_c), widest_out.max(out_c));
-    }
-    // The staged input of the widest convolution, then `cur`, `mid`,
-    // `short` and `next` at the widest output.
-    floats += widest_in * (len + kmax - 1 + SLACK) + 4 * len * widest_out;
-    floats * 4
-        + offsets * std::mem::size_of::<usize>()
-        + convs.len() * std::mem::size_of::<ConvStep>()
+    let floats = extent.weights + extent.widest_in * extent.row(len);
+    (floats + (cur + next + mid + short) * len) * 4
+        + extent.offsets * std::mem::size_of::<usize>()
+        + extent.steps * std::mem::size_of::<ConvStep>()
 }
 
 /// Inference forward of a backbone — `stem conv → batch norm → ReLU`, then

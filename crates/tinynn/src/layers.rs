@@ -7,10 +7,10 @@
 //!
 //! Layers hold **parameters only** — weights, biases and (for batch
 //! normalisation) running statistics. Everything a pass needs beyond that —
-//! backward caches, im2col scratch — lives in an explicit [`Workspace`], so
-//! `forward` takes `&self`: one trained network can be shared across threads
-//! (`Layer: Send + Sync`) with a cheap per-thread workspace instead of a
-//! per-thread clone of the weights.
+//! backward caches, staging and im2col scratch — lives in an explicit
+//! [`Workspace`], so `forward` takes `&self`: one trained network can be
+//! shared across threads (`Layer: Send + Sync`) with a cheap per-thread
+//! workspace instead of a per-thread clone of the weights.
 //!
 //! During a *training* `forward` every layer pushes one cache entry onto the
 //! workspace stack; `backward` (which still takes `&mut self` to accumulate
@@ -22,10 +22,11 @@
 //! allocations**.
 //!
 //! These `forward` methods form the **layer chain**: `Conv1d` packs its
-//! weight block into `MR`-row strips once per call and lowers each item to
-//! im2col → [`matmul::matmul_packed_lhs`], `Linear` packs `Wᵀ` into
-//! `NR`-column panels for [`matmul::matmul_packed_rhs`], and the
-//! normalisation/pooling layers operate on contiguous channel slices.
+//! weights into register strips once per call and convolves each item with
+//! the direct tile of [`crate::fused`] (the one `f32` forward convolution),
+//! `Linear` packs `Wᵀ` into `NR`-column panels for
+//! [`matmul::matmul_packed_rhs`], and the normalisation/pooling layers
+//! operate on contiguous channel slices.
 //!
 //! `Conv1d::backward` fans out over the batch: each item computes its
 //! weight-gradient partial with [`matmul::matmul_weight_grad`] (lanes over
@@ -37,13 +38,13 @@
 //! exactly as in a plain sequential loop, so trained weights are the same
 //! bits whatever the thread count.
 //!
-//! The layer chain serves training and is the test oracle of `f32`
-//! inference: a convolutional backbone built from these layers scores
-//! windows through the fused channels-last chain of [`crate::fused`]
-//! (direct convolutions with batch norm, ReLU and the residual add in the
-//! tile epilogue, no im2col), whose output is bit-identical to the layer
-//! chain's. The original scalar implementations survive as `*_reference`
-//! methods so parity tests can pin the optimised kernels against them.
+//! The layer chain serves training. A convolutional backbone built from
+//! these layers scores windows through the fused channels-last chain of
+//! [`crate::fused`] instead (the same tile, with batch norm, ReLU and the
+//! residual add in its epilogue), whose output is bit-identical to the
+//! layer chain's. The original scalar implementations survive as
+//! `*_reference` methods so parity tests can pin the optimised kernels
+//! against them.
 
 use serde::{Deserialize, Serialize};
 
@@ -356,9 +357,12 @@ impl Layer for Linear {
 /// a local of the run on every other worker.
 #[derive(Debug, Default)]
 pub(crate) struct ConvScratch {
-    /// im2col lowering buffer, reused across items and, on the calling
-    /// thread, across the layers of a pass (the backward also reuses it
-    /// for the column gradient).
+    /// The forward's zero-padded channel-major copy of one item, which the
+    /// direct tile reads ([`crate::fused`]).
+    stage: Vec<f32>,
+    /// The backward's im2col lowering buffer, reused across items and, on
+    /// the calling thread, across the layers of a pass (it also holds the
+    /// column gradient).
     col: Vec<f32>,
     /// Positions-major copy of one item's output gradient: the lanes of
     /// [`matmul::matmul_weight_grad`].
@@ -368,7 +372,7 @@ pub(crate) struct ConvScratch {
 impl ConvScratch {
     /// `f32`s of capacity the buffers hold.
     pub(crate) fn capacity(&self) -> usize {
-        self.col.capacity() + self.dy_t.capacity()
+        self.stage.capacity() + self.col.capacity() + self.dy_t.capacity()
     }
 }
 
@@ -377,10 +381,9 @@ impl ConvScratch {
 /// Row `c*kernel + t` of the `[C*kernel, len]` output is the input channel
 /// `c` shifted by `t - pad`, zero-padded at the borders — every row is a
 /// single contiguous `copy_from_slice` plus zero fills, and the row order
-/// matches the `[out_c, in_c, kernel]` weight layout so the weight tensor is
-/// usable as the GEMM left operand without repacking. (The quantised
-/// convolution does not lower at all: it reads channels-last windows, see
-/// [`crate::quant::QuantActs`].)
+/// matches the `[out_c, in_c, kernel]` weight layout, the depth order of the
+/// backward's two GEMMs. (The forward convolutions do not lower at all: they
+/// read zero-padded staged rows, see [`crate::fused`].)
 fn im2col(col: &mut Vec<f32>, x: &[f32], channels: usize, len: usize, kernel: usize, pad: usize) {
     col.resize(channels * kernel * len, 0.0);
     for c in 0..channels {
@@ -440,17 +443,18 @@ fn col2im_add(
 /// 1-D convolution with stride 1 and "same" zero padding, matching the
 /// convolutional layers of the paper's CNN (Figure 2).
 ///
-/// The forward and backward passes lower to im2col → GEMM: the
-/// `[out_c, in_c, kernel]` weight tensor is row-major exactly the
-/// `[out_c, in_c*kernel]` GEMM operand, and the im2col matrix is built with
-/// contiguous row copies, so the whole convolution is three matrix
-/// products. Large batches fan out across threads in both passes, in runs
-/// of whole items ([`parallel::for_each_run`]); the calling thread's run
-/// uses the workspace's scratch. The backward's items each write their own
-/// input gradient and weight/bias-gradient partials, which are added into
-/// the gradients in item order, so the gradient bits do not depend on the
-/// thread count. Inference of a whole backbone runs the direct convolution
-/// of [`crate::fused`] instead.
+/// The forward convolves directly with the register tile of
+/// [`crate::fused`], the same tile and accumulation order as the fused
+/// inference chain, and stores the bias plus the convolution. The backward
+/// lowers to im2col and two GEMMs: the `[out_c, in_c, kernel]` weight
+/// tensor is row-major exactly the `[out_c, in_c*kernel]` GEMM operand,
+/// and the im2col matrix is built with contiguous row copies. Large
+/// batches fan out across threads in both passes, in runs of whole items
+/// ([`parallel::for_each_run`]); the calling thread's run uses the
+/// workspace's scratch. The backward's items each write their own input
+/// gradient and weight/bias-gradient partials, which are added into the
+/// gradients in item order, so the gradient bits do not depend on the
+/// thread count.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Conv1d {
     weight: Param, // [out_c, in_c, k]
@@ -517,7 +521,8 @@ impl Conv1d {
     }
 
     /// Naive 5-deep scalar-loop forward pass, kept as the parity reference
-    /// for the im2col/GEMM implementation. Pure: touches no caches.
+    /// of the direct tile (within a tolerance: its sums run in another
+    /// order, without fused multiply-adds). Pure: touches no caches.
     pub fn forward_reference(&self, input: &Tensor) -> Tensor {
         let (batch, len) = (input.shape()[0], input.shape()[2]);
         let pad = self.pad_left();
@@ -589,27 +594,18 @@ impl Layer for Conv1d {
         assert_eq!(input.shape().len(), 3, "Conv1d expects a 3-D input [B, C, N]");
         assert_eq!(input.shape()[1], self.in_channels, "Conv1d channel mismatch");
         let (batch, len) = (input.shape()[0], input.shape()[2]);
-        let (in_c, out_c, k) = (self.in_channels, self.out_channels, self.kernel_size);
-        let ck = in_c * k;
-        let pad = self.pad_left();
+        let (in_c, out_c) = (self.in_channels, self.out_channels);
         let mut out = ws.uninit_tensor(&[batch, out_c, len]);
-        let x = input.data();
-        let bias = self.bias.value.data();
-        // Pack the `[out_c, ck]` weight block into MR-row strips once per
-        // call; every batch item's GEMM then runs the register-tiled kernel
-        // against the same pack (one pass over the weights, amortised to
-        // noise across the batch).
-        matmul::pack_lhs(&mut ws.pack, self.weight.value.data(), out_c, ck);
-        let flops = 2 * batch * out_c * ck * len;
+        // Pack the weights once per call; every batch item then runs the
+        // direct tile against the same plan (one pass over the weights,
+        // amortised to noise across the batch).
+        ws.plan.build_conv(self, len);
+        let flops = 2 * batch * out_c * in_c * self.kernel_size * len;
         let threads = parallel::thread_count_for(batch, flops, CONV_PAR_MIN_FLOPS);
-        let pack = &ws.pack;
+        let (x, plan) = (input.data(), &ws.plan);
         parallel::for_each_run(out.data_mut(), out_c * len, threads, &mut ws.conv, |b0, run, s| {
             for (b, out_b) in (b0..).zip(run.chunks_exact_mut(out_c * len)) {
-                im2col(&mut s.col, &x[b * in_c * len..(b + 1) * in_c * len], in_c, len, k, pad);
-                for (oc, out_row) in out_b.chunks_mut(len).enumerate() {
-                    out_row.fill(bias[oc]);
-                }
-                matmul::matmul_packed_lhs(out_b, pack, &s.col, out_c, ck, len);
+                plan.conv_item(&x[b * in_c * len..(b + 1) * in_c * len], &mut s.stage, out_b);
             }
         });
         if training {
@@ -642,7 +638,7 @@ impl Layer for Conv1d {
             threads,
             &mut ws.conv,
             |b0, run, s| {
-                let ConvScratch { col, dy_t: g_t } = s;
+                let ConvScratch { col, dy_t: g_t, .. } = s;
                 for (b, out) in (b0..).zip(run.chunks_exact_mut(item_len)) {
                     let (dw, rest) = out.split_at_mut(dw_len);
                     let (db, dx) = rest.split_at_mut(out_c);

@@ -13,10 +13,11 @@
 //! passes validated against finite differences (see the `gradcheck` tests in
 //! each layer module).
 //!
-//! Layers hold parameters only; per-call scratch (backward caches, im2col
-//! buffers) lives in an explicit [`Workspace`], so inference `forward` takes
-//! `&self` and one trained model can be shared across threads with a cheap
-//! per-thread workspace instead of a per-thread weight clone.
+//! Layers hold parameters only; per-call scratch (backward caches, staging
+//! and im2col buffers) lives in an explicit [`Workspace`], so inference
+//! `forward` takes `&self` and one trained model can be shared across
+//! threads with a cheap per-thread workspace instead of a per-thread weight
+//! clone.
 //!
 //! Trained convolutions also serve quantised ([`qlayers`], [`quant`]):
 //! `i8` weights with batch norm folded in, run as one fixed-point chain of

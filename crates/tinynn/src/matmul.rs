@@ -1,8 +1,8 @@
-//! Cache-blocked and register-tiled `f32` matrix multiplication kernels.
+//! Cache-blocked and register-tiled `f32` matrix multiplication kernels,
+//! and the quantised convolution's scalar fallback.
 //!
-//! These are the GEMM primitives behind the im2col convolution and the
-//! vectorised fully connected layer. Three layouts serve the layer chain's
-//! training passes:
+//! The `f32` kernels serve the layer chain's fully connected layer and the
+//! convolution backward. Three layouts serve the training passes:
 //!
 //! * [`matmul`]             — `C[m,n] += A[m,k] · B[k,n]` (row-major
 //!   everywhere; `Linear`'s input gradient);
@@ -21,17 +21,12 @@
 //! run side by side, so trained weights do not depend on the tiling, nor
 //! on the thread count of the convolution backward that calls them.
 //!
-//! The layer forwards use the packed register-tiled family instead
-//! ([`pack_lhs`] → [`matmul_packed_lhs`] for the im2col convolution shape,
-//! [`pack_rhs_t`] → [`matmul_packed_rhs`] for the fully connected shape):
-//! it packs the weight operand once per layer call into cache-friendly
-//! [`MR`]/[`NR`] panels and accumulates every `MR × NR` output tile in
-//! registers with explicitly contracted FMA, flushing to `C` once per
-//! [`KC`] depth block instead of once per depth step — roughly double the
-//! throughput of the auto-vectorised loops on the network's small-`m`
-//! GEMMs. (Backbone inference convolves directly, without im2col, in
-//! [`crate::fused`], reproducing [`matmul_packed_lhs`]'s per-block
-//! accumulation order bit for bit.)
+//! `Linear`'s forward uses the packed register-tiled kernel instead
+//! ([`pack_rhs_t`] → [`matmul_packed_rhs`]): it packs the weight operand
+//! once per layer call into [`NR`]-column panels and accumulates every
+//! `MR × NR` output tile in registers with explicitly contracted FMA,
+//! storing to `C` once. The forward convolutions run no GEMM: they convolve
+//! directly in [`crate::fused`].
 //!
 //! The quantised convolution has one kernel, `qsimd::conv_requant`, whose
 //! scalar fallback [`conv_q8_requant`] lives here: both map exact integer
@@ -288,187 +283,29 @@ fn weight_grad_tile<const W: usize, const R: usize>(
 }
 
 // ---------------------------------------------------------------------------
-// Packed register-tiled kernels
+// Packed register-tiled kernel
 // ---------------------------------------------------------------------------
 
 /// Rows of one register micro-tile: `MR` output rows are accumulated
-/// simultaneously, each broadcast from one packed weight lane.
+/// simultaneously, each broadcasting one activation.
 pub const MR: usize = 4;
 
 /// Columns of one register micro-tile: `NR` output columns (two 8-lane
 /// `f32` vectors on AVX2) held in registers for the whole depth sweep.
 pub const NR: usize = 16;
 
-/// Depth block of the tiled kernels: the `B` column panel streamed by one
-/// micro-tile pass is at most `KC × NR` floats (16 KiB), so it stays
-/// L1-resident even for the paper configuration's `in_c · kernel = 2048`
-/// fan-in.
-pub const KC: usize = 256;
-
-/// Fused multiply-add of the micro-kernels. On targets with hardware FMA
-/// (the repo's x86-64-v3 baseline) this contracts to one `vfmadd`
-/// instruction — without the explicit `mul_add`, Rust never contracts
-/// floating-point expressions. On targets without FMA it falls back to
-/// `mul + add` (a libm `fma` call would be orders of magnitude slower).
+/// Fused multiply-add of the `f32` register tiles (here and in
+/// [`crate::fused`]). On targets with hardware FMA (the repo's x86-64-v3
+/// baseline) this contracts to one `vfmadd` instruction — without the
+/// explicit `mul_add`, Rust never contracts floating-point expressions. On
+/// targets without FMA it falls back to `mul + add` (a libm `fma` call
+/// would be orders of magnitude slower).
 #[inline(always)]
 pub(crate) fn fmadd(a: f32, b: f32, acc: f32) -> f32 {
     if cfg!(target_feature = "fma") {
         a.mul_add(b, acc)
     } else {
         acc + a * b
-    }
-}
-
-/// Length of the pack produced by [`pack_lhs`] for an `[m, k]` left operand.
-pub fn packed_lhs_len(m: usize, k: usize) -> usize {
-    m.div_ceil(MR) * MR * k
-}
-
-/// Packs the left GEMM operand (the weight matrix of a convolution) into
-/// [`MR`]-row strips for [`matmul_packed_lhs`]: strip `s` holds rows
-/// `s·MR .. s·MR+MR` k-major (`MR` consecutive values per depth step), so
-/// the micro-kernel reads its `MR` broadcast lanes from one contiguous,
-/// forward-moving stream. The final strip is zero-padded to `MR` rows,
-/// which keeps the kernel branch-free on the row dimension (padded lanes
-/// accumulate into registers that are simply never written back).
-///
-/// `pack` is a reusable buffer (cleared and resized here); packing an
-/// `[m, k]` weight block costs one pass over it and is reused across every
-/// window of a batch, so its cost is amortised to noise.
-///
-/// # Panics
-///
-/// Panics if `a.len() != m * k`.
-pub fn pack_lhs(pack: &mut Vec<f32>, a: &[f32], m: usize, k: usize) {
-    assert_eq!(a.len(), m * k, "A must be m*k = {}x{}", m, k);
-    pack.resize(packed_lhs_len(m, k), 0.0);
-    let strips = m.div_ceil(MR);
-    for s in 0..strips {
-        let i0 = s * MR;
-        let rows = MR.min(m - i0);
-        let dst = &mut pack[s * MR * k..(s + 1) * MR * k];
-        if rows < MR {
-            // `resize` only zero-fills growth; a reused buffer may hold
-            // stale values in the padded lanes of the tail strip.
-            dst.fill(0.0);
-        }
-        for i in 0..rows {
-            let src = &a[(i0 + i) * k..(i0 + i + 1) * k];
-            for (kk, &v) in src.iter().enumerate() {
-                dst[kk * MR + i] = v;
-            }
-        }
-    }
-}
-
-/// One full-width register tile: `C[i0.., jb..jb+NR] += strip · B` over
-/// depth `[k0, k1)`. The `MR × NR` accumulator array lives entirely in
-/// vector registers (8 × 256-bit on AVX2); `B` is touched with exactly one
-/// aligned-friendly `NR`-wide load per depth step and `C` only once, after
-/// the whole depth sweep — the memory traffic the plain `i-k-j` kernel pays
-/// per depth step.
-#[allow(clippy::too_many_arguments)] // GEMM tile: operands + geometry
-#[inline]
-fn tile_f32(
-    c: &mut [f32],
-    n: usize,
-    i0: usize,
-    jb: usize,
-    rows: usize,
-    pstrip: &[f32],
-    b: &[f32],
-    k0: usize,
-    k1: usize,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for kk in k0..k1 {
-        let lanes: &[f32; MR] = pstrip[kk * MR..kk * MR + MR].try_into().expect("MR lanes");
-        let brow: &[f32; NR] = b[kk * n + jb..kk * n + jb + NR].try_into().expect("NR columns");
-        for (acc_i, &av) in acc.iter_mut().zip(lanes.iter()) {
-            for (av_j, &bv) in acc_i.iter_mut().zip(brow.iter()) {
-                *av_j = fmadd(av, bv, *av_j);
-            }
-        }
-    }
-    for (i, acc_i) in acc.iter().enumerate().take(rows) {
-        let crow = &mut c[(i0 + i) * n + jb..(i0 + i) * n + jb + NR];
-        for (cv, &av) in crow.iter_mut().zip(acc_i.iter()) {
-            *cv += av;
-        }
-    }
-}
-
-/// The masked column tail of [`tile_f32`]: identical accumulation order for
-/// the `nr < NR` trailing columns, with the loop bound carried at runtime.
-#[allow(clippy::too_many_arguments)] // GEMM tile: operands + geometry
-#[inline]
-fn tile_f32_tail(
-    c: &mut [f32],
-    n: usize,
-    i0: usize,
-    jb: usize,
-    rows: usize,
-    nr: usize,
-    pstrip: &[f32],
-    b: &[f32],
-    k0: usize,
-    k1: usize,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for kk in k0..k1 {
-        let lanes = &pstrip[kk * MR..kk * MR + MR];
-        let brow = &b[kk * n + jb..kk * n + jb + nr];
-        for (acc_i, &av) in acc.iter_mut().zip(lanes.iter()) {
-            for (av_j, &bv) in acc_i.iter_mut().zip(brow.iter()) {
-                *av_j = fmadd(av, bv, *av_j);
-            }
-        }
-    }
-    for (i, acc_i) in acc.iter().enumerate().take(rows) {
-        let crow = &mut c[(i0 + i) * n + jb..(i0 + i) * n + jb + nr];
-        for (cv, &av) in crow.iter_mut().zip(acc_i.iter()) {
-            *cv += av;
-        }
-    }
-}
-
-/// `C += A · B` with the left operand pre-packed by [`pack_lhs`]:
-/// `pack: [⌈m/MR⌉·MR, k]` strip-major, `B: [k, n]` row-major,
-/// `C: [m, n]` row-major.
-///
-/// This is the inference convolution kernel: the weight pack is built once
-/// per layer call and reused across every batch item, and each `MR × NR`
-/// output tile is accumulated entirely in registers with explicit FMA
-/// (see `tile_f32`) instead of the load/FMA/store-per-depth-step pattern
-/// of [`matmul`]. The depth dimension is blocked by [`KC`] so the streamed
-/// `B` column panel stays L1-resident at any fan-in; accumulation order
-/// over `k` is unchanged by the blocking, and every element of `C` is
-/// produced by exactly one tile, so results do not depend on the blocking
-/// constants' relation to the problem shape beyond float contraction.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with its dimensions.
-pub fn matmul_packed_lhs(c: &mut [f32], pack: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    assert_eq!(pack.len(), packed_lhs_len(m, k), "pack must cover {}x{} in MR strips", m, k);
-    assert_eq!(b.len(), k * n, "B must be k*n = {}x{}", k, n);
-    assert_eq!(c.len(), m * n, "C must be m*n = {}x{}", m, n);
-    let strips = m.div_ceil(MR);
-    for kb in (0..k).step_by(KC) {
-        let k1 = (kb + KC).min(k);
-        for jb in (0..n).step_by(NR) {
-            let nr = NR.min(n - jb);
-            for s in 0..strips {
-                let i0 = s * MR;
-                let rows = MR.min(m - i0);
-                let pstrip = &pack[s * MR * k..(s + 1) * MR * k];
-                if nr == NR {
-                    tile_f32(c, n, i0, jb, rows, pstrip, b, kb, k1);
-                } else {
-                    tile_f32_tail(c, n, i0, jb, rows, nr, pstrip, b, kb, k1);
-                }
-            }
-        }
     }
 }
 
@@ -877,41 +714,6 @@ mod tests {
         let mut c = vec![0.0f32; m * n];
         matmul_at_b(&mut c, &at, &b, r, m, n);
         assert!(max_abs_diff(&c, &expect) < 1e-4);
-    }
-
-    // The packed kernels' tile-boundary shape sweeps (sub-tile remainders,
-    // >KC depths, random odd shapes, the packed-rhs transpose equivalence) live in `tests/gemm_props.rs`; the tests here
-    // only cover properties that sweep cannot express.
-
-    #[test]
-    fn packed_lhs_accumulates_and_handles_empty_depth() {
-        let a = vec![1.0f32, 0.0, 0.0, 1.0];
-        let b = vec![2.0f32, 3.0, 4.0, 5.0];
-        let mut pack = Vec::new();
-        pack_lhs(&mut pack, &a, 2, 2);
-        let mut c = vec![10.0f32; 4];
-        matmul_packed_lhs(&mut c, &pack, &b, 2, 2, 2);
-        assert_eq!(c, vec![12.0, 13.0, 14.0, 15.0]);
-        // k = 0: a valid no-op that must leave C untouched.
-        pack_lhs(&mut pack, &[], 3, 0);
-        let mut c0 = vec![7.0f32; 6];
-        matmul_packed_lhs(&mut c0, &pack, &[], 3, 0, 2);
-        assert_eq!(c0, vec![7.0; 6]);
-    }
-
-    #[test]
-    fn packed_lhs_reused_buffer_clears_stale_padding() {
-        // A wide pack followed by a narrower one with a padded tail strip
-        // must not leak the first pack's values into the padding lanes.
-        let mut pack = Vec::new();
-        pack_lhs(&mut pack, &[9.0f32; 8 * 4], 8, 4);
-        let a: Vec<f32> = (0..3 * 2).map(|x| x as f32).collect();
-        pack_lhs(&mut pack, &a, 3, 2);
-        let b = vec![1.0f32, 1.0, 1.0, 1.0]; // [2, 2] of ones
-        let expect = matmul_reference(&a, &b, 3, 2, 2);
-        let mut c = vec![0.0f32; 6];
-        matmul_packed_lhs(&mut c, &pack, &b, 3, 2, 2);
-        assert_eq!(c, expect);
     }
 
     #[test]

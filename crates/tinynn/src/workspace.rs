@@ -11,14 +11,15 @@
 //!   backward traverses the network in exactly the reverse order of forward,
 //!   a LIFO stack needs no layer identity bookkeeping at all. Inference
 //!   (`training == false`) pushes nothing.
-//! * **scratch buffers** — the layer chain's convolution scratch (`conv`:
-//!   the f32 im2col buffer and the backward's transposed output gradient)
-//!   and the convolution backward's per-item gradient outputs
-//!   (`grad_items`), which serve training only; the packed weight-panel buffer (`pack`, rebuilt per layer call
-//!   and reused by the register-tiled GEMM kernels); the fused `f32`
-//!   inference chain's per-call weight packing (`plan`) and per-window
-//!   staging and channels-last activations (`item`, see [`crate::fused`]);
-//!   and the fixed-point chain's `i16` codes and `i64` pooling sums of one
+//! * **scratch buffers** — the `f32` convolutions' per-call weight packing
+//!   (`plan`, see [`crate::fused`]: a whole backbone's for the fused
+//!   inference chain, one layer's for `Conv1d`'s layer forward); the layer
+//!   chain's convolution scratch (`conv`: the forward's staged item, the
+//!   backward's im2col buffer and transposed output gradient) and the
+//!   convolution backward's per-item gradient outputs (`grad_items`); the
+//!   fully connected layer's packed weight panels (`pack`); the fused
+//!   chain's per-window staging and channels-last activations (`item`); and
+//!   the fixed-point chain's `i16` codes and `i64` pooling sums of one
 //!   window (`qitem`, see [`crate::qlayers::pooled_features`]) — reused
 //!   across layers, windows and calls, so steady-state inference performs
 //!   no allocation and the chains' scratch does not grow with the batch;
@@ -57,20 +58,20 @@ const ARENA_SLOTS: usize = 16;
 #[derive(Debug, Default)]
 pub struct Workspace {
     stack: Vec<LayerCache>,
-    /// The layer chain's convolution scratch: the im2col lowering buffer,
-    /// reused across layers of one pass, and the backward's transposed
-    /// output gradient.
+    /// The layer chain's convolution scratch: the forward's staged item,
+    /// and the backward's im2col lowering buffer and transposed output
+    /// gradient, reused across the layers of a pass.
     pub(crate) conv: ConvScratch,
     /// Per-item outputs of the convolution backward pass: each batch
     /// item's weight- and bias-gradient partials and its input gradient.
     pub(crate) grad_items: Vec<f32>,
-    /// Packed weight panels of the register-tiled GEMM kernels
-    /// ([`crate::matmul::pack_lhs`] / [`crate::matmul::pack_rhs_t`]),
+    /// `Linear`'s packed weight panels ([`crate::matmul::pack_rhs_t`]),
     /// rebuilt per layer call (weights may change between calls during
     /// training) into this one reused buffer.
     pub(crate) pack: Vec<f32>,
-    /// The fused `f32` inference chain's per-call weight packing
-    /// ([`crate::fused::pooled_features`]).
+    /// The `f32` convolutions' per-call weight packing: a backbone's for
+    /// [`crate::fused::pooled_features`], one layer's for `Conv1d`'s
+    /// forward.
     pub(crate) plan: Plan,
     /// The fused chain's per-window staging and activation buffers.
     pub(crate) item: ItemScratch,

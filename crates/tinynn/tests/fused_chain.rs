@@ -3,12 +3,15 @@
 //! `tinynn::fused::pooled_features` must return exactly the bits of the
 //! layer chain — `Layer::forward(.., false)` on the same sub-layers: stem
 //! convolution, batch norm, ReLU, two residual blocks (the second with a
-//! projection shortcut) and the global average pool. The layer chain is
-//! the oracle here; the sweep covers channel counts below, at and above one
+//! projection shortcut) and the global average pool. Both run the same
+//! convolution tile (`gemm_props.rs` pins it against a scalar loop), so
+//! what this checks is everything around it: the fused epilogues (batch
+//! norm, ReLU, residual add), the channels-last staging between layers and
+//! the pool. The sweep covers channel counts below, at and above one
 //! register strip, kernels from 1×1 to the paper's 64 (depths of several
-//! `KC` blocks), window lengths from a single sample through below, equal
-//! to and above the kernel, and batches of 1, 7 and 64. The chain runs its
-//! windows on the calling thread, so one run per case covers it.
+//! 256-deep blocks), window lengths from a single sample through below,
+//! equal to and above the kernel, and batches of 1, 7 and 64. The chain
+//! runs its windows on the calling thread, so one run per case covers it.
 
 use tinynn::{
     BatchNorm1d, Conv1d, GlobalAvgPool1d, Layer, Relu, ResidualBlock1d, Tensor, Workspace,
@@ -153,6 +156,24 @@ fn every_batch_size_runs_on_the_served_shape() {
         let one = *one_window.get_or_insert(held);
         assert_eq!(held, one, "batch {batch}: scratch held against one window's");
         assert!(held <= bound, "batch {batch}: {held} B held above the {bound} B bound");
+    }
+}
+
+#[test]
+fn scratch_bytes_is_what_a_fresh_workspace_retains() {
+    // The served 8×9 network on 230-sample windows, the paper's 16×64 on
+    // 1,000 and a 2×3 on 24: one window on a fresh workspace leaves exactly
+    // the scratch that `scratch_bytes` counts, and a second window on the
+    // same workspace leaves it unchanged.
+    for (f, k, len) in [(8usize, 9usize, 230usize), (16, 64, 1000), (2, 3, 24)] {
+        let backbone = Backbone::new(f, k, 3);
+        let blocks = [&backbone.res1, &backbone.res2];
+        let estimate = tinynn::fused::scratch_bytes(&backbone.stem, &blocks, len);
+        let mut ws = Workspace::new();
+        for window in 0..2 {
+            let _ = backbone.fused(&windows(1, len, window), &mut ws);
+            assert_eq!(ws.retained_bytes(), estimate, "f={f} k={k} len={len} window {window}");
+        }
     }
 }
 

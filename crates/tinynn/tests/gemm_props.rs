@@ -1,15 +1,24 @@
-//! Property tests of the register-tiled GEMM kernels.
+//! Property tests of the register-tiled kernels.
 //!
-//! The micro-kernels carry three kinds of shape hazard: row strips that do
-//! not divide `m` (zero-padded pack lanes), column blocks that do not divide
-//! `n` (masked tails) and depth blocking at the `KC` boundary. Every test
-//! here sweeps randomly drawn *odd* shapes plus an explicit edge list
-//! (`k = 0`, `n = 1`, single rows, exact tile multiples, one-off remainders)
-//! against the naive references — [`matmul_reference`] for the `f32` paths
-//! (relative tolerance: the tiled kernels contract to FMA) and the exact
-//! integer [`matmul_q8_reference`] for the quantised path (bit-exact, with
-//! code magnitudes kept small enough that every dot fits the `i16` output
-//! grid of a unit requantiser).
+//! The `f32` forward convolution has one kernel, the direct register tile
+//! behind `Conv1d::forward` (and the fused inference chain). Its outputs
+//! must equal, bit for bit, a scalar loop of the pinned accumulation order
+//! written here: the bias, then each 256-deep block of the `c·k + t` depth
+//! summed from zero with fused multiply-adds, added in turn. The sweep
+//! covers the tile's hazards: output-channel strips that do not divide
+//! `out_c`, position tiles that do not divide the length, the depth-block
+//! edges, kernels longer than the window, and batches that fan out.
+//!
+//! The other kernels carry three kinds of shape hazard: row strips that do
+//! not divide `m`, column blocks that do not divide `n` (zero-padded pack
+//! lanes) and deep panels. Their tests sweep randomly drawn *odd* shapes
+//! plus an explicit edge list (`k = 0`, `n = 1`, single rows, exact tile
+//! multiples, one-off remainders) against the naive references —
+//! [`matmul_reference`] for the fully connected forward (relative
+//! tolerance: the tiled kernel contracts to FMA) and the exact integer
+//! [`matmul_q8_reference`] for the quantised path (bit-exact, with code
+//! magnitudes kept small enough that every dot fits the `i16` output grid
+//! of a unit requantiser).
 //!
 //! The training kernels ([`matmul_weight_grad`], [`matmul_at_b`]) must
 //! instead match the plain scalar loops they replaced bit for bit; those
@@ -18,8 +27,8 @@
 //! time.
 
 use tinynn::matmul::{
-    conv_q8_requant, matmul_at_b, matmul_packed_lhs, matmul_packed_rhs, matmul_q8_reference,
-    matmul_reference, matmul_weight_grad, pack_lhs, pack_rhs_t, packed_lhs_len, packed_rhs_len,
+    conv_q8_requant, matmul_at_b, matmul_packed_rhs, matmul_q8_reference, matmul_reference,
+    matmul_weight_grad, pack_rhs_t, packed_rhs_len,
 };
 use tinynn::{init, Conv1d, Layer, Requantizer, Tensor, Workspace};
 
@@ -47,7 +56,7 @@ impl Rng {
 
 /// Edge shapes every kernel must survive: empty depth, single columns and
 /// rows, exact tile multiples (`MR = 4`, `NR = 16`) and one-off remainders
-/// on each side, plus depths beyond one `KC = 256` block.
+/// on each side, plus depths beyond one `QK = 256` quantised panel.
 const EDGE_SHAPES: &[(usize, usize, usize)] = &[
     (1, 0, 1),
     (3, 0, 5),
@@ -80,24 +89,6 @@ fn assert_f32_close(got: &[f32], want: &[f32], what: &str) {
 }
 
 #[test]
-fn packed_lhs_matches_reference_over_shape_sweep() {
-    let mut rng = Rng::new(41);
-    let shapes: Vec<_> =
-        EDGE_SHAPES.iter().copied().chain((0..60).map(|_| random_shape(&mut rng))).collect();
-    let mut pack = Vec::new();
-    for (m, k, n) in shapes {
-        let a: Vec<f32> = (0..m * k).map(|_| rng.uniform(1.0)).collect();
-        let b: Vec<f32> = (0..k * n).map(|_| rng.uniform(1.0)).collect();
-        let expect = matmul_reference(&a, &b, m, k, n);
-        pack_lhs(&mut pack, &a, m, k);
-        assert_eq!(pack.len(), packed_lhs_len(m, k), "{m}x{k}");
-        let mut c = vec![0.0f32; m * n];
-        matmul_packed_lhs(&mut c, &pack, &b, m, k, n);
-        assert_f32_close(&c, &expect, &format!("packed_lhs {m}x{k}x{n}"));
-    }
-}
-
-#[test]
 fn packed_rhs_matches_reference_over_shape_sweep() {
     let mut rng = Rng::new(43);
     let shapes: Vec<_> =
@@ -120,22 +111,6 @@ fn packed_rhs_matches_reference_over_shape_sweep() {
         matmul_packed_rhs(&mut c, &a, &pack, m, k, n);
         assert_f32_close(&c, &expect, &format!("packed_rhs {m}x{k}x{n}"));
     }
-}
-
-#[test]
-fn packed_kernels_accumulate_into_nonzero_c() {
-    // `C +=` semantics: a biased output must keep its bias.
-    let mut rng = Rng::new(47);
-    let (m, k, n) = (5usize, 23usize, 19usize);
-    let a: Vec<f32> = (0..m * k).map(|_| rng.uniform(1.0)).collect();
-    let b: Vec<f32> = (0..k * n).map(|_| rng.uniform(1.0)).collect();
-    let product = matmul_reference(&a, &b, m, k, n);
-    let mut pack = Vec::new();
-    pack_lhs(&mut pack, &a, m, k);
-    let mut c = vec![2.5f32; m * n];
-    matmul_packed_lhs(&mut c, &pack, &b, m, k, n);
-    let expect: Vec<f32> = product.iter().map(|v| v + 2.5).collect();
-    assert_f32_close(&c, &expect, "accumulate");
 }
 
 /// Draws quantised operands with code magnitudes small enough that every
@@ -359,6 +334,97 @@ fn gradient_kernels_leave_c_alone_for_empty_products() {
     assert_eq!(c, vec![1.5; 6]);
     matmul_weight_grad(&mut c, &[], &[], 0, 2, 3);
     assert_eq!(c, vec![1.5; 6]);
+}
+
+/// The fused multiply-add of the `f32` tiles: one rounding where the
+/// target has hardware FMA, a rounded product and then an add where not.
+fn fmadd(a: f32, b: f32, acc: f32) -> f32 {
+    if cfg!(target_feature = "fma") {
+        a.mul_add(b, acc)
+    } else {
+        acc + a * b
+    }
+}
+
+/// Oracle of `Conv1d::forward`, `[batch, out_c, len]`: every output is the
+/// bias, then each 256-deep block of the depth summed from zero in
+/// `c·k + t` order (zero outside the window, "same" padding), the block
+/// sums added in turn.
+fn conv_oracle(conv: &Conv1d, x: &Tensor) -> Vec<f32> {
+    let (in_c, len) = (x.shape()[1], x.shape()[2]);
+    let k = conv.kernel_size();
+    let (depth, pad) = (in_c * k, (k - 1) / 2);
+    let mut out = Vec::with_capacity(x.shape()[0] * conv.out_channels() * len);
+    for item in x.data().chunks_exact(in_c * len) {
+        for (w, &bias) in conv.weight().data().chunks_exact(depth).zip(conv.bias().data()) {
+            for j in 0..len {
+                let mut v = bias;
+                for (d0, w_block) in (0..).step_by(256).zip(w.chunks(256)) {
+                    let mut block = 0.0f32;
+                    for (d, &wd) in (d0..).zip(w_block) {
+                        let (c, t) = (d / k, d % k);
+                        let at = (j + t).checked_sub(pad).filter(|&s| s < len);
+                        block = fmadd(wd, at.map_or(0.0, |s| item[c * len + s]), block);
+                    }
+                    v += block;
+                }
+                out.push(v);
+            }
+        }
+    }
+    out
+}
+
+/// `(in_c, kernel)` of the convolution sweep: depths 255, 256, 257 and
+/// 1,024 (either side of the 256-deep block edges, and four blocks), odd
+/// and even kernels, and 257 taps, longer than every window.
+const CONV_DEPTHS: &[(usize, usize)] =
+    &[(85, 3), (15, 17), (32, 8), (16, 16), (257, 1), (1, 257), (16, 64), (128, 8)];
+
+/// Output channels below, at and above the 8- and 16-wide strips.
+const CONV_OUT: &[usize] = &[1, 7, 8, 9, 15, 16, 17, 32];
+
+/// Window lengths: one sample, the remainders of the 6- and 8-position
+/// tiles, and the served 230.
+const CONV_LENGTHS: &[usize] = &[1, 5, 6, 7, 8, 9, 230];
+
+#[test]
+fn conv_forward_matches_the_pinned_order_over_shape_sweep() {
+    // Every case runs at batch 1; each (depth, channels) pair also runs one
+    // rotating length at a batch whose work passes the convolution's
+    // 2 MFLOP fan-out gate. One workspace serves the sweep, so every plan
+    // is rebuilt over an earlier shape's.
+    let mut rng = Rng::new(71);
+    let mut ws = Workspace::new();
+    let mut cases = 0;
+    for (ci, &(in_c, k)) in CONV_DEPTHS.iter().enumerate() {
+        for (oi, &out_c) in CONV_OUT.iter().enumerate() {
+            let mut conv = Conv1d::new(in_c, out_c, k, (ci * CONV_OUT.len() + oi) as u64);
+            for b in conv.params_mut()[1].value.data_mut() {
+                *b = rng.uniform(1.0);
+            }
+            for (li, &len) in CONV_LENGTHS.iter().enumerate() {
+                let fan_out = (ci + oi) % CONV_LENGTHS.len() == li;
+                let fan_out = fan_out.then(|| 2 + (1 << 21) / (2 * out_c * in_c * k * len));
+                for batch in std::iter::once(1).chain(fan_out) {
+                    let x: Vec<f32> = (0..batch * in_c * len).map(|_| rng.uniform(2.0)).collect();
+                    let x = Tensor::from_vec(x, &[batch, in_c, len]);
+                    let want = conv_oracle(&conv, &x);
+                    for training in [false, true] {
+                        let got = conv.forward(&x, &mut ws, training);
+                        let what = format!(
+                            "in_c={in_c} k={k} out_c={out_c} len={len} batch={batch} \
+                             training={training}"
+                        );
+                        assert_same_bits(got.data(), &want, &what);
+                    }
+                    ws.clear();
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cases, CONV_DEPTHS.len() * CONV_OUT.len() * (CONV_LENGTHS.len() + 1));
 }
 
 /// The bits of `Conv1d` training steps on one layer, one step per entry of

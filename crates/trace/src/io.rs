@@ -7,10 +7,13 @@
 //!   `numpy.fromfile(dtype="<f4")`, convenient for exchanging traces with the
 //!   original Python tooling, and
 //! * a self-describing text format for [`Trace`] including metadata
-//!   ([`write_trace_text`] / [`read_trace_text`]), kept dependency-free on
-//!   purpose (no JSON crate in the offline allow-list).
+//!   (`SCATRC01`), kept dependency-free on purpose (no JSON crate in the
+//!   offline allow-list). [`write_trace_text`] writes it; its one reader is
+//!   [`crate::FileTraceSource::open_text`], which indexes the file and reads
+//!   any window of it, or the whole trace with
+//!   [`crate::FileTraceSource::read_all`].
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::{Result, Trace, TraceError, TraceMeta};
@@ -247,61 +250,11 @@ pub fn write_trace_text<P: AsRef<Path>>(path: P, trace: &Trace) -> Result<()> {
     Ok(())
 }
 
-/// Reads a [`Trace`] previously written by [`write_trace_text`].
-///
-/// # Errors
-///
-/// Returns [`TraceError::Io`] if the file cannot be read or is malformed.
-pub fn read_trace_text<P: AsRef<Path>>(path: P) -> Result<Trace> {
-    let file = std::fs::File::open(path).map_err(io_err)?;
-    let mut r = BufReader::new(file);
-    let mut lines = Vec::new();
-    let mut buf = String::new();
-    loop {
-        buf.clear();
-        let n = r.read_line(&mut buf).map_err(io_err)?;
-        if n == 0 {
-            break;
-        }
-        lines.push(buf.trim_end().to_string());
-    }
-    let mut it = lines.into_iter();
-    let magic = it.next().ok_or_else(|| TraceError::Io("empty trace file".into()))?;
-    if magic.as_bytes() != MAGIC {
-        return Err(TraceError::Io("bad magic header".into()));
-    }
-    let mut meta = TraceMeta::default();
-    let mut n_samples = 0usize;
-    for line in it.by_ref() {
-        if let Some(declared) = parse_trace_header_line(&line, &mut meta)? {
-            n_samples = declared;
-            break;
-        }
-    }
-    // `n_samples` is an untrusted header value: cap the up-front reservation
-    // so a lying header cannot force a huge allocation before any data is
-    // parsed (the vector still grows to the real sample count).
-    let mut samples = Vec::with_capacity(n_samples.min(READ_CHUNK_BYTES));
-    for line in it {
-        if line.is_empty() {
-            continue;
-        }
-        samples.push(line.parse::<f32>().map_err(|_| TraceError::Io("bad sample value".into()))?);
-    }
-    if samples.len() != n_samples {
-        return Err(TraceError::Io(format!(
-            "expected {n_samples} samples, found {}",
-            samples.len()
-        )));
-    }
-    Ok(Trace::with_meta(samples, meta))
-}
-
 /// Parses one `SCATRC01` header line (already stripped of its newline) into
 /// `meta`. Returns `Some(declared_sample_count)` for the terminating
-/// `samples` field, `None` for every other header field. Shared by the full
-/// reader ([`read_trace_text`]) and the out-of-core indexer
-/// (`FileTraceSource::open_text`) so the two cannot drift apart.
+/// `samples` field, `None` for every other header field. Kept next to
+/// [`write_trace_text`], the header's writer, for the format's reader
+/// (`FileTraceSource::open_text`).
 pub(crate) fn parse_trace_header_line(line: &str, meta: &mut TraceMeta) -> Result<Option<usize>> {
     let (key, value) = line.split_once(' ').unwrap_or((line, ""));
     match key {
@@ -338,6 +291,7 @@ pub(crate) fn parse_usize_list(value: &str) -> Result<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FileTraceSource;
 
     #[test]
     fn binary_roundtrip() {
@@ -443,7 +397,7 @@ mod tests {
         // Header declares an absurd sample count but carries two samples: the
         // reader must fail on the count mismatch, not abort on allocation.
         std::fs::write(&path, "SCATRC01\nsamples 99999999999999\n1.0\n2.0\n").unwrap();
-        let err = read_trace_text(&path).unwrap_err();
+        let err = FileTraceSource::open_text(&path).unwrap_err();
         assert!(matches!(err, TraceError::Io(_)));
         std::fs::remove_file(&path).ok();
     }
@@ -459,7 +413,7 @@ mod tests {
         meta.co_ends = vec![100, 320];
         let trace = Trace::with_meta(vec![0.5, -0.25, 1.0, 2.0], meta);
         write_trace_text(&path, &trace).unwrap();
-        let back = read_trace_text(&path).unwrap();
+        let back = FileTraceSource::open_text(&path).unwrap().read_all().unwrap();
         assert_eq!(back.samples(), trace.samples());
         assert_eq!(back.meta().co_starts, trace.meta().co_starts);
         assert_eq!(back.meta().co_ends, trace.meta().co_ends);
@@ -474,7 +428,7 @@ mod tests {
         let path = dir.join("sca_trace_io_test_empty.trc");
         let trace = Trace::from_samples(vec![1.0, 2.0]);
         write_trace_text(&path, &trace).unwrap();
-        let back = read_trace_text(&path).unwrap();
+        let back = FileTraceSource::open_text(&path).unwrap().read_all().unwrap();
         assert!(back.meta().co_starts.is_empty());
         assert_eq!(back.len(), 2);
         std::fs::remove_file(&path).ok();
@@ -482,6 +436,7 @@ mod tests {
 
     #[test]
     fn read_missing_file_is_error() {
-        assert!(read_trace_text("/nonexistent/definitely_missing.trc").is_err());
+        // The sniffing opener, which picks the text reader by its magic.
+        assert!(FileTraceSource::open("/nonexistent/definitely_missing.trc").is_err());
     }
 }
