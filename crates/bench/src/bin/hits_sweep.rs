@@ -1,7 +1,9 @@
 //! Regenerates the Section IV-B segmentation sweep: hit-rate of the CNN
 //! locator for **every cipher**, both random-delay configurations (RD-2 and
 //! RD-4), consecutive and noise-interleaved scenarios. The paper reports
-//! 100 % hits in all of these cells.
+//! 100 % hits in all of these cells. Beside every hit rate the sweep
+//! prints the false starts (located starts that hit no CO) and the
+//! precision (hits over located starts).
 //!
 //! Also doubles as an ablation harness (pass `--ablation`): on AES RD-4
 //! consecutive COs it re-segments one trained locator's scores with median
@@ -27,10 +29,10 @@ fn main() {
 
     println!("== Section IV-B: segmentation hit-rate sweep ==");
     println!(
-        "{:<10} {:>6} {:>14} {:>10} {:>10} {:>8}",
-        "Cipher", "RD", "Noise apps", "Hits", "Total", "Hits (%)"
+        "{:<10} {:>6} {:>14} {:>10} {:>10} {:>8} {:>7} {:>9}",
+        "Cipher", "RD", "Noise apps", "Hits", "Total", "Hits (%)", "False", "Prec. (%)"
     );
-    println!("{}", "-".repeat(64));
+    println!("{}", "-".repeat(82));
 
     let ciphers: &[CipherId] = if ablation { &[CipherId::Aes128] } else { &CipherId::ALL };
 
@@ -46,13 +48,15 @@ fn main() {
                 let located = setup.locator.locate(&result.trace);
                 let hits = score_hits(&located, &result);
                 println!(
-                    "{:<10} {:>6} {:>14} {:>10} {:>10} {:>8.2}",
+                    "{:<10} {:>6} {:>14} {:>10} {:>10} {:>8.2} {:>7} {:>9.2}",
                     cipher.label(),
                     format!("RD-{rd}"),
                     if noise { "yes" } else { "no" },
                     hits.hits,
                     hits.total,
-                    hits.percentage()
+                    hits.percentage(),
+                    hits.false_positives,
+                    hits.precision()
                 );
                 if !noise {
                     consecutive = Some(result);
@@ -74,9 +78,11 @@ fn main() {
             let located = Segmenter::new(seg).segment(&swc, stride);
             let hits = score_hits(&located, &result);
             println!(
-                "k = {k:>2}  ->  hits {:>5.1}%  ({} located)",
+                "k = {k:>2}  ->  hits {:>5.1}%  ({} located, {} false, precision {:>5.1}%)",
                 hits.percentage(),
-                located.len()
+                located.len(),
+                hits.false_positives,
+                hits.precision()
             );
         }
     }

@@ -5,6 +5,8 @@
 //!
 //! For every scenario the harness reports:
 //! * Hits (%) — fraction of COs whose beginning was located;
+//! * False — located starts that hit no CO, and Prec. (%) — the share of
+//!   located starts that hit one;
 //! * CPA (N. COs) — number of located-and-aligned COs needed for every
 //!   attacked key byte to reach rank 1 (✗ if the key is not recovered with
 //!   the available COs).
@@ -20,14 +22,14 @@ use sca_bench::{
     baseline_template, score_hits, simulate_scenario, train_locator, ExperimentConfig,
 };
 use sca_ciphers::CipherId;
-use sca_locator::Aligner;
+use sca_locator::{Aligner, HitReport};
 use soc_sim::ScenarioResult;
 
 struct Row {
     method: &'static str,
     rd: usize,
     noise: bool,
-    hits_pct: f64,
+    hits: HitReport,
     cpa_cos: Option<usize>,
 }
 
@@ -97,7 +99,7 @@ fn main() {
                 method: "[10] matched filter",
                 rd,
                 noise,
-                hits_pct: mf_hits.percentage(),
+                hits: mf_hits,
                 cpa_cos: cpa_on_alignment(&matched.locate(&result.trace), &result, num_key_bytes),
             });
 
@@ -107,7 +109,7 @@ fn main() {
                 method: "[11] SAD template",
                 rd,
                 noise,
-                hits_pct: sad_hits.percentage(),
+                hits: sad_hits,
                 cpa_cos: cpa_on_alignment(&sad.locate(&result.trace), &result, num_key_bytes),
             });
 
@@ -118,7 +120,7 @@ fn main() {
                 method: "This work (CNN)",
                 rd,
                 noise,
-                hits_pct: our_hits.percentage(),
+                hits: our_hits,
                 cpa_cos: cpa_on_alignment(&located, &result, num_key_bytes),
             });
         }
@@ -132,17 +134,19 @@ fn main() {
         num_key_bytes
     );
     println!(
-        "{:<22} {:>6} {:>12} {:>10} {:>14}",
-        "Method", "RD", "Noise apps", "Hits (%)", "CPA (N. COs)"
+        "{:<22} {:>6} {:>12} {:>10} {:>7} {:>9} {:>14}",
+        "Method", "RD", "Noise apps", "Hits (%)", "False", "Prec. (%)", "CPA (N. COs)"
     );
-    println!("{}", "-".repeat(70));
+    println!("{}", "-".repeat(88));
     for row in &rows {
         println!(
-            "{:<22} {:>6} {:>12} {:>10.2} {:>14}",
+            "{:<22} {:>6} {:>12} {:>10.2} {:>7} {:>9.2} {:>14}",
             row.method,
             format!("RD-{}", row.rd),
             if row.noise { "yes" } else { "no" },
-            row.hits_pct,
+            row.hits.percentage(),
+            row.hits.false_positives,
+            row.hits.precision(),
             row.cpa_cos.map_or_else(|| "x".to_string(), |n| n.to_string())
         );
     }

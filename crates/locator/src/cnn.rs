@@ -37,8 +37,8 @@
 
 use serde::{Deserialize, Serialize};
 use tinynn::{
-    forward_consuming, BatchNorm1d, Conv1d, GlobalAvgPool1d, Layer, Linear, Param, Relu,
-    ResidualBlock1d, Tensor, Workspace,
+    backward_consuming, forward_consuming, BatchNorm1d, Conv1d, GlobalAvgPool1d, Layer, Linear,
+    Param, Relu, ResidualBlock1d, Tensor, Workspace,
 };
 
 /// Hyper-parameters of the CNN.
@@ -192,15 +192,17 @@ impl CoLocatorCnn {
     /// Backward pass for a batch previously run through [`Self::forward`]
     /// with `training == true` on the same workspace.
     pub fn backward(&mut self, grad_logits: &Tensor, ws: &mut Workspace) -> Tensor {
+        // Each dead gradient returns to the workspace arena as soon as the
+        // next layer has consumed it (`backward_consuming`).
         let g = self.fc2.backward(grad_logits, ws);
-        let g = self.fc_relu.backward(&g, ws);
-        let g = self.fc1.backward(&g, ws);
-        let g = self.pool.backward(&g, ws);
-        let g = self.res2.backward(&g, ws);
-        let g = self.res1.backward(&g, ws);
-        let g = self.relu.backward(&g, ws);
-        let g = self.bn.backward(&g, ws);
-        self.conv.backward(&g, ws)
+        let g = backward_consuming(&mut self.fc_relu, g, ws);
+        let g = backward_consuming(&mut self.fc1, g, ws);
+        let g = backward_consuming(&mut self.pool, g, ws);
+        let g = backward_consuming(&mut self.res2, g, ws);
+        let g = backward_consuming(&mut self.res1, g, ws);
+        let g = backward_consuming(&mut self.relu, g, ws);
+        let g = backward_consuming(&mut self.bn, g, ws);
+        backward_consuming(&mut self.conv, g, ws)
     }
 
     /// Shared access to every trainable parameter, in a fixed architecture

@@ -27,6 +27,18 @@ impl HitReport {
         }
     }
 
+    /// Precision in percent: the share of located starts that hit a CO,
+    /// `100 · hits / (hits + false_positives)`. 0.0 when nothing was
+    /// located.
+    pub fn precision(&self) -> f64 {
+        let located = self.hits + self.false_positives;
+        if located == 0 {
+            0.0
+        } else {
+            100.0 * self.hits as f64 / located as f64
+        }
+    }
+
     /// `true` when every CO was located and there were no false alarms.
     pub fn is_perfect(&self) -> bool {
         self.hits == self.total && self.false_positives == 0
@@ -98,6 +110,18 @@ mod tests {
         assert_eq!(r.false_positives, 1);
         assert!(!r.is_perfect());
         assert!((r.percentage() - 50.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn precision_counts_false_starts() {
+        // Every CO is hit, but only two of the four located starts hit one.
+        let r = hit_rate(&[100, 150, 500, 900], &[102, 498], 10);
+        assert_eq!((r.hits, r.false_positives), (2, 2));
+        assert!((r.percentage() - 100.0).abs() < 1e-9);
+        assert!((r.precision() - 50.0).abs() < 1e-9);
+        assert!((hit_rate(&[100, 500], &[102, 498], 10).precision() - 100.0).abs() < 1e-9);
+        // Nothing located: no precision to report.
+        assert_eq!(hit_rate(&[], &[100], 10).precision(), 0.0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! without any per-window allocation.
 //! For the `f32` network that call is the fused channels-last chain of
 //! [`tinynn::fused`] (direct convolutions with batch norm, ReLU and the
-//! residual add in the tile epilogue; im2col serves the backward only), whose
+//! residual add in the tile epilogue), whose
 //! scores are bit-identical to the layer-by-layer forward.
 //! The window shards are the one place scoring runs in parallel: contiguous
 //! shards of the window list go to [`tinynn::parallel::for_each_run`], the

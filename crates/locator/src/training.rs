@@ -108,7 +108,8 @@ impl Trainer {
                 let logits = cnn.forward(&batch.inputs, &mut ws, true);
                 let (loss, grad) = loss_fn.loss_and_grad(&logits, &batch.labels);
                 cnn.zero_grad();
-                cnn.backward(&grad, &mut ws);
+                let grad_input = cnn.backward(&grad, &mut ws);
+                ws.recycle(grad_input);
                 optim.step(&mut cnn.params_mut());
                 epoch_loss += loss as f64;
                 batches += 1;

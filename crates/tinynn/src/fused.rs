@@ -164,7 +164,7 @@ impl Extent {
 /// `buf` resized to `n` floats. A buffer that must grow grows to exactly
 /// `n`, so it retains the largest size it was given and no more (what
 /// [`scratch_bytes`] counts).
-fn sized(buf: &mut Vec<f32>, n: usize) -> &mut [f32] {
+pub(crate) fn sized(buf: &mut Vec<f32>, n: usize) -> &mut [f32] {
     buf.reserve_exact(n.saturating_sub(buf.len()));
     buf.resize(n, 0.0);
     buf
@@ -206,6 +206,11 @@ impl Plan {
     pub(crate) fn build_conv(&mut self, conv: &Conv1d, len: usize) {
         self.layout(&Extent::of(std::iter::once(conv)), len);
         self.push(conv, None);
+    }
+
+    /// Length of one staged channel row in this plan's layout.
+    pub(crate) fn row(&self) -> usize {
+        self.row
     }
 
     /// Empties the plan and reserves exactly what `extent` needs.
@@ -259,24 +264,18 @@ impl Plan {
 
     /// `Conv1d`'s layer forward on one item, with the plan of
     /// [`Self::build_conv`]: stages the channel-major `[in_c, len]` input
-    /// `x` into `stage` and writes the bias plus the convolution into `out`,
-    /// `[out_c, len]`.
-    pub(crate) fn conv_item(&self, x: &[f32], stage: &mut Vec<f32>, out: &mut [f32]) {
+    /// `x` into `stage` (`in_c` rows of [`Self::row`] samples) and writes
+    /// the bias plus the convolution into `out`, `[out_c, len]`.
+    pub(crate) fn conv_item(&self, x: &[f32], stage: &mut [f32], out: &mut [f32]) {
         let step = &self.steps[0];
-        self.stage_channel_major(stage, x, step.in_c);
+        stage_channel_major(stage, x, (self.len, self.pad, self.row));
         self.conv(step, stage, Epilogue::Bias, out);
     }
 
-    /// Stages a channel-major `[C, len]` signal: row `c` of the staged
-    /// buffer is `pad` zeros, the channel's samples, then zeros.
+    /// Stages a channel-major `[C, len]` signal in the plan's layout.
     fn stage_channel_major(&self, stage: &mut Vec<f32>, x: &[f32], channels: usize) {
-        let (len, pad, row) = (self.len, self.pad, self.row);
-        let stage = sized(stage, channels * row);
-        for (dst, src) in stage.chunks_exact_mut(row).zip(x.chunks_exact(len)) {
-            dst[..pad].fill(0.0);
-            dst[pad..pad + len].copy_from_slice(src);
-            dst[pad + len..].fill(0.0);
-        }
+        let stage = sized(stage, channels * self.row);
+        stage_channel_major(stage, x, (self.len, self.pad, self.row));
     }
 
     /// Stages a channels-last `[len, C]` activation (a transpose into the
@@ -434,6 +433,22 @@ impl Plan {
             channels = conv2.out_c;
         }
         pool_into(row, cur, self.len);
+    }
+}
+
+/// Stages a channel-major `[C, len]` signal into `stage`, `C` rows of `row`
+/// samples: row `c` is `pad` zeros, the channel's samples, then zeros.
+/// Every `f32` convolution reads its input this way (the direct tile here,
+/// and `Conv1d`'s backward its output gradient).
+pub(crate) fn stage_channel_major(
+    stage: &mut [f32],
+    x: &[f32],
+    (len, pad, row): (usize, usize, usize),
+) {
+    for (dst, src) in stage.chunks_exact_mut(row).zip(x.chunks_exact(len)) {
+        dst[..pad].fill(0.0);
+        dst[pad..pad + len].copy_from_slice(src);
+        dst[pad + len..].fill(0.0);
     }
 }
 

@@ -7,7 +7,7 @@
 //!
 //! Layers hold **parameters only** — weights, biases and (for batch
 //! normalisation) running statistics. Everything a pass needs beyond that —
-//! backward caches, staging and im2col scratch — lives in an explicit
+//! backward caches and staging scratch — lives in an explicit
 //! [`Workspace`], so `forward` takes `&self`: one trained network can be
 //! shared across threads (`Layer: Send + Sync`) with a cheap per-thread
 //! workspace instead of a per-thread clone of the weights.
@@ -15,11 +15,13 @@
 //! During a *training* `forward` every layer pushes one cache entry onto the
 //! workspace stack; `backward` (which still takes `&mut self` to accumulate
 //! parameter gradients into the layer's [`Param`]s) pops the entries in
-//! reverse. Inference (`training == false`) records nothing, and layer
-//! outputs are drawn from the workspace's output-activation arena
-//! ([`Workspace::uninit_tensor`]) with containers recycling dead
-//! intermediates — a warm inference pass performs **zero heap
-//! allocations**.
+//! reverse. Inference (`training == false`) records nothing. Layer outputs,
+//! input gradients and the larger caches are drawn from the workspace's
+//! arena ([`Workspace::uninit_tensor`]), and containers recycle dead
+//! intermediates in both directions ([`forward_consuming`],
+//! [`backward_consuming`]) — a warm inference pass performs **zero heap
+//! allocations**, and a warm training step takes its activations and
+//! gradients from the arena too.
 //!
 //! These `forward` methods form the **layer chain**: `Conv1d` packs its
 //! weights into register strips once per call and convolves each item with
@@ -28,15 +30,17 @@
 //! [`matmul::matmul_packed_rhs`], and the normalisation/pooling layers
 //! operate on contiguous channel slices.
 //!
-//! `Conv1d::backward` fans out over the batch: each item computes its
-//! weight-gradient partial with [`matmul::matmul_weight_grad`] (lanes over
-//! output channels), its column gradient with [`matmul::matmul_at_b`] and a
-//! col2im scatter into its own slice of the input gradient, and the caller
-//! adds the partials in item order. `BatchNorm1d` forms its training sums
-//! (batch statistics, `Σdy`, `Σdy·x̂`) several channels at a time. Both
-//! keep every gradient element's floating-point operations and their order
-//! exactly as in a plain sequential loop, so trained weights are the same
-//! bits whatever the thread count.
+//! `Conv1d`'s training forward keeps each item's input as the direct tile
+//! staged it (zero-padded and channel-major), and the backward computes the
+//! item's gradients straight from that stage and `dY`, item by item: the
+//! weight-gradient partial in register tiles with output channels in lanes
+//! (a staged row read from offset `t` is row `c·k + t` of the im2col this
+//! replaces), and the input gradient tap by tap in register tiles of
+//! channels by positions. `BatchNorm1d` forms its training sums (batch
+//! statistics, `Σdy`, `Σdy·x̂`) several channels at a time. Both keep every
+//! gradient element's floating-point operations and their order exactly as
+//! in a plain sequential loop (and as the im2col backward had them), so
+//! trained weights are the same bits whatever the thread count.
 //!
 //! The layer chain serves training. A convolutional backbone built from
 //! these layers scores windows through the fused channels-last chain of
@@ -48,16 +52,12 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::fused;
 use crate::init;
 use crate::matmul;
-use crate::parallel;
 use crate::param::Param;
 use crate::tensor::Tensor;
 use crate::workspace::{LayerCache, Workspace};
-
-/// Work threshold (in FLOPs) below which a convolution pass stays on the
-/// calling thread.
-const CONV_PAR_MIN_FLOPS: usize = 1 << 21;
 
 /// Panic for a cache entry that does not belong to the popping layer — a
 /// programming error in the forward/backward traversal order, not a user
@@ -139,6 +139,19 @@ pub fn forward_consuming<L: Layer + ?Sized>(
     y
 }
 
+/// The backward twin of [`forward_consuming`]: back-propagates `g` through
+/// `layer` and recycles `g`'s storage into the workspace arena, where the
+/// next layer's input gradient finds it.
+pub fn backward_consuming<L: Layer + ?Sized>(
+    layer: &mut L,
+    g: Tensor,
+    ws: &mut Workspace,
+) -> Tensor {
+    let grad_input = layer.backward(&g, ws);
+    ws.recycle(g);
+    grad_input
+}
+
 // ---------------------------------------------------------------------------
 // ReLU
 // ---------------------------------------------------------------------------
@@ -172,13 +185,12 @@ impl Layer for Relu {
             other => cache_mismatch("Relu", &other),
         };
         assert_eq!(grad_output.len(), mask.len(), "Relu: gradient/mask length mismatch");
-        let data = grad_output
-            .data()
-            .iter()
-            .zip(mask.iter())
-            .map(|(&g, &m)| if m { g } else { 0.0 })
-            .collect();
-        Tensor::from_vec(data, grad_output.shape())
+        let mut grad_input = ws.uninit_tensor(grad_output.shape());
+        let pairs = grad_output.data().iter().zip(&mask);
+        for (gi, (&g, &m)) in grad_input.data_mut().iter_mut().zip(pairs) {
+            *gi = if m { g } else { 0.0 };
+        }
+        grad_input
     }
 }
 
@@ -310,7 +322,8 @@ impl Layer for Linear {
             other => cache_mismatch("Linear", &other),
         };
         let batch = input.shape()[0];
-        let mut grad_input = Tensor::zeros(&[batch, self.in_features]);
+        let mut grad_input = ws.uninit_tensor(&[batch, self.in_features]);
+        grad_input.data_mut().fill(0.0);
         // dX = dY · W
         matmul::matmul(
             grad_input.data_mut(),
@@ -336,6 +349,7 @@ impl Layer for Linear {
                 *bg += g;
             }
         }
+        ws.recycle(input);
         grad_input
     }
 
@@ -352,54 +366,25 @@ impl Layer for Linear {
 // Conv1d
 // ---------------------------------------------------------------------------
 
-/// Scratch of one run of a convolution's batch items
-/// ([`parallel::for_each_run`]): the workspace's own on the calling thread,
-/// a local of the run on every other worker.
+/// The scratch of `Conv1d`'s backward, reused across the items and layers
+/// of a pass.
 #[derive(Debug, Default)]
 pub(crate) struct ConvScratch {
-    /// The forward's zero-padded channel-major copy of one item, which the
-    /// direct tile reads ([`crate::fused`]).
-    stage: Vec<f32>,
-    /// The backward's im2col lowering buffer, reused across items and, on
-    /// the calling thread, across the layers of a pass (it also holds the
-    /// column gradient).
-    col: Vec<f32>,
     /// Positions-major copy of one item's output gradient: the lanes of
-    /// [`matmul::matmul_weight_grad`].
+    /// the weight-gradient tile.
     dy_t: Vec<f32>,
+    /// One item's output gradient, zero-padded and channel-major: the
+    /// input-gradient tiles read it.
+    dy_pad: Vec<f32>,
+    /// One item's input gradient as it accumulates, rows rounded up to
+    /// whole input-gradient tiles.
+    sums: Vec<f32>,
 }
 
 impl ConvScratch {
     /// `f32`s of capacity the buffers hold.
     pub(crate) fn capacity(&self) -> usize {
-        self.stage.capacity() + self.col.capacity() + self.dy_t.capacity()
-    }
-}
-
-/// Writes the im2col lowering of one `[C, len]` input signal into `col`.
-///
-/// Row `c*kernel + t` of the `[C*kernel, len]` output is the input channel
-/// `c` shifted by `t - pad`, zero-padded at the borders — every row is a
-/// single contiguous `copy_from_slice` plus zero fills, and the row order
-/// matches the `[out_c, in_c, kernel]` weight layout, the depth order of the
-/// backward's two GEMMs. (The forward convolutions do not lower at all: they
-/// read zero-padded staged rows, see [`crate::fused`].)
-fn im2col(col: &mut Vec<f32>, x: &[f32], channels: usize, len: usize, kernel: usize, pad: usize) {
-    col.resize(channels * kernel * len, 0.0);
-    for c in 0..channels {
-        let x_row = &x[c * len..(c + 1) * len];
-        for t in 0..kernel {
-            let row = &mut col[(c * kernel + t) * len..(c * kernel + t + 1) * len];
-            let shift = t as isize - pad as isize;
-            let j0 = (-shift).clamp(0, len as isize) as usize;
-            let j1 = (len as isize - shift).clamp(0, len as isize) as usize;
-            row[..j0].fill(0.0);
-            row[j1..].fill(0.0);
-            if j1 > j0 {
-                let s0 = (j0 as isize + shift) as usize;
-                row[j0..j1].copy_from_slice(&x_row[s0..s0 + (j1 - j0)]);
-            }
-        }
+        [&self.dy_t, &self.dy_pad, &self.sums].iter().map(|v| v.capacity()).sum()
     }
 }
 
@@ -413,30 +398,229 @@ fn transpose_into(dst: &mut Vec<f32>, src: &[f32], rows: usize, len: usize) {
     }
 }
 
-/// Scatter-adds a `[C*kernel, len]` column-gradient back onto the `[C, len]`
-/// input gradient (the adjoint of [`im2col`]).
-fn col2im_add(
-    gx: &mut [f32],
-    dcol: &[f32],
-    channels: usize,
-    len: usize,
+/// The shape of one item of a convolution backward.
+#[derive(Debug, Clone, Copy)]
+struct ItemShape {
+    out_c: usize,
+    /// `in_c · kernel`: the columns of the weight gradient.
+    depth: usize,
     kernel: usize,
+    len: usize,
+    /// Zero samples before the signal in each staged input row ("same"
+    /// padding).
     pad: usize,
+    /// Length of one staged input row, at least `len + kernel - 1`.
+    row: usize,
+    /// Length of one staged output-gradient row ([`input_grad`]).
+    dy_row: usize,
+}
+
+/// Adds one item's weight-gradient partial onto `grad_w`
+/// (`[out_c, in_c·kernel]`): element `(o, c·k + t)` is
+/// `Σⱼ dy[o, j] · x[c, j + t - pad]`, summed from `0.0` over positions in
+/// order with each product rounded before its add, and added once. The
+/// input values are read from the staged rows, `stage[c·row + t + j]`,
+/// zero pads included — exactly row `c·k + t` of the item's im2col.
+///
+/// Register tiles hold up to 16 output channels in lanes (contiguous in
+/// each position of the positions-major `dy_t`) by several columns, each
+/// column broadcasting one staged sample per position, so the add chains
+/// of neighbouring elements overlap instead of waiting on each other.
+fn weight_grad(grad_w: &mut [f32], dy_t: &[f32], stage: &[f32], s: ItemShape) {
+    let mut o0 = 0;
+    while o0 + 16 <= s.out_c {
+        weight_grad_strip::<16, 4>(grad_w, dy_t, stage, s, o0);
+        o0 += 16;
+    }
+    if o0 + 8 <= s.out_c {
+        weight_grad_strip::<8, 8>(grad_w, dy_t, stage, s, o0);
+        o0 += 8;
+    }
+    while o0 < s.out_c {
+        weight_grad_strip::<1, 8>(grad_w, dy_t, stage, s, o0);
+        o0 += 1;
+    }
+}
+
+/// Output channels `o0 .. o0 + W` of [`weight_grad`], `R` columns at a
+/// time, then one.
+fn weight_grad_strip<const W: usize, const R: usize>(
+    grad_w: &mut [f32],
+    dy_t: &[f32],
+    stage: &[f32],
+    s: ItemShape,
+    o0: usize,
 ) {
-    for c in 0..channels {
-        let gx_row = &mut gx[c * len..(c + 1) * len];
-        for t in 0..kernel {
-            let row = &dcol[(c * kernel + t) * len..(c * kernel + t + 1) * len];
-            let shift = t as isize - pad as isize;
-            let j0 = (-shift).clamp(0, len as isize) as usize;
-            let j1 = (len as isize - shift).clamp(0, len as isize) as usize;
-            if j1 > j0 {
-                let s0 = (j0 as isize + shift) as usize;
-                for (g, &d) in gx_row[s0..s0 + (j1 - j0)].iter_mut().zip(row[j0..j1].iter()) {
-                    *g += d;
+    let mut d0 = 0;
+    while d0 + R <= s.depth {
+        weight_grad_tile::<W, R>(grad_w, dy_t, stage, s, o0, d0);
+        d0 += R;
+    }
+    while d0 < s.depth {
+        weight_grad_tile::<W, 1>(grad_w, dy_t, stage, s, o0, d0);
+        d0 += 1;
+    }
+}
+
+/// One tile of [`weight_grad`]: `W` output channels in lanes by the `R`
+/// columns from `d0`, `W · R` independent sums held in registers over all
+/// positions.
+#[inline]
+fn weight_grad_tile<const W: usize, const R: usize>(
+    grad_w: &mut [f32],
+    dy_t: &[f32],
+    stage: &[f32],
+    s: ItemShape,
+    o0: usize,
+    d0: usize,
+) {
+    let cols: [&[f32]; R] = std::array::from_fn(|r| {
+        let (c, t) = ((d0 + r) / s.kernel, (d0 + r) % s.kernel);
+        &stage[c * s.row + t..][..s.len]
+    });
+    let mut acc = [[0.0f32; W]; R];
+    for (j, dy_j) in dy_t.chunks_exact(s.out_c).enumerate() {
+        let lanes: &[f32; W] = dy_j[o0..o0 + W].try_into().expect("W lanes");
+        for (acc_r, col) in acc.iter_mut().zip(&cols) {
+            let xv = col[j];
+            for (a, &g) in acc_r.iter_mut().zip(lanes) {
+                *a += g * xv;
+            }
+        }
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        for (i, &sum) in acc_r.iter().enumerate() {
+            grad_w[(o0 + i) * s.depth + d0 + r] += sum;
+        }
+    }
+}
+
+/// Positions of one [`input_grad`] tile: two 8-lane registers.
+const STRIP: usize = 16;
+
+/// Writes one item's input gradient into `dx` (`[in_c, len]`). Row
+/// `c·k + t` of the column gradient, `Σₒ W[o, c·k + t] · dy[o, j]`, is
+/// formed from `0.0` over output channels in order, each product rounded
+/// before its add and zero weights skipped when `SKIP`, and `dx[c, s]`
+/// adds the values of its taps `t` in order onto `0.0`, each at position
+/// `j = s + pad - t` where that position exists: the column gradient and
+/// col2im scatter of an im2col backward, without the column buffer.
+///
+/// `dy_pad` is the output gradient staged with `kernel - 1 - pad` zeros
+/// before each row of `dy_row` samples and enough after it that every
+/// tap of every tile reads whole registers. The sums accumulate in `sums`,
+/// rows of `len` rounded up to whole tiles, taps in the outer loop. A
+/// weight matrix without zeros never takes the skip, so it runs without
+/// its branches.
+fn input_grad<const SKIP: bool>(
+    dx: &mut [f32],
+    sums: &mut Vec<f32>,
+    w: &[f32],
+    dy_pad: &[f32],
+    s: ItemShape,
+) {
+    let in_c = s.depth / s.kernel;
+    let width = s.len.next_multiple_of(STRIP);
+    sums.clear();
+    sums.resize(in_c * width, 0.0);
+    for t in 0..s.kernel {
+        let mut c0 = 0;
+        while c0 + 4 <= in_c {
+            input_grad_tap::<4, SKIP>(sums, width, w, dy_pad, s, c0, t);
+            c0 += 4;
+        }
+        while c0 < in_c {
+            input_grad_tap::<1, SKIP>(sums, width, w, dy_pad, s, c0, t);
+            c0 += 1;
+        }
+    }
+    for (dst, src) in dx.chunks_exact_mut(s.len).zip(sums.chunks_exact(width)) {
+        dst.copy_from_slice(&src[..s.len]);
+    }
+}
+
+/// Tap `t` of input channels `c0 .. c0 + R` in [`input_grad`]: register
+/// tiles of `R` channels by [`STRIP`] positions, each summed over every
+/// output channel and then added onto `sums`. Lanes whose position does
+/// not exist add `+0.0` instead; a sum that starts at `+0.0` never holds
+/// `-0.0`, so those adds leave it unchanged.
+#[inline]
+fn input_grad_tap<const R: usize, const SKIP: bool>(
+    sums: &mut [f32],
+    width: usize,
+    w: &[f32],
+    dy_pad: &[f32],
+    s: ItemShape,
+    c0: usize,
+    t: usize,
+) {
+    for s0 in (0..s.len).step_by(STRIP) {
+        // Lane `p` reads position `s0 + p + pad - t`, staged at
+        // `s0 + p + kernel - 1 - t`.
+        let from = s0 + s.kernel - 1 - t;
+        let mut col = [[0.0f32; STRIP]; R];
+        for (dy_o, w_o) in dy_pad.chunks_exact(s.dy_row).zip(w.chunks_exact(s.depth)) {
+            let g: &[f32; STRIP] = dy_o[from..from + STRIP].try_into().expect("STRIP lanes");
+            let w_r: [f32; R] = std::array::from_fn(|r| w_o[(c0 + r) * s.kernel + t]);
+            for (col_r, &wv) in col.iter_mut().zip(&w_r) {
+                if SKIP && wv == 0.0 {
+                    continue;
+                }
+                for (a, &gv) in col_r.iter_mut().zip(g) {
+                    *a += wv * gv;
                 }
             }
         }
+        let exists: [u32; STRIP] = if s0 + s.pad >= t && s0 + STRIP + s.pad <= s.len + t {
+            [u32::MAX; STRIP]
+        } else {
+            std::array::from_fn(|p| {
+                let j = (s0 + p + s.pad).checked_sub(t);
+                if j.is_some_and(|j| j < s.len) {
+                    u32::MAX
+                } else {
+                    0
+                }
+            })
+        };
+        for (c, col_r) in (c0..).zip(&col) {
+            let row: &mut [f32; STRIP] =
+                (&mut sums[c * width + s0..][..STRIP]).try_into().expect("STRIP lanes");
+            for ((a, &v), &keep) in row.iter_mut().zip(col_r).zip(&exists) {
+                *a += f32::from_bits(v.to_bits() & keep);
+            }
+        }
+    }
+}
+
+/// Adds one item's bias-gradient partial onto `grad_b`: each output
+/// channel's gradient summed over positions in order, from the neutral
+/// element of `f32` summation (the fold of `sum::<f32>()`), and added once.
+/// The channels run side by side, in lanes of the positions-major `dy_t`.
+fn bias_grad(grad_b: &mut [f32], dy_t: &[f32]) {
+    let out_c = grad_b.len();
+    let mut o0 = 0;
+    while o0 + 8 <= out_c {
+        bias_lanes::<8>(grad_b, dy_t, o0);
+        o0 += 8;
+    }
+    while o0 < out_c {
+        bias_lanes::<1>(grad_b, dy_t, o0);
+        o0 += 1;
+    }
+}
+
+/// Output channels `o0 .. o0 + L` of [`bias_grad`].
+fn bias_lanes<const L: usize>(grad_b: &mut [f32], dy_t: &[f32], o0: usize) {
+    let zero: f32 = std::iter::empty::<f32>().sum();
+    let mut acc = [zero; L];
+    for dy_j in dy_t.chunks_exact(grad_b.len()) {
+        for (a, &g) in acc.iter_mut().zip(&dy_j[o0..o0 + L]) {
+            *a += g;
+        }
+    }
+    for (g, &a) in grad_b[o0..o0 + L].iter_mut().zip(&acc) {
+        *g += a;
     }
 }
 
@@ -445,16 +629,14 @@ fn col2im_add(
 ///
 /// The forward convolves directly with the register tile of
 /// [`crate::fused`], the same tile and accumulation order as the fused
-/// inference chain, and stores the bias plus the convolution. The backward
-/// lowers to im2col and two GEMMs: the `[out_c, in_c, kernel]` weight
-/// tensor is row-major exactly the `[out_c, in_c*kernel]` GEMM operand,
-/// and the im2col matrix is built with contiguous row copies. Large
-/// batches fan out across threads in both passes, in runs of whole items
-/// ([`parallel::for_each_run`]); the calling thread's run uses the
-/// workspace's scratch. The backward's items each write their own input
-/// gradient and weight/bias-gradient partials, which are added into the
-/// gradients in item order, so the gradient bits do not depend on the
-/// thread count.
+/// inference chain, and stores the bias plus the convolution. A training
+/// forward keeps every item's input as the tile staged it, zero-padded and
+/// channel-major, and the backward computes the item's weight-gradient
+/// partial and input gradient straight from that stage and the output
+/// gradient, with no im2col lowering: a staged row read from offset `t` is
+/// the im2col row of tap `t`. Both passes run the batch's items in order on
+/// the calling thread, and the backward adds each item's weight- and
+/// bias-gradient partials onto the gradients in item order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Conv1d {
     weight: Param, // [out_c, in_c, k]
@@ -598,87 +780,71 @@ impl Layer for Conv1d {
         let mut out = ws.uninit_tensor(&[batch, out_c, len]);
         // Pack the weights once per call; every batch item then runs the
         // direct tile against the same plan (one pass over the weights,
-        // amortised to noise across the batch).
+        // amortised to noise across the batch). Each item is staged into
+        // its own rows of `staged`, which a training pass keeps for the
+        // backward.
         ws.plan.build_conv(self, len);
-        let flops = 2 * batch * out_c * in_c * self.kernel_size * len;
-        let threads = parallel::thread_count_for(batch, flops, CONV_PAR_MIN_FLOPS);
-        let (x, plan) = (input.data(), &ws.plan);
-        parallel::for_each_run(out.data_mut(), out_c * len, threads, &mut ws.conv, |b0, run, s| {
-            for (b, out_b) in (b0..).zip(run.chunks_exact_mut(out_c * len)) {
-                plan.conv_item(&x[b * in_c * len..(b + 1) * in_c * len], &mut s.stage, out_b);
-            }
-        });
+        let row = ws.plan.row();
+        let mut staged = ws.uninit_tensor(&[batch, in_c, row]);
+        let items = input
+            .data()
+            .chunks_exact(in_c * len)
+            .zip(staged.data_mut().chunks_exact_mut(in_c * row))
+            .zip(out.data_mut().chunks_exact_mut(out_c * len));
+        for ((x, stage), out_b) in items {
+            ws.plan.conv_item(x, stage, out_b);
+        }
         if training {
-            ws.push(LayerCache::Input(input.clone()));
+            ws.push(LayerCache::Staged(staged));
+        } else {
+            ws.recycle(staged);
         }
         out
     }
 
     fn backward(&mut self, grad_output: &Tensor, ws: &mut Workspace) -> Tensor {
-        let input = match ws.pop("Conv1d") {
-            LayerCache::Input(input) => input,
+        let staged = match ws.pop("Conv1d") {
+            LayerCache::Staged(staged) => staged,
             other => cache_mismatch("Conv1d", &other),
         };
-        let (batch, len) = (input.shape()[0], input.shape()[2]);
+        let (batch, row) = (staged.shape()[0], staged.shape()[2]);
         let (in_c, out_c, k) = (self.in_channels, self.out_channels, self.kernel_size);
-        let ck = in_c * k;
-        let pad = self.pad_left();
-        // Each item's outputs, side by side: its weight-gradient partial
-        // [out_c, ck], its bias-gradient partial [out_c] and its input
-        // gradient [in_c, len].
-        let (dw_len, dx_len) = (out_c * ck, in_c * len);
-        let item_len = dw_len + out_c + dx_len;
-        ws.grad_items.resize(batch * item_len, 0.0);
-        let (x, dy, w) = (input.data(), grad_output.data(), self.weight.value.data());
-        let flops = 4 * batch * out_c * ck * len;
-        let threads = parallel::thread_count_for(batch, flops, CONV_PAR_MIN_FLOPS);
-        parallel::for_each_run(
-            &mut ws.grad_items,
-            item_len,
-            threads,
-            &mut ws.conv,
-            |b0, run, s| {
-                let ConvScratch { col, dy_t: g_t, .. } = s;
-                for (b, out) in (b0..).zip(run.chunks_exact_mut(item_len)) {
-                    let (dw, rest) = out.split_at_mut(dw_len);
-                    let (db, dx) = rest.split_at_mut(out_c);
-                    let g_b = &dy[b * out_c * len..(b + 1) * out_c * len];
-                    for (d, g_row) in db.iter_mut().zip(g_b.chunks_exact(len)) {
-                        *d = g_row.iter().sum::<f32>();
-                    }
-                    im2col(col, &x[b * in_c * len..(b + 1) * in_c * len], in_c, len, k, pad);
-                    transpose_into(g_t, g_b, out_c, len);
-                    // dW partial = dY · colᵀ. `-0.0` is the exact additive identity,
-                    // so the kernel's single add leaves each partial equal to its sum.
-                    dw.fill(-0.0);
-                    matmul::matmul_weight_grad(dw, g_t, col, len, out_c, ck);
-                    // dcol = Wᵀ · dY in the im2col buffer, then scatter it back onto
-                    // the item's input gradient.
-                    let dcol = &mut col[..ck * len];
-                    dcol.fill(0.0);
-                    matmul::matmul_at_b(dcol, w, g_b, out_c, ck, len);
-                    dx.fill(0.0);
-                    col2im_add(dx, dcol, in_c, len, k, pad);
-                }
-            },
-        );
-        // Add the partials into the gradients in item order: each gradient
-        // element receives exactly the adds of a sequential batch loop.
-        let mut grad_input = Tensor::zeros(&[batch, in_c, len]);
+        let len = grad_output.shape()[2];
+        let shape = ItemShape {
+            out_c,
+            depth: in_c * k,
+            kernel: k,
+            len,
+            pad: self.pad_left(),
+            row,
+            dy_row: len.next_multiple_of(STRIP) + k - 1,
+        };
+        let mut grad_input = ws.uninit_tensor(&[batch, in_c, len]);
+        let ConvScratch { dy_t, dy_pad, sums } = &mut ws.conv;
+        let dy_pad = fused::sized(dy_pad, out_c * shape.dy_row);
+        let w = self.weight.value.data();
+        let skip_zeros = w.contains(&0.0);
         let (grad_w, grad_b) = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
-        for (out, gx) in
-            ws.grad_items.chunks_exact(item_len).zip(grad_input.data_mut().chunks_exact_mut(dx_len))
-        {
-            let (dw, rest) = out.split_at(dw_len);
-            let (db, dx) = rest.split_at(out_c);
-            for (g, &d) in grad_w.iter_mut().zip(dw) {
-                *g += d;
+        let items = staged
+            .data()
+            .chunks_exact(in_c * row)
+            .zip(grad_output.data().chunks_exact(out_c * len))
+            .zip(grad_input.data_mut().chunks_exact_mut(in_c * len));
+        // Items in order: each one's weight- and bias-gradient partials are
+        // summed from zero and added onto the gradients once, so every
+        // gradient element receives exactly the adds of a sequential loop.
+        for ((stage, dy), dx) in items {
+            transpose_into(dy_t, dy, out_c, len);
+            bias_grad(grad_b, dy_t);
+            weight_grad(grad_w, dy_t, stage, shape);
+            fused::stage_channel_major(dy_pad, dy, (len, k - 1 - shape.pad, shape.dy_row));
+            if skip_zeros {
+                input_grad::<true>(dx, sums, w, dy_pad, shape);
+            } else {
+                input_grad::<false>(dx, sums, w, dy_pad, shape);
             }
-            for (g, &d) in grad_b.iter_mut().zip(db) {
-                *g += d;
-            }
-            gx.copy_from_slice(dx);
         }
+        ws.recycle(staged);
         grad_input
     }
 
@@ -853,7 +1019,7 @@ impl Layer for BatchNorm1d {
 
         let mut out = ws.uninit_tensor(input.shape());
         if training {
-            let mut x_hat = Tensor::zeros(input.shape());
+            let mut x_hat = ws.uninit_tensor(input.shape());
             let rows = out
                 .data_mut()
                 .chunks_exact_mut(len)
@@ -907,7 +1073,7 @@ impl Layer for BatchNorm1d {
         let m = (batch * len) as f32;
         let dy = grad_output.data();
         let hat = x_hat.data();
-        let mut grad_input = Tensor::zeros(grad_output.shape());
+        let mut grad_input = ws.uninit_tensor(grad_output.shape());
         let sums = channel_sums(dy, hat, (batch, channels, len), |_, d, h| {
             [d as f64, d as f64 * h as f64]
         });
@@ -933,6 +1099,7 @@ impl Layer for BatchNorm1d {
                 *gi = g_inv * (d - mean_dy - h * mean_dy_xhat);
             }
         }
+        ws.recycle(x_hat);
         grad_input
     }
 
@@ -992,7 +1159,7 @@ impl Layer for GlobalAvgPool1d {
             other => cache_mismatch("GlobalAvgPool1d", &other),
         };
         let len = shape[2];
-        let mut grad_input = Tensor::zeros(&shape);
+        let mut grad_input = ws.uninit_tensor(&shape);
         for (row, &g) in grad_input.data_mut().chunks_mut(len).zip(grad_output.data().iter()) {
             row.fill(g / len as f32);
         }
@@ -1115,19 +1282,23 @@ impl Layer for ResidualBlock1d {
         // relu_out, [projection bn, projection conv], bn2, conv2, relu1, bn1,
         // conv1 — so the shortcut branch unwinds before the main branch.
         let grad_sum = self.relu_out.backward(grad_output, ws);
-        let grad_shortcut_input = match self.projection.as_mut() {
-            Some((conv, bn)) => {
-                let g = bn.backward(&grad_sum, ws);
-                conv.backward(&g, ws)
-            }
-            None => grad_sum.clone(),
-        };
+        let grad_projection = self.projection.as_mut().map(|(conv, bn)| {
+            let g = bn.backward(&grad_sum, ws);
+            backward_consuming(conv, g, ws)
+        });
         let g = self.bn2.backward(&grad_sum, ws);
-        let g = self.conv2.backward(&g, ws);
-        let g = self.relu1.backward(&g, ws);
-        let g = self.bn1.backward(&g, ws);
-        let grad_main_input = self.conv1.backward(&g, ws);
-        grad_main_input.add(&grad_shortcut_input)
+        let g = backward_consuming(&mut self.conv2, g, ws);
+        let g = backward_consuming(&mut self.relu1, g, ws);
+        let g = backward_consuming(&mut self.bn1, g, ws);
+        let mut grad_input = backward_consuming(&mut self.conv1, g, ws);
+        // The shortcut's gradient: the projection's input gradient, or the
+        // identity's `grad_sum` itself.
+        grad_input.add_assign(grad_projection.as_ref().unwrap_or(&grad_sum));
+        if let Some(g) = grad_projection {
+            ws.recycle(g);
+        }
+        ws.recycle(grad_sum);
+        grad_input
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -1223,9 +1394,13 @@ impl Layer for Sequential {
     }
 
     fn backward(&mut self, grad_output: &Tensor, ws: &mut Workspace) -> Tensor {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g, ws);
+        let mut layers = self.layers.iter_mut().rev();
+        let Some(last) = layers.next() else {
+            return grad_output.clone();
+        };
+        let mut g = last.backward(grad_output, ws);
+        for layer in layers {
+            g = backward_consuming(layer.as_mut(), g, ws);
         }
         g
     }
@@ -1511,6 +1686,105 @@ mod tests {
                 }
             }
             assert_eq!(sums.map(f64::to_bits), want.map(f64::to_bits), "channel {c}");
+        }
+    }
+
+    #[test]
+    fn batchnorm_training_step_matches_a_scalar_oracle_bit_for_bit() {
+        // One training forward and backward against the layer's expressions
+        // written out one element at a time, every channel's f64 sums in
+        // (batch, position) order. Spikes that nearly cancel make any other
+        // order show in the bits; 13 positions leave a tail of every lane
+        // width, and 5, 8 and 16 channels a tail of channels or none.
+        let (batch, len) = (3usize, 13usize);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for channels in [5usize, 8, 16] {
+            let n = batch * channels * len;
+            let spiky = |seed: u64, spike: f32| -> Vec<f32> {
+                let base = init::uniform(&[n], -1.0, 1.0, seed);
+                let data = base.data().iter().enumerate();
+                data.map(|(i, &v)| match i % 11 {
+                    3 => spike + v,
+                    7 => -spike,
+                    _ => v,
+                })
+                .collect()
+            };
+            let (x, dy) = (spiky(channels as u64, 3e12), spiky(channels as u64 + 50, 3e9));
+            let mut bn = BatchNorm1d::new(channels);
+            for c in 0..channels {
+                bn.gamma.value.data_mut()[c] = 0.5 + 0.1 * c as f32;
+                bn.beta.value.data_mut()[c] = 0.05 * c as f32 - 0.2;
+                bn.gamma.grad.data_mut()[c] = 0.25;
+                bn.beta.grad.data_mut()[c] = -0.5;
+                bn.running_mean[c] = 0.01 * c as f32;
+                bn.running_var[c] = 1.0 + 0.02 * c as f32;
+            }
+
+            // The oracle.
+            let m = (batch * len) as f32;
+            let at = |b: usize, c: usize, j: usize| (b * channels + c) * len + j;
+            let positions =
+                |c: usize| (0..batch).flat_map(move |b| (0..len).map(move |j| at(b, c, j)));
+            let (mut want_out, mut want_hat, mut want_gi) =
+                (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+            let mut want = bn.clone();
+            for c in 0..channels {
+                let mut sum = 0.0f64;
+                for i in positions(c) {
+                    sum += x[i] as f64;
+                }
+                let mean = (sum / m as f64) as f32;
+                let mut var_sum = 0.0f64;
+                for i in positions(c) {
+                    var_sum += ((x[i] - mean) as f64).powi(2);
+                }
+                let var = (var_sum / m as f64) as f32;
+                let inv = 1.0 / (var + want.eps).sqrt();
+                let (g, be) = (want.gamma.value.data()[c], want.beta.value.data()[c]);
+                for i in positions(c) {
+                    want_hat[i] = (x[i] - mean) * inv;
+                    want_out[i] = g * want_hat[i] + be;
+                }
+                let mom = want.momentum;
+                want.running_mean[c] = (1.0 - mom) * want.running_mean[c] + mom * mean;
+                want.running_var[c] = (1.0 - mom) * want.running_var[c] + mom * var;
+                let (mut sum_dy, mut sum_dy_xhat) = (0.0f64, 0.0f64);
+                for i in positions(c) {
+                    sum_dy += dy[i] as f64;
+                    sum_dy_xhat += dy[i] as f64 * want_hat[i] as f64;
+                }
+                want.beta.grad.data_mut()[c] += sum_dy as f32;
+                want.gamma.grad.data_mut()[c] += sum_dy_xhat as f32;
+                let (g_inv, mean_dy, mean_dy_xhat) =
+                    (g * inv, sum_dy as f32 / m, sum_dy_xhat as f32 / m);
+                for i in positions(c) {
+                    want_gi[i] = g_inv * (dy[i] - mean_dy - want_hat[i] * mean_dy_xhat);
+                }
+            }
+
+            // The layer, on a workspace whose arena holds stale values.
+            let mut ws = Workspace::new();
+            ws.recycle(Tensor::from_vec(vec![f32::NAN; n], &[n]));
+            ws.recycle(Tensor::from_vec(vec![7.0; n], &[n]));
+            let shape = [batch, channels, len];
+            let out = bn.forward(&Tensor::from_vec(x.clone(), &shape), &mut ws, true);
+            let cache = ws.pop("test");
+            let LayerCache::Bn { x_hat, .. } = &cache else {
+                panic!("batch norm must cache its statistics");
+            };
+            let what = format!("{channels} channels");
+            assert_eq!(bits(x_hat.data()), bits(&want_hat), "{what}: x_hat");
+            ws.push(cache);
+            let gi = bn.backward(&Tensor::from_vec(dy.clone(), &shape), &mut ws);
+            assert_eq!(bits(out.data()), bits(&want_out), "{what}: out");
+            assert_eq!(bits(gi.data()), bits(&want_gi), "{what}: grad_input");
+            for (got, want) in bn.params().iter().zip(want.params()) {
+                assert_eq!(bits(got.grad.data()), bits(want.grad.data()), "{what}: gamma, beta");
+            }
+            for (got, want) in bn.buffers().iter().zip(want.buffers()) {
+                assert_eq!(bits(got), bits(want), "{what}: running statistics");
+            }
         }
     }
 

@@ -13,8 +13,8 @@
 //! passes validated against finite differences (see the `gradcheck` tests in
 //! each layer module).
 //!
-//! Layers hold parameters only; per-call scratch (backward caches, staging
-//! and im2col buffers) lives in an explicit [`Workspace`], so inference
+//! Layers hold parameters only; per-call scratch (backward caches and
+//! staging buffers) lives in an explicit [`Workspace`], so inference
 //! `forward` takes `&self` and one trained model can be shared across
 //! threads with a cheap per-thread workspace instead of a per-thread weight
 //! clone.
@@ -74,8 +74,8 @@ pub mod workspace;
 
 pub use data::{Batch, DataLoader};
 pub use layers::{
-    forward_consuming, BatchNorm1d, Conv1d, GlobalAvgPool1d, Layer, Linear, Relu, ResidualBlock1d,
-    Sequential,
+    backward_consuming, forward_consuming, BatchNorm1d, Conv1d, GlobalAvgPool1d, Layer, Linear,
+    Relu, ResidualBlock1d, Sequential,
 };
 pub use loss::CrossEntropyLoss;
 pub use metrics::{accuracy, ConfusionMatrix};

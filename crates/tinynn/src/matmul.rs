@@ -1,32 +1,27 @@
 //! Cache-blocked and register-tiled `f32` matrix multiplication kernels,
 //! and the quantised convolution's scalar fallback.
 //!
-//! The `f32` kernels serve the layer chain's fully connected layer and the
-//! convolution backward. Three layouts serve the training passes:
+//! The `f32` kernels serve the layer chain's fully connected layer:
 //!
-//! * [`matmul`]             — `C[m,n] += A[m,k] · B[k,n]` (row-major
-//!   everywhere; `Linear`'s input gradient);
-//! * [`matmul_at_b`]        — `C[m,n] += A[r,m]ᵀ · B[r,n]` (sum of row outer
-//!   products — `Linear`'s weight gradient and the conv column gradient);
-//! * [`matmul_weight_grad`] — `C[m,n] += Σₚ Aᵀ[p,m] · B[n,p]` (one dot
-//!   product over positions per element — the conv weight gradient, with
-//!   the output gradient stored positions-major).
+//! * [`matmul`]      — `C[m,n] += A[m,k] · B[k,n]` (row-major everywhere;
+//!   `Linear`'s input gradient);
+//! * [`matmul_at_b`] — `C[m,n] += A[r,m]ᵀ · B[r,n]` (sum of row outer
+//!   products — `Linear`'s weight gradient).
 //!
-//! The two gradient kernels are register-tiled, yet every element gets
-//! exactly the operations of the plain scalar loop they replace, in the
-//! same order: each product is rounded before its add (no fused
-//! multiply-add), `matmul_at_b` adds row by row straight into `C` and
-//! skips zero `A` entries, and `matmul_weight_grad` sums each element from
-//! `0.0` over positions and adds the total once. Only independent elements
-//! run side by side, so trained weights do not depend on the tiling, nor
-//! on the thread count of the convolution backward that calls them.
+//! `matmul_at_b` is register-tiled, yet every element gets exactly the
+//! operations of the plain scalar loop it replaced, in the same order: each
+//! product is rounded before its add (no fused multiply-add), rows add
+//! straight into `C` in turn and zero `A` entries are skipped. Only
+//! independent elements run side by side, so trained weights do not depend
+//! on the tiling. The convolution's gradients run no GEMM: `Conv1d`'s
+//! backward computes them straight from its staged input.
 //!
 //! `Linear`'s forward uses the packed register-tiled kernel instead
 //! ([`pack_rhs_t`] → [`matmul_packed_rhs`]): it packs the weight operand
 //! once per layer call into [`NR`]-column panels and accumulates every
 //! `MR × NR` output tile in registers with explicitly contracted FMA,
-//! storing to `C` once. The forward convolutions run no GEMM: they convolve
-//! directly in [`crate::fused`].
+//! storing to `C` once. The forward convolutions run no GEMM either: they
+//! convolve directly in [`crate::fused`].
 //!
 //! The quantised convolution has one kernel, `qsimd::conv_requant`, whose
 //! scalar fallback [`conv_q8_requant`] lives here: both map exact integer
@@ -87,8 +82,7 @@ pub fn matmul(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize)
 /// A sum of per-row outer products: `C[i,j]` gains `A[row,i] · B[row,j]`
 /// for `row = 0, 1, …` in turn, each product rounded and then added
 /// straight into `C`, and rows whose `A[row,i]` is zero are skipped. This
-/// is the gradient shape: for `Linear`, `dW = dYᵀ · X`; for the conv input
-/// gradient, `dcol = Wᵀ · dY`.
+/// is the gradient shape of `Linear`'s weights, `dW = dYᵀ · X`.
 ///
 /// Register-tiled: each tile of up to 4 rows × 16 columns of `C` is loaded
 /// into registers once, accumulates every `row` in order and is stored
@@ -187,98 +181,6 @@ fn at_b_tile<const R: usize, const W: usize, const SKIP: bool>(
     }
     for (i, acc_i) in acc.iter().enumerate() {
         c[(i0 + i) * n + j0..(i0 + i) * n + j0 + W].copy_from_slice(acc_i);
-    }
-}
-
-/// The weight-gradient product `C[i,j] += Σₚ Aᵀ[p,i] · B[j,p]` with
-/// `Aᵀ: [p,m]` (an output gradient stored positions-major), `B: [n,p]` (the
-/// channel-major im2col of the input) and `C: [m,n]` (the weight
-/// gradient), all row-major.
-///
-/// Every element's sum starts from `0.0` and adds its `p` products in
-/// position order, each product rounded before its add (no fused
-/// multiply-add), and the finished sum is added to `C` once — the order of
-/// a plain dot product per element. The kernel computes many such sums at
-/// once: the lanes of a register tile are up to 16 consecutive rows of `C`
-/// (output channels, contiguous in each row of `Aᵀ`), and each of the
-/// tile's columns broadcasts one `B` value per position, so the serial add
-/// chains of neighbouring elements overlap instead of waiting on each
-/// other.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with its dimensions.
-pub fn matmul_weight_grad(c: &mut [f32], at: &[f32], b: &[f32], p: usize, m: usize, n: usize) {
-    assert_eq!(at.len(), p * m, "Aᵀ must be p*m = {}x{}", p, m);
-    assert_eq!(b.len(), n * p, "B must be n*p = {}x{}", n, p);
-    assert_eq!(c.len(), m * n, "C must be m*n = {}x{}", m, n);
-    let mut i0 = 0;
-    while i0 + 16 <= m {
-        weight_grad_strip::<16, 4>(c, at, b, p, m, n, i0);
-        i0 += 16;
-    }
-    if i0 + 8 <= m {
-        weight_grad_strip::<8, 8>(c, at, b, p, m, n, i0);
-        i0 += 8;
-    }
-    while i0 < m {
-        weight_grad_strip::<1, 8>(c, at, b, p, m, n, i0);
-        i0 += 1;
-    }
-}
-
-/// The row strip `i0 .. i0 + W` of [`matmul_weight_grad`], `R` columns of
-/// `C` at a time, then one.
-fn weight_grad_strip<const W: usize, const R: usize>(
-    c: &mut [f32],
-    at: &[f32],
-    b: &[f32],
-    p: usize,
-    m: usize,
-    n: usize,
-    i0: usize,
-) {
-    let mut j0 = 0;
-    while j0 + R <= n {
-        weight_grad_tile::<W, R>(c, at, b, p, m, n, i0, j0);
-        j0 += R;
-    }
-    while j0 < n {
-        weight_grad_tile::<W, 1>(c, at, b, p, m, n, i0, j0);
-        j0 += 1;
-    }
-}
-
-/// One tile of [`matmul_weight_grad`]: `W` rows of `C` in lanes by `R`
-/// columns, `W · R` independent sums held in registers over all `p`
-/// positions.
-#[allow(clippy::too_many_arguments)] // GEMM tile: operands + geometry
-#[inline]
-fn weight_grad_tile<const W: usize, const R: usize>(
-    c: &mut [f32],
-    at: &[f32],
-    b: &[f32],
-    p: usize,
-    m: usize,
-    n: usize,
-    i0: usize,
-    j0: usize,
-) {
-    let brows: [&[f32]; R] = std::array::from_fn(|jj| &b[(j0 + jj) * p..(j0 + jj + 1) * p]);
-    let mut acc = [[0.0f32; W]; R];
-    for (pos, at_row) in at.chunks_exact(m).enumerate() {
-        let lanes: &[f32; W] = at_row[i0..i0 + W].try_into().expect("W lanes");
-        for (acc_j, brow) in acc.iter_mut().zip(&brows) {
-            let bv = brow[pos];
-            for (s, &av) in acc_j.iter_mut().zip(lanes) {
-                *s += av * bv;
-            }
-        }
-    }
-    for (jj, acc_j) in acc.iter().enumerate() {
-        for (i, &s) in acc_j.iter().enumerate() {
-            c[(i0 + i) * n + j0 + jj] += s;
-        }
     }
 }
 
@@ -671,31 +573,6 @@ mod tests {
             matmul(&mut c, &a, &b, m, k, n);
             assert!(max_abs_diff(&c, &expect) < 1e-4, "matmul {m}x{k}x{n}");
         }
-    }
-
-    #[test]
-    fn matmul_weight_grad_matches_reference() {
-        let (m, p, n) = (5usize, 17usize, 9usize);
-        let a = init::uniform(&[m, p], -1.0, 1.0, 3).data().to_vec();
-        let bt = init::uniform(&[n, p], -1.0, 1.0, 4).data().to_vec();
-        // The kernel takes A positions-major; the reference takes
-        // B = (Bᵀ)ᵀ row-major.
-        let mut at = vec![0.0f32; p * m];
-        for i in 0..m {
-            for pos in 0..p {
-                at[pos * m + i] = a[i * p + pos];
-            }
-        }
-        let mut b = vec![0.0f32; p * n];
-        for j in 0..n {
-            for pos in 0..p {
-                b[pos * n + j] = bt[j * p + pos];
-            }
-        }
-        let expect = matmul_reference(&a, &b, m, p, n);
-        let mut c = vec![0.0f32; m * n];
-        matmul_weight_grad(&mut c, &at, &bt, p, m, n);
-        assert!(max_abs_diff(&c, &expect) < 1e-4);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Deterministic work splitting across OS threads.
 //!
-//! The one compute fan-out of the workspace: the training convolutions
-//! split a batch with it, and the locator's sliding classifier splits a
-//! trace's windows. Scoring kernels never fan out on their own;
-//! parallelism belongs to the entry point, so nothing nests.
+//! The one compute fan-out of the workspace: the locator's sliding
+//! classifier splits a trace's windows with it. Layers never fan out on
+//! their own (training runs a batch's items in order on the calling
+//! thread); parallelism belongs to the entry point, so nothing nests.
 //!
 //! The offline build has no `rayon`, so [`for_each_run`] hands contiguous
 //! runs of whole items to [`std::thread::scope`] workers, each with its

@@ -1,10 +1,10 @@
 //! Per-call scratch state for `&self` forward/backward passes.
 //!
-//! Layers used to own their backward caches (and the im2col scratch lived in
-//! a thread-local), which forced `forward` to take `&mut self` and made a
-//! trained network impossible to share across threads without cloning its
-//! weights. A [`Workspace`] moves every piece of per-call state out of the
-//! layers:
+//! Layers used to own their backward caches (and the convolution scratch
+//! lived in a thread-local), which forced `forward` to take `&mut self` and
+//! made a trained network impossible to share across threads without
+//! cloning its weights. A [`Workspace`] moves every piece of per-call state
+//! out of the layers:
 //!
 //! * a **cache stack**: during a training forward every layer pushes exactly
 //!   one `LayerCache` entry; `backward` pops them in reverse. Because
@@ -14,18 +14,18 @@
 //! * **scratch buffers** — the `f32` convolutions' per-call weight packing
 //!   (`plan`, see [`crate::fused`]: a whole backbone's for the fused
 //!   inference chain, one layer's for `Conv1d`'s layer forward); the layer
-//!   chain's convolution scratch (`conv`: the forward's staged item, the
-//!   backward's im2col buffer and transposed output gradient) and the
-//!   convolution backward's per-item gradient outputs (`grad_items`); the
-//!   fully connected layer's packed weight panels (`pack`); the fused
-//!   chain's per-window staging and channels-last activations (`item`); and
-//!   the fixed-point chain's `i16` codes and `i64` pooling sums of one
+//!   chain's convolution-backward scratch (`conv`: one item's output
+//!   gradient, transposed and zero-padded, and its input-gradient sums);
+//!   the fully connected layer's packed weight panels (`pack`); the fused
+//!   chain's per-window staging and channels-last activations (`item`);
+//!   and the fixed-point chain's `i16` codes and `i64` pooling sums of one
 //!   window (`qitem`, see [`crate::qlayers::pooled_features`]) — reused
 //!   across layers, windows and calls, so steady-state inference performs
 //!   no allocation and the chains' scratch does not grow with the batch;
 //! * an **output-activation arena**: a small free list of recycled tensor
-//!   storage. Layers draw their outputs from [`Workspace::uninit_tensor`]
-//!   and sequential containers hand dead intermediates back through
+//!   storage. Layers draw their outputs (and, in training, their input
+//!   gradients and larger caches) from [`Workspace::uninit_tensor`], and
+//!   containers hand dead intermediates back through
 //!   [`Workspace::recycle`], so after warm-up a full inference forward pass
 //!   performs **zero heap allocations** — [`Workspace::arena_misses`]
 //!   counts the allocations the arena could not serve and must stop growing
@@ -33,12 +33,10 @@
 //!
 //! A workspace is cheap to create (empty vectors) and grows to the high-water
 //! mark of the network it serves. One workspace serves one thread, and no
-//! pass hides threads behind it: the inference chains run their windows on
-//! the calling thread, and a convolution that splits its batch
-//! ([`crate::parallel::for_each_run`]) runs its first run on this
-//! workspace's scratch and gives every other worker scratch of its own.
-//! Parallel scoring shares a single immutable network and gives every
-//! thread its own workspace.
+//! pass hides threads behind it: the inference chains run their windows,
+//! and the layer chain its batch items, on the calling thread. Parallel
+//! scoring shares a single immutable network and gives every thread its
+//! own workspace.
 
 use crate::fused::{ItemScratch, Plan};
 use crate::layers::ConvScratch;
@@ -58,13 +56,9 @@ const ARENA_SLOTS: usize = 16;
 #[derive(Debug, Default)]
 pub struct Workspace {
     stack: Vec<LayerCache>,
-    /// The layer chain's convolution scratch: the forward's staged item,
-    /// and the backward's im2col lowering buffer and transposed output
-    /// gradient, reused across the layers of a pass.
+    /// The layer chain's convolution-backward scratch, reused across the
+    /// items and layers of a pass.
     pub(crate) conv: ConvScratch,
-    /// Per-item outputs of the convolution backward pass: each batch
-    /// item's weight- and bias-gradient partials and its input gradient.
-    pub(crate) grad_items: Vec<f32>,
     /// `Linear`'s packed weight panels ([`crate::matmul::pack_rhs_t`]),
     /// rebuilt per layer call (weights may change between calls during
     /// training) into this one reused buffer.
@@ -159,10 +153,7 @@ impl Workspace {
     /// (lowering/packing buffers, the inference chains' per-window buffers
     /// and the arena). Stable across steady-state passes once warm.
     pub fn retained_bytes(&self) -> usize {
-        let f32s = self.conv.capacity()
-            + self.grad_items.capacity()
-            + self.pack.capacity()
-            + self.item.capacity();
+        let f32s = self.conv.capacity() + self.pack.capacity() + self.item.capacity();
         let arena: usize = self
             .arena
             .iter()
@@ -205,8 +196,11 @@ impl Workspace {
 /// One layer's backward cache, pushed during a training forward.
 #[derive(Debug, Clone)]
 pub(crate) enum LayerCache {
-    /// The layer input (Linear, Conv1d).
+    /// The layer input (Linear).
     Input(Tensor),
+    /// A convolution's input as its forward staged it, item by item:
+    /// `[batch, in_c, row]`, each row zero-padded for "same" padding.
+    Staged(Tensor),
     /// The positive-input mask of a ReLU.
     Mask(Vec<bool>),
     /// Batch-normalisation statistics of one training batch.
@@ -231,6 +225,7 @@ impl LayerCache {
     pub(crate) fn kind(&self) -> &'static str {
         match self {
             LayerCache::Input(_) => "Input",
+            LayerCache::Staged(_) => "Staged",
             LayerCache::Mask(_) => "Mask",
             LayerCache::Bn { .. } => "Bn",
             LayerCache::Shape(_) => "Shape",

@@ -7,7 +7,7 @@
 //! summed from zero with fused multiply-adds, added in turn. The sweep
 //! covers the tile's hazards: output-channel strips that do not divide
 //! `out_c`, position tiles that do not divide the length, the depth-block
-//! edges, kernels longer than the window, and batches that fan out.
+//! edges, kernels longer than the window, and batches of many items.
 //!
 //! The other kernels carry three kinds of shape hazard: row strips that do
 //! not divide `m`, column blocks that do not divide `n` (zero-padded pack
@@ -20,17 +20,20 @@
 //! magnitudes kept small enough that every dot fits the `i16` output grid
 //! of a unit requantiser).
 //!
-//! The training kernels ([`matmul_weight_grad`], [`matmul_at_b`]) must
-//! instead match the plain scalar loops they replaced bit for bit; those
-//! loops live here as oracles. So must a batched `Conv1d::backward`, which
-//! fans out across threads, match the same layer stepped one item at a
-//! time.
+//! `Conv1d::backward` and the training kernel [`matmul_at_b`] must instead
+//! match plain scalar loops bit for bit; those loops live here as oracles.
+//! The backward is pinned to the sequence it had when it lowered every item
+//! to im2col: the oracle composes an im2col and a col2im written here with
+//! the scalar loops of the two GEMMs it ran (the weight gradient summed per
+//! element over positions, the column gradient row by row over output
+//! channels, skipping zero weights), the per-item partials added onto the
+//! gradients in item order.
 
 use tinynn::matmul::{
     conv_q8_requant, matmul_at_b, matmul_packed_rhs, matmul_q8_reference, matmul_reference,
-    matmul_weight_grad, pack_rhs_t, packed_rhs_len,
+    pack_rhs_t, packed_rhs_len,
 };
-use tinynn::{init, Conv1d, Layer, Requantizer, Tensor, Workspace};
+use tinynn::{Conv1d, Layer, Requantizer, Tensor, Workspace};
 
 /// Small deterministic LCG (same recipe as the quantisation property tests).
 struct Rng(u64);
@@ -209,10 +212,10 @@ fn q8_sliding_matches_packed_windows_over_stride_sweep() {
     }
 }
 
-/// Oracle of [`matmul_weight_grad`]: the scalar loop of the conv weight
-/// gradient it replaced, on the untransposed output gradient —
-/// `C[i,j] += Σₚ A[i,p] · B[j,p]` with `A: [m,p]`, `B: [n,p]`, each dot
-/// summed from zero and added to `C` once.
+/// The convolution weight gradient as one scalar loop —
+/// `C[i,j] += Σₚ A[i,p] · B[j,p]` with `A: [m,p]` (an item's output
+/// gradient), `B: [n,p]` (its im2col) — each dot summed from zero and added
+/// to `C` once.
 fn weight_grad_oracle(c: &mut [f32], a: &[f32], b: &[f32], m: usize, p: usize, n: usize) {
     for i in 0..m {
         let a_row = &a[i * p..(i + 1) * p];
@@ -228,8 +231,9 @@ fn weight_grad_oracle(c: &mut [f32], a: &[f32], b: &[f32], m: usize, p: usize, n
     }
 }
 
-/// Oracle of [`matmul_at_b`]: the plain sum of row outer products, added
-/// straight into `C`, skipping zero `A` entries.
+/// Oracle of [`matmul_at_b`] (and of the convolution's column gradient):
+/// the plain sum of row outer products, added straight into `C`, skipping
+/// zero `A` entries.
 fn at_b_oracle(c: &mut [f32], a: &[f32], b: &[f32], r: usize, m: usize, n: usize) {
     for row in 0..r {
         let a_row = &a[row * m..(row + 1) * m];
@@ -253,6 +257,17 @@ fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
+/// [`assert_same_bits`] that lets any NaN stand for any NaN (infinite
+/// output gradients turn padded products into NaNs, whose payload IEEE 754
+/// leaves open).
+fn assert_same_bits_or_nan(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+        assert!(same, "{what} at {i}: {g} vs {w}");
+    }
+}
+
 /// Column counts (`in_c · k` of the served, paper and small networks, and
 /// every tail of the 16-, 8- and 1-wide tiles), position counts (fewer
 /// than the 8-wide tile up to past one 256-block) and row counts 1–17.
@@ -271,29 +286,6 @@ fn grad_shapes() -> Vec<(usize, usize, usize)> {
     }
     shapes.extend((1..=17).map(|m| (m, 230, 144)));
     shapes
-}
-
-#[test]
-fn weight_grad_matches_the_scalar_loop_bit_for_bit() {
-    let mut rng = Rng::new(61);
-    for (m, p, n) in grad_shapes() {
-        let a: Vec<f32> = (0..m * p).map(|_| rng.uniform(1.0)).collect();
-        let b: Vec<f32> = (0..n * p).map(|_| rng.uniform(1.0)).collect();
-        // The kernel reads the output gradient positions-major.
-        let mut at = vec![0.0f32; p * m];
-        for i in 0..m {
-            for pos in 0..p {
-                at[pos * m + i] = a[i * p + pos];
-            }
-        }
-        // Accumulate onto a non-zero C.
-        let c0: Vec<f32> = (0..m * n).map(|_| rng.uniform(4.0)).collect();
-        let mut want = c0.clone();
-        weight_grad_oracle(&mut want, &a, &b, m, p, n);
-        let mut got = c0;
-        matmul_weight_grad(&mut got, &at, &b, p, m, n);
-        assert_same_bits(&got, &want, &format!("matmul_weight_grad m={m} p={p} n={n}"));
-    }
 }
 
 #[test]
@@ -331,8 +323,6 @@ fn at_b_matches_the_scalar_loop_bit_for_bit() {
 fn gradient_kernels_leave_c_alone_for_empty_products() {
     let mut c = vec![1.5f32; 6];
     matmul_at_b(&mut c, &[], &[], 0, 2, 3);
-    assert_eq!(c, vec![1.5; 6]);
-    matmul_weight_grad(&mut c, &[], &[], 0, 2, 3);
     assert_eq!(c, vec![1.5; 6]);
 }
 
@@ -391,9 +381,8 @@ const CONV_LENGTHS: &[usize] = &[1, 5, 6, 7, 8, 9, 230];
 #[test]
 fn conv_forward_matches_the_pinned_order_over_shape_sweep() {
     // Every case runs at batch 1; each (depth, channels) pair also runs one
-    // rotating length at a batch whose work passes the convolution's
-    // 2 MFLOP fan-out gate. One workspace serves the sweep, so every plan
-    // is rebuilt over an earlier shape's.
+    // rotating length at a batch of about 2 MFLOP. One workspace serves the
+    // sweep, so every plan is rebuilt over an earlier shape's.
     let mut rng = Rng::new(71);
     let mut ws = Workspace::new();
     let mut cases = 0;
@@ -404,9 +393,9 @@ fn conv_forward_matches_the_pinned_order_over_shape_sweep() {
                 *b = rng.uniform(1.0);
             }
             for (li, &len) in CONV_LENGTHS.iter().enumerate() {
-                let fan_out = (ci + oi) % CONV_LENGTHS.len() == li;
-                let fan_out = fan_out.then(|| 2 + (1 << 21) / (2 * out_c * in_c * k * len));
-                for batch in std::iter::once(1).chain(fan_out) {
+                let batched = (ci + oi) % CONV_LENGTHS.len() == li;
+                let batched = batched.then(|| 2 + (1 << 21) / (2 * out_c * in_c * k * len));
+                for batch in std::iter::once(1).chain(batched) {
                     let x: Vec<f32> = (0..batch * in_c * len).map(|_| rng.uniform(2.0)).collect();
                     let x = Tensor::from_vec(x, &[batch, in_c, len]);
                     let want = conv_oracle(&conv, &x);
@@ -427,48 +416,164 @@ fn conv_forward_matches_the_pinned_order_over_shape_sweep() {
     assert_eq!(cases, CONV_DEPTHS.len() * CONV_OUT.len() * (CONV_LENGTHS.len() + 1));
 }
 
-/// The bits of `Conv1d` training steps on one layer, one step per entry of
-/// `steps` (each an input and output gradient of some batch size): the
-/// input gradients in order, then the accumulated weight and bias
-/// gradients.
-fn conv_backward_bits(conv: &Conv1d, steps: &[(Tensor, Tensor)]) -> Vec<u32> {
-    let mut conv = conv.clone();
-    let mut ws = Workspace::new();
-    let mut bits = Vec::new();
-    for (x, dy) in steps {
-        let _ = conv.forward(x, &mut ws, true);
-        bits.extend(conv.backward(dy, &mut ws).data().iter().map(|v| v.to_bits()));
+/// The im2col lowering of one `[in_c, len]` item: row `c·k + t` of the
+/// `[in_c·k, len]` result is channel `c` shifted by `t - pad` ("same"
+/// padding), zero outside the signal.
+fn im2col(x: &[f32], in_c: usize, len: usize, k: usize) -> Vec<f32> {
+    let pad = (k - 1) / 2;
+    let mut col = vec![0.0f32; in_c * k * len];
+    for (d, row) in col.chunks_exact_mut(len).enumerate() {
+        let (c, t) = (d / k, d % k);
+        for (j, v) in row.iter_mut().enumerate() {
+            if let Some(s) = (j + t).checked_sub(pad).filter(|&s| s < len) {
+                *v = x[c * len + s];
+            }
+        }
     }
-    let grads = conv.params().into_iter().flat_map(|p| p.grad.data().to_vec());
-    bits.extend(grads.map(f32::to_bits));
-    bits
+    col
 }
 
-/// Item `b` of a `[batch, C, len]` tensor as a batch of one.
-fn item(t: &Tensor, b: usize) -> Tensor {
-    let (c, len) = (t.shape()[1], t.shape()[2]);
-    Tensor::from_vec(t.data()[b * c * len..(b + 1) * c * len].to_vec(), &[1, c, len])
+/// The adjoint of [`im2col`]: adds every in-range column-gradient value
+/// onto `dx`, each element's taps in order.
+fn col2im_add(dx: &mut [f32], dcol: &[f32], len: usize, k: usize) {
+    let pad = (k - 1) / 2;
+    for (d, row) in dcol.chunks_exact(len).enumerate() {
+        let (c, t) = (d / k, d % k);
+        for (j, &v) in row.iter().enumerate() {
+            if let Some(s) = (j + t).checked_sub(pad).filter(|&s| s < len) {
+                dx[c * len + s] += v;
+            }
+        }
+    }
+}
+
+/// Oracle of one `Conv1d::backward` call: for each item in order, the
+/// weight-gradient partial `dY · colᵀ` summed onto `-0.0`, the bias
+/// partial (each output row's `sum::<f32>()`) and the input gradient
+/// `col2im(Wᵀ · dY)`, the partials then added onto `grad_w` and `grad_b`.
+/// Returns the input gradient.
+fn conv_backward_oracle(
+    w: &[f32],
+    (grad_w, grad_b): (&mut [f32], &mut [f32]),
+    x: &Tensor,
+    dy: &Tensor,
+    k: usize,
+) -> Vec<f32> {
+    let (in_c, out_c, len) = (x.shape()[1], dy.shape()[1], x.shape()[2]);
+    let ck = in_c * k;
+    let mut grad_input = Vec::with_capacity(x.len());
+    for (x_b, dy_b) in x.data().chunks_exact(in_c * len).zip(dy.data().chunks_exact(out_c * len)) {
+        let col = im2col(x_b, in_c, len, k);
+        let mut dw = vec![-0.0f32; out_c * ck];
+        weight_grad_oracle(&mut dw, dy_b, &col, out_c, len, ck);
+        let db: Vec<f32> = dy_b.chunks_exact(len).map(|row| row.iter().sum::<f32>()).collect();
+        let mut dcol = vec![0.0f32; ck * len];
+        at_b_oracle(&mut dcol, w, dy_b, out_c, ck, len);
+        let mut dx = vec![0.0f32; in_c * len];
+        col2im_add(&mut dx, &dcol, len, k);
+        for (g, &d) in grad_w.iter_mut().zip(&dw) {
+            *g += d;
+        }
+        for (g, &d) in grad_b.iter_mut().zip(&db) {
+            *g += d;
+        }
+        grad_input.extend(dx);
+    }
+    grad_input
+}
+
+/// `(in_c, out_c, kernel, len, batch)` of the backward sweep: `k = 1`,
+/// kernels longer than the window (odd and even), one input channel, odd
+/// lengths, output channels that are not a multiple of 8 or 16, the
+/// layers of the served network (stem, 8-channel block at the inference
+/// length, projection, the 16-channel block) and the paper's kernel at
+/// depth 1,024.
+const BACKWARD_CASES: &[(usize, usize, usize, usize, usize)] = &[
+    (3, 5, 1, 17, 2),
+    (2, 7, 9, 5, 3),
+    (1, 3, 12, 4, 2),
+    (1, 8, 9, 64, 3),
+    (8, 8, 9, 230, 2),
+    (8, 16, 1, 256, 2),
+    (16, 16, 9, 256, 2),
+    (4, 12, 5, 31, 2),
+    (5, 9, 4, 19, 1),
+    (3, 17, 8, 37, 2),
+    (6, 20, 3, 16, 3),
+    (16, 16, 64, 40, 2),
+    (16, 1, 3, 9, 2),
+];
+
+/// FNV-1a over the bits of a sweep's outputs, every NaN counted as one.
+fn fold_bits(hash: &mut u64, values: &[f32]) {
+    for v in values {
+        let bits = if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() };
+        for byte in bits.to_le_bytes() {
+            *hash = (*hash ^ byte as u64).wrapping_mul(0x100_0000_01b3);
+        }
+    }
 }
 
 #[test]
-fn conv_backward_fan_out_matches_the_serial_bits() {
-    // 8 → 16 channels, kernel 9, 100 positions: each item's backward
-    // costs about 0.46 MFLOP, so batches of 7 and 32 pass the fan-out gate
-    // of 2 MFLOP (a host with one core runs both sides serially). The
-    // serial reference is the same layer stepped on one item at a time, in
-    // item order: a batch of one never fans out, and the layer adds each
-    // item's partials onto its gradients in item order, so these are the
-    // serial loop's bits.
-    for batch in [1usize, 7, 32] {
-        let conv = Conv1d::new(8, 16, 9, 3);
-        let x = init::uniform(&[batch, 8, 100], -1.0, 1.0, 5);
-        let mut dy = init::uniform(&[batch, 16, 100], -1.0, 1.0, 7);
-        // Zero output gradients, as a ReLU mask leaves them.
-        for v in dy.data_mut().iter_mut().step_by(5) {
-            *v = 0.0;
+fn conv_backward_matches_the_im2col_sequence_over_shape_sweep() {
+    // Each case runs twice, with dense weights and with exact zeros (every
+    // fifth weight and all of output channel 0, whose output gradient is
+    // infinite in the first item: only the zero skip keeps the input
+    // gradient finite). Each run takes two training steps of different
+    // batch sizes, accumulating onto non-zero gradients; the output
+    // gradients hold zeros, as a ReLU mask leaves them.
+    let mut rng = Rng::new(73);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut runs = 0;
+    for &(in_c, out_c, k, len, batch) in BACKWARD_CASES {
+        for zeros in [false, true] {
+            let mut conv = Conv1d::new(in_c, out_c, k, runs as u64);
+            for p in conv.params_mut() {
+                for g in p.grad.data_mut() {
+                    *g = rng.uniform(0.5);
+                }
+            }
+            if zeros {
+                let mut params = conv.params_mut();
+                for (i, v) in params[0].value.data_mut().iter_mut().enumerate() {
+                    if i % 5 == 2 || i < in_c * k {
+                        *v = 0.0;
+                    }
+                }
+            }
+            let w = conv.weight().data().to_vec();
+            let mut grad_w = conv.params()[0].grad.data().to_vec();
+            let mut grad_b = conv.params()[1].grad.data().to_vec();
+            let mut ws = Workspace::new();
+            for (step, items) in [batch, batch + 1].into_iter().enumerate() {
+                let x: Vec<f32> = (0..items * in_c * len).map(|_| rng.uniform(2.0)).collect();
+                let x = Tensor::from_vec(x, &[items, in_c, len]);
+                let mut dy: Vec<f32> = (0..items * out_c * len)
+                    .map(|i| if i % 5 == 0 { 0.0 } else { rng.uniform(1.0) })
+                    .collect();
+                if zeros && step == 0 {
+                    dy[..len].fill(f32::INFINITY);
+                }
+                let dy = Tensor::from_vec(dy, &[items, out_c, len]);
+                let want = conv_backward_oracle(&w, (&mut grad_w, &mut grad_b), &x, &dy, k);
+                assert!(want.iter().all(|v| v.is_finite()), "the oracle skips zero weights");
+                let _ = conv.forward(&x, &mut ws, true);
+                let got = conv.backward(&dy, &mut ws);
+                let what =
+                    format!("in_c={in_c} out_c={out_c} k={k} len={len} zeros={zeros} step={step}");
+                assert_eq!(got.shape(), x.shape(), "{what}");
+                assert_same_bits(got.data(), &want, &format!("{what}: input gradient"));
+                fold_bits(&mut hash, got.data());
+            }
+            let what = format!("in_c={in_c} out_c={out_c} k={k} len={len} zeros={zeros}");
+            let grads = conv.params();
+            assert_same_bits_or_nan(grads[0].grad.data(), &grad_w, &format!("{what}: dW"));
+            assert_same_bits_or_nan(grads[1].grad.data(), &grad_b, &format!("{what}: db"));
+            fold_bits(&mut hash, grads[0].grad.data());
+            fold_bits(&mut hash, grads[1].grad.data());
+            runs += 1;
         }
-        let serial: Vec<_> = (0..batch).map(|b| (item(&x, b), item(&dy, b))).collect();
-        let want = conv_backward_bits(&conv, &serial);
-        assert_eq!(conv_backward_bits(&conv, &[(x, dy)]), want, "batch {batch}");
     }
+    assert_eq!(runs, 2 * BACKWARD_CASES.len());
+    println!("conv backward sweep: {runs} runs, output bits FNV-1a {hash:016x}");
 }

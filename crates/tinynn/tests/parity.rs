@@ -1,5 +1,5 @@
 //! Parity tests pinning the optimised layer implementations (the direct
-//! convolution tile, the im2col/GEMM backward, the packed fully connected
+//! convolution tile, the staged backward, the packed fully connected
 //! GEMM) to the naive scalar references within 1e-5, across odd and even
 //! kernel sizes, multi-channel inputs and edge-padding cases. They are the
 //! independent oracle of the `f32` forward convolution: the references sum
