@@ -31,8 +31,7 @@
 //! let traces: Vec<Trace> = (0..3)
 //!     .map(|i| Trace::from_samples((0..96).map(|x| ((x + i) as f32 * 0.2).sin()).collect()))
 //!     .collect();
-//! let located = engine.locate_batch(&traces);
-//! assert_eq!(located.len(), traces.len());
+//! let located: Vec<Vec<usize>> = traces.iter().map(|t| engine.locate(t)).collect();
 //!
 //! // Persist the profile and serve it from a fresh process.
 //! let path =
@@ -59,8 +58,8 @@ use crate::sliding::SlidingWindowClassifier;
 /// quantised (`i8` weights, per-channel scales) counterpart.
 ///
 /// Both variants implement [`WindowScorer`], so every scoring path of the
-/// engine — single-trace, shard fan-out, batched multi-trace — is shared
-/// verbatim between them.
+/// engine — in-memory, streamed, shard fan-out — is shared verbatim between
+/// them.
 // The variants genuinely differ in size (f32 tensors vs i8 blocks); an
 // engine holds exactly one model for its whole lifetime, so boxing would
 // only add a pointer chase to every score.
@@ -151,13 +150,6 @@ impl LocatorEngine {
         &self.model
     }
 
-    /// The reference-counted weight set itself — what a registry or service
-    /// pins per in-flight request so a hot swap can never free weights still
-    /// being scored against.
-    pub fn shared_model(&self) -> Arc<EngineModel> {
-        Arc::clone(&self.model)
-    }
-
     /// Estimated resident bytes of serving this engine: the weight set
     /// ([`EngineModel::weight_bytes`]) plus a workspace estimate for one
     /// scoring batch: `batch_size` windows staged as `[B, 1, N]` input, the
@@ -198,7 +190,7 @@ impl LocatorEngine {
     /// parameters. The activation grids of the fixed-point inference chain
     /// are calibrated on the deterministic built-in probe set at this
     /// engine's window length; [`Self::quantize_with_samples`] calibrates
-    /// on representative trace windows instead. `locate` / `locate_batch`
+    /// on representative trace windows instead. `locate` / `locate_streamed`
     /// of the result are drop-in replacements whose scores track the `f32`
     /// engine within the quantisation error bound (see the parity tests);
     /// quantising an already quantised engine shares the weights (a
@@ -321,13 +313,6 @@ impl LocatorEngine {
         Ok(segmenter.finish())
     }
 
-    /// Locates the CO starts of every trace in `traces`: [`Self::locate`]
-    /// on each trace in turn, each one's windows split across this
-    /// engine's scoring threads.
-    pub fn locate_batch(&self, traces: &[Trace]) -> Vec<Vec<usize>> {
-        traces.iter().map(|t| self.locate(t)).collect()
-    }
-
     /// Serialises the engine (weights + inference parameters) to `path` in
     /// the versioned binary format of [`crate::persist`]: the checksummed
     /// format v4, carrying the `f32` or quantised payload as the engine is.
@@ -431,36 +416,20 @@ mod tests {
     }
 
     #[test]
-    fn locate_batch_matches_per_trace_locate_exactly() {
-        // Acceptance pin: batched multi-trace scoring from a single `&self`
-        // borrow must be bit-identical to looping single-trace locate.
+    fn locate_detailed_starts_match_locate() {
         let engine = tiny_engine();
-        let traces: Vec<Trace> = (0..12).map(|i| wavy_trace(150 + 17 * i, i)).collect();
-        let batched = engine.locate_batch(&traces);
-        let looped: Vec<Vec<usize>> = traces.iter().map(|t| engine.locate(t)).collect();
-        assert_eq!(batched, looped);
-    }
-
-    #[test]
-    fn locate_batch_scores_match_detailed_scores() {
-        let engine = tiny_engine();
-        let traces: Vec<Trace> = (0..9).map(|i| wavy_trace(240, 3 * i)).collect();
-        let batched = engine.locate_batch(&traces);
-        for (trace, starts) in traces.iter().zip(batched.iter()) {
-            let (_, detailed_starts) = engine.locate_detailed(trace);
-            assert_eq!(&detailed_starts, starts);
+        for i in 0..9 {
+            let trace = wavy_trace(240, 3 * i);
+            assert_eq!(engine.locate_detailed(&trace).1, engine.locate(&trace), "trace {i}");
         }
     }
 
     #[test]
-    fn locate_batch_handles_empty_and_short_inputs() {
+    fn locate_finds_no_starts_in_a_trace_shorter_than_the_window() {
         let engine = tiny_engine();
-        assert!(engine.locate_batch(&[]).is_empty());
-        // A trace shorter than the window yields no starts but keeps its slot.
-        let traces = vec![Trace::from_samples(vec![0.0; 4]), wavy_trace(120, 0)];
-        let out = engine.locate_batch(&traces);
-        assert_eq!(out.len(), 2);
-        assert!(out[0].is_empty());
+        let short = Trace::from_samples(vec![0.0; 4]);
+        assert!(engine.locate(&short).is_empty());
+        assert_eq!(engine.locate_detailed(&short), (Vec::new(), Vec::new()));
     }
 
     #[test]

@@ -25,8 +25,7 @@
 //! * [`pipeline`] — [`pipeline::LocatorBuilder`], which trains the CNN and
 //!   returns the [`engine::LocatorEngine`] running the end-to-end pipeline.
 //! * [`engine`] — [`engine::LocatorEngine`], the profile-once / score-many
-//!   serving front-end: `&self` scoring, batched multi-trace
-//!   [`engine::LocatorEngine::locate_batch`], out-of-core
+//!   serving front-end: `&self` scoring, out-of-core
 //!   [`engine::LocatorEngine::locate_streamed`] over any
 //!   [`sca_trace::TraceSource`], model save/load, and
 //!   [`engine::LocatorEngine::quantize`] for the `i8` serving path.

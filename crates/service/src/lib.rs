@@ -584,11 +584,6 @@ impl LocatorService {
         &self.shared.registry
     }
 
-    /// The registered model names, in registration order.
-    pub fn model_names(&self) -> Vec<Arc<str>> {
-        self.shared.registry.names()
-    }
-
     /// Resolves a model name to its current engine (loading it if cold) —
     /// the reference for parity checks. `None` if the name is unknown or
     /// its file fails to load.
@@ -1130,8 +1125,9 @@ fn expire(shared: &Shared, req: &Arc<ActiveRequest>) {
     complete(shared, req, &mut out, Err(ServiceError::DeadlineExceeded));
 }
 
-/// Delivers the final result (with the output lock held) and releases the
-/// request's queue slot.
+/// Releases the request's queue slot and then delivers the final result
+/// (with the output lock held), so a caller whose `Ticket::wait` returned
+/// is no longer counted in the queue.
 fn complete(
     shared: &Shared,
     req: &Arc<ActiveRequest>,
@@ -1151,13 +1147,17 @@ fn complete(
             latency,
         }
     });
-    // The ticket may have been dropped; completion still releases the slot
-    // and, for an expired or failed request, its unclaimed windows.
-    let _ = tx.send(result);
-    let mut st = lock_poisoned(&shared.state);
-    st.pending -= 1;
-    release_unclaimed(&mut st, req, usize::MAX);
+    // Completion releases the slot and, for an expired or failed request,
+    // its unclaimed windows, before the result goes out: the ticket may
+    // have been dropped, and a caller that got its result may submit again
+    // at once.
+    {
+        let mut st = lock_poisoned(&shared.state);
+        st.pending -= 1;
+        release_unclaimed(&mut st, req, usize::MAX);
+    }
     shared.work_ready.notify_all();
+    let _ = tx.send(result);
 }
 
 /// Takes up to `windows` of `req`'s unclaimed windows off the backlog, with

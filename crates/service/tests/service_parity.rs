@@ -256,6 +256,30 @@ fn queue_full_is_a_typed_rejection_and_clears_after_drain() {
 }
 
 #[test]
+fn a_closed_loop_client_is_never_refused_at_queue_capacity_one() {
+    // A request gives its queue slot back before its result is sent, so a
+    // client whose `wait` returned finds the slot free for its next request.
+    let service = LocatorService::start(
+        vec![tiny_engine(4)],
+        ServiceConfig { workers: 1, queue_capacity: 1, ..ServiceConfig::default() },
+    );
+    let trace = noisy_trace(64, 5);
+    let mut refused = 0;
+    for _ in 0..500 {
+        match service.submit_trace("model-0", trace.clone(), RequestOptions::default()) {
+            Ok(ticket) => {
+                ticket.wait().unwrap();
+            }
+            Err(Rejected::QueueFull { .. }) => refused += 1,
+            Err(other) => panic!("unexpected rejection: {other:?}"),
+        }
+    }
+    assert_eq!(refused, 0, "{refused} of 500 closed-loop submissions were refused");
+    assert_eq!(service.metrics().rejected_queue_full, 0);
+    service.shutdown();
+}
+
+#[test]
 fn expired_deadline_completes_with_typed_error_without_scoring() {
     let (reader, mut writer) = std::io::pipe().unwrap();
     let service = LocatorService::start(

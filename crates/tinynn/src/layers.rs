@@ -16,18 +16,19 @@
 //! workspace stack; `backward` (which still takes `&mut self` to accumulate
 //! parameter gradients into the layer's [`Param`]s) pops the entries in
 //! reverse. Inference (`training == false`) records nothing. Layer outputs,
-//! input gradients and the larger caches are drawn from the workspace's
-//! arena ([`Workspace::uninit_tensor`]), and containers recycle dead
+//! input gradients and cached tensors (`Relu` and `Linear` cache a copy of
+//! their input) are drawn from the workspace's arena
+//! ([`Workspace::uninit_tensor`]), and containers recycle dead
 //! intermediates in both directions ([`forward_consuming`],
 //! [`backward_consuming`]) — a warm inference pass performs **zero heap
-//! allocations**, and a warm training step takes its activations and
-//! gradients from the arena too.
+//! allocations**, and a warm training step takes its activations, caches
+//! and gradients from the arena too.
 //!
 //! These `forward` methods form the **layer chain**: `Conv1d` packs its
 //! weights into register strips once per call and convolves each item with
 //! the direct tile of [`crate::fused`] (the one `f32` forward convolution),
-//! `Linear` packs `Wᵀ` into `NR`-column panels for
-//! [`matmul::matmul_packed_rhs`], and the normalisation/pooling layers
+//! `Linear` runs plain loops (each output its bias plus a dot summed from
+//! zero with fused multiply-adds), and the normalisation/pooling layers
 //! operate on contiguous channel slices.
 //!
 //! `Conv1d`'s training forward keeps each item's input as the direct tile
@@ -54,7 +55,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::fused;
 use crate::init;
-use crate::matmul;
+use crate::matmul::fmadd;
 use crate::param::Param;
 use crate::tensor::Tensor;
 use crate::workspace::{LayerCache, Workspace};
@@ -170,7 +171,7 @@ impl Relu {
 impl Layer for Relu {
     fn forward(&self, input: &Tensor, ws: &mut Workspace, training: bool) -> Tensor {
         if training {
-            ws.push(LayerCache::Mask(input.data().iter().map(|&v| v > 0.0).collect()));
+            ws.push_input(input);
         }
         let mut out = ws.uninit_tensor(input.shape());
         for (dst, &v) in out.data_mut().iter_mut().zip(input.data().iter()) {
@@ -180,16 +181,17 @@ impl Layer for Relu {
     }
 
     fn backward(&mut self, grad_output: &Tensor, ws: &mut Workspace) -> Tensor {
-        let mask = match ws.pop("Relu") {
-            LayerCache::Mask(mask) => mask,
+        let input = match ws.pop("Relu") {
+            LayerCache::Input(input) => input,
             other => cache_mismatch("Relu", &other),
         };
-        assert_eq!(grad_output.len(), mask.len(), "Relu: gradient/mask length mismatch");
+        assert_eq!(grad_output.len(), input.len(), "Relu: gradient/input length mismatch");
         let mut grad_input = ws.uninit_tensor(grad_output.shape());
-        let pairs = grad_output.data().iter().zip(&mask);
-        for (gi, (&g, &m)) in grad_input.data_mut().iter_mut().zip(pairs) {
-            *gi = if m { g } else { 0.0 };
+        let pairs = grad_output.data().iter().zip(input.data());
+        for (gi, (&g, &x)) in grad_input.data_mut().iter_mut().zip(pairs) {
+            *gi = if x > 0.0 { g } else { 0.0 };
         }
+        ws.recycle(input);
         grad_input
     }
 }
@@ -238,8 +240,9 @@ impl Linear {
         &self.bias.value
     }
 
-    /// Naive scalar-loop forward pass, kept as the parity reference for the
-    /// GEMM implementation. Pure: touches no caches.
+    /// Naive scalar-loop forward pass (the bias first, then separate
+    /// multiplies and adds), kept as an independent parity reference for
+    /// `forward`, which agrees with it to rounding. Pure: touches no caches.
     pub fn forward_reference(&self, input: &Tensor) -> Tensor {
         let batch = input.shape()[0];
         let mut out = Tensor::zeros(&[batch, self.out_features]);
@@ -287,31 +290,20 @@ impl Layer for Linear {
     fn forward(&self, input: &Tensor, ws: &mut Workspace, training: bool) -> Tensor {
         assert_eq!(input.shape().len(), 2, "Linear expects a 2-D input");
         assert_eq!(input.shape()[1], self.in_features, "Linear input feature mismatch");
-        let batch = input.shape()[0];
-        let mut out = ws.uninit_tensor(&[batch, self.out_features]);
-        for row in out.data_mut().chunks_mut(self.out_features) {
-            row.copy_from_slice(self.bias.value.data());
+        let (in_f, out_f) = (self.in_features, self.out_features);
+        let (w, bias) = (self.weight.value.data(), self.bias.value.data());
+        let mut out = ws.uninit_tensor(&[input.shape()[0], out_f]);
+        // Each output is its bias plus the dot of the input row with the
+        // weight row, summed from zero with fused multiply-adds.
+        for (b, y_row) in out.data_mut().chunks_exact_mut(out_f).enumerate() {
+            let x_row = &input.data()[b * in_f..][..in_f];
+            for (o, (y, &bias)) in y_row.iter_mut().zip(bias).enumerate() {
+                let w_row = &w[o * in_f..][..in_f];
+                *y = bias + x_row.iter().zip(w_row).fold(0.0, |acc, (&x, &w)| fmadd(x, w, acc));
+            }
         }
-        // Pack Wᵀ into NR-column panels once per call (weights may change
-        // between calls during training, so the pack is rebuilt — one pass
-        // over the weight block, amortised across the batch rows) and run
-        // the register-tiled kernel.
-        matmul::pack_rhs_t(
-            &mut ws.pack,
-            self.weight.value.data(),
-            self.out_features,
-            self.in_features,
-        );
-        matmul::matmul_packed_rhs(
-            out.data_mut(),
-            input.data(),
-            &ws.pack,
-            batch,
-            self.in_features,
-            self.out_features,
-        );
         if training {
-            ws.push(LayerCache::Input(input.clone()));
+            ws.push_input(input);
         }
         out
     }
@@ -321,32 +313,30 @@ impl Layer for Linear {
             LayerCache::Input(input) => input,
             other => cache_mismatch("Linear", &other),
         };
+        let (in_f, out_f) = (self.in_features, self.out_features);
         let batch = input.shape()[0];
-        let mut grad_input = ws.uninit_tensor(&[batch, self.in_features]);
+        assert_eq!(grad_output.shape(), [batch, out_f], "Linear: gradient shape mismatch");
+        let mut grad_input = ws.uninit_tensor(&[batch, in_f]);
         grad_input.data_mut().fill(0.0);
-        // dX = dY · W
-        matmul::matmul(
-            grad_input.data_mut(),
-            grad_output.data(),
-            self.weight.value.data(),
-            batch,
-            self.out_features,
-            self.in_features,
-        );
-        // dW += dYᵀ · X
-        matmul::matmul_at_b(
-            self.weight.grad.data_mut(),
-            grad_output.data(),
-            input.data(),
-            batch,
-            self.out_features,
-            self.in_features,
-        );
-        // db += column sums of dY
-        let grad_bias = self.bias.grad.data_mut();
-        for g_row in grad_output.data().chunks(self.out_features) {
-            for (bg, &g) in grad_bias.iter_mut().zip(g_row.iter()) {
-                *bg += g;
+        let w = self.weight.value.data();
+        let (grad_w, grad_b) = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
+        // Row by row: `db[o]` gains `dY[b,o]`; unless `dY[b,o]` is zero,
+        // `dX[b]` gains the rounded products `dY[b,o]·W[o]` and `dW[o]` the
+        // rounded products `dY[b,o]·X[b]`. So `dX` sums over `o` in order and
+        // `dW` and `db` over `b` in order.
+        for (b, dy_row) in grad_output.data().chunks_exact(out_f).enumerate() {
+            let x_row = &input.data()[b * in_f..][..in_f];
+            let dx_row = &mut grad_input.data_mut()[b * in_f..][..in_f];
+            for (o, &dy) in dy_row.iter().enumerate() {
+                grad_b[o] += dy;
+                if dy == 0.0 {
+                    continue;
+                }
+                let rows = w[o * in_f..][..in_f].iter().zip(&mut grad_w[o * in_f..][..in_f]);
+                for ((dx, &xv), (&wv, dw)) in dx_row.iter_mut().zip(x_row).zip(rows) {
+                    *dx += dy * wv;
+                    *dw += dy * xv;
+                }
             }
         }
         ws.recycle(input);

@@ -1,27 +1,9 @@
-//! Cache-blocked and register-tiled `f32` matrix multiplication kernels,
-//! and the quantised convolution's scalar fallback.
+//! The `f32` fused multiply-add helper and the quantised convolution's
+//! scalar fallback.
 //!
-//! The `f32` kernels serve the layer chain's fully connected layer:
-//!
-//! * [`matmul`]      — `C[m,n] += A[m,k] · B[k,n]` (row-major everywhere;
-//!   `Linear`'s input gradient);
-//! * [`matmul_at_b`] — `C[m,n] += A[r,m]ᵀ · B[r,n]` (sum of row outer
-//!   products — `Linear`'s weight gradient).
-//!
-//! `matmul_at_b` is register-tiled, yet every element gets exactly the
-//! operations of the plain scalar loop it replaced, in the same order: each
-//! product is rounded before its add (no fused multiply-add), rows add
-//! straight into `C` in turn and zero `A` entries are skipped. Only
-//! independent elements run side by side, so trained weights do not depend
-//! on the tiling. The convolution's gradients run no GEMM: `Conv1d`'s
-//! backward computes them straight from its staged input.
-//!
-//! `Linear`'s forward uses the packed register-tiled kernel instead
-//! ([`pack_rhs_t`] → [`matmul_packed_rhs`]): it packs the weight operand
-//! once per layer call into [`NR`]-column panels and accumulates every
-//! `MR × NR` output tile in registers with explicitly contracted FMA,
-//! storing to `C` once. The forward convolutions run no GEMM either: they
-//! convolve directly in [`crate::fused`].
+//! The `f32` forward paths, the direct convolution tile of
+//! [`crate::fused`] and `Linear`'s dot products, share one multiply-add
+//! helper, `fmadd`.
 //!
 //! The quantised convolution has one kernel, `qsimd::conv_requant`, whose
 //! scalar fallback [`conv_q8_requant`] lives here: both map exact integer
@@ -32,265 +14,17 @@
 
 use crate::quant::Requantizer;
 
-/// Column-panel width: `NB` output columns are updated per pass so the `C`
-/// row segment and the `B` panel rows stay cache-resident.
-const NB: usize = 512;
-
-/// Depth-panel height for the same reason on the `k` dimension.
-const KB: usize = 256;
-
-fn check_dims(c: &[f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "A must be m*k = {}x{}", m, k);
-    assert_eq!(b.len(), k * n, "B must be k*n = {}x{}", k, n);
-    assert_eq!(c.len(), m * n, "C must be m*n = {}x{}", m, n);
-}
-
-/// `C += A · B` with `A: [m,k]`, `B: [k,n]`, `C: [m,n]`, all row-major.
-///
-/// Accumulates into `C` (zero it first for a plain product). The `i-k-j`
-/// loop order turns the innermost loop into `c_row += a_ik * b_row`, a fused
-/// multiply-add over two contiguous slices.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with its dimensions.
-pub fn matmul(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    check_dims(c, a, b, m, k, n);
-    for jb in (0..n).step_by(NB) {
-        let jw = NB.min(n - jb);
-        for kb in (0..k).step_by(KB) {
-            let kw = KB.min(k - kb);
-            for i in 0..m {
-                let a_row = &a[i * k + kb..i * k + kb + kw];
-                let c_row = &mut c[i * n + jb..i * n + jb + jw];
-                for (kk, &aik) in a_row.iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b[(kb + kk) * n + jb..(kb + kk) * n + jb + jw];
-                    for (cv, &bv) in c_row.iter_mut().zip(b_row.iter()) {
-                        *cv += aik * bv;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// `C += Aᵀ · B` with `A: [r,m]`, `B: [r,n]`, `C: [m,n]`, all row-major.
-///
-/// A sum of per-row outer products: `C[i,j]` gains `A[row,i] · B[row,j]`
-/// for `row = 0, 1, …` in turn, each product rounded and then added
-/// straight into `C`, and rows whose `A[row,i]` is zero are skipped. This
-/// is the gradient shape of `Linear`'s weights, `dW = dYᵀ · X`.
-///
-/// Register-tiled: each tile of up to 4 rows × 16 columns of `C` is loaded
-/// into registers once, accumulates every `row` in order and is stored
-/// once, so every element gets exactly the operations of the plain
-/// row-by-row loop, in the same order. When `A` holds no zero (a weight
-/// matrix, typically) the skip can never fire, so the tiles run without
-/// its branches.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with its dimensions.
-pub fn matmul_at_b(c: &mut [f32], a: &[f32], b: &[f32], r: usize, m: usize, n: usize) {
-    assert_eq!(a.len(), r * m, "A must be r*m = {}x{}", r, m);
-    assert_eq!(b.len(), r * n, "B must be r*n = {}x{}", r, n);
-    assert_eq!(c.len(), m * n, "C must be m*n = {}x{}", m, n);
-    if a.contains(&0.0) {
-        at_b_columns::<true>(c, a, b, r, m, n);
-    } else {
-        at_b_columns::<false>(c, a, b, r, m, n);
-    }
-}
-
-/// [`matmul_at_b`] in column strips of 16, then 8, then 1; `SKIP` keeps
-/// the zero test on `A`.
-fn at_b_columns<const SKIP: bool>(
-    c: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    r: usize,
-    m: usize,
-    n: usize,
-) {
-    let mut j0 = 0;
-    while j0 + 16 <= n {
-        at_b_strip::<16, SKIP>(c, a, b, r, m, n, j0);
-        j0 += 16;
-    }
-    if j0 + 8 <= n {
-        at_b_strip::<8, SKIP>(c, a, b, r, m, n, j0);
-        j0 += 8;
-    }
-    while j0 < n {
-        at_b_strip::<1, SKIP>(c, a, b, r, m, n, j0);
-        j0 += 1;
-    }
-}
-
-/// The column strip `j0 .. j0 + W` of [`matmul_at_b`], four rows of `C` at
-/// a time, then one.
-fn at_b_strip<const W: usize, const SKIP: bool>(
-    c: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    r: usize,
-    m: usize,
-    n: usize,
-    j0: usize,
-) {
-    let mut i0 = 0;
-    while i0 + 4 <= m {
-        at_b_tile::<4, W, SKIP>(c, a, b, r, m, n, i0, j0);
-        i0 += 4;
-    }
-    while i0 < m {
-        at_b_tile::<1, W, SKIP>(c, a, b, r, m, n, i0, j0);
-        i0 += 1;
-    }
-}
-
-/// One `R × W` register tile of [`matmul_at_b`] at `C[i0.., j0..]`.
-#[allow(clippy::too_many_arguments)] // GEMM tile: operands + geometry
-#[inline]
-fn at_b_tile<const R: usize, const W: usize, const SKIP: bool>(
-    c: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    r: usize,
-    m: usize,
-    n: usize,
-    i0: usize,
-    j0: usize,
-) {
-    let mut acc: [[f32; W]; R] = std::array::from_fn(|i| {
-        c[(i0 + i) * n + j0..(i0 + i) * n + j0 + W].try_into().expect("W columns")
-    });
-    for row in 0..r {
-        let brow: &[f32; W] = b[row * n + j0..row * n + j0 + W].try_into().expect("W columns");
-        for (acc_i, &av) in acc.iter_mut().zip(&a[row * m + i0..row * m + i0 + R]) {
-            if SKIP && av == 0.0 {
-                continue;
-            }
-            for (cv, &bv) in acc_i.iter_mut().zip(brow) {
-                *cv += av * bv;
-            }
-        }
-    }
-    for (i, acc_i) in acc.iter().enumerate() {
-        c[(i0 + i) * n + j0..(i0 + i) * n + j0 + W].copy_from_slice(acc_i);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Packed register-tiled kernel
-// ---------------------------------------------------------------------------
-
-/// Rows of one register micro-tile: `MR` output rows are accumulated
-/// simultaneously, each broadcasting one activation.
-pub const MR: usize = 4;
-
-/// Columns of one register micro-tile: `NR` output columns (two 8-lane
-/// `f32` vectors on AVX2) held in registers for the whole depth sweep.
-pub const NR: usize = 16;
-
-/// Fused multiply-add of the `f32` register tiles (here and in
-/// [`crate::fused`]). On targets with hardware FMA (the repo's x86-64-v3
-/// baseline) this contracts to one `vfmadd` instruction — without the
-/// explicit `mul_add`, Rust never contracts floating-point expressions. On
-/// targets without FMA it falls back to `mul + add` (a libm `fma` call
-/// would be orders of magnitude slower).
+/// Fused multiply-add of the `f32` forward paths. On targets with hardware
+/// FMA (the repo's x86-64-v3 baseline) this contracts to one `vfmadd`
+/// instruction — without the explicit `mul_add`, Rust never contracts
+/// floating-point expressions. On targets without FMA it falls back to
+/// `mul + add` (a libm `fma` call would be orders of magnitude slower).
 #[inline(always)]
 pub(crate) fn fmadd(a: f32, b: f32, acc: f32) -> f32 {
     if cfg!(target_feature = "fma") {
         a.mul_add(b, acc)
     } else {
         acc + a * b
-    }
-}
-
-/// Length of the pack produced by [`pack_rhs_t`] for an `[n, k]` transposed
-/// right operand.
-pub fn packed_rhs_len(n: usize, k: usize) -> usize {
-    n.div_ceil(NR) * NR * k
-}
-
-/// Packs a right GEMM operand given in *transposed* row-major form
-/// `bt: [n, k]` — the `[out, in]` weight layout of a fully connected layer
-/// — into [`NR`]-column panels for [`matmul_packed_rhs`]: panel `p` holds
-/// output columns `p·NR .. p·NR+NR` k-major (`NR` consecutive values per
-/// depth step). The final panel is zero-padded, so padded accumulator
-/// columns hold exact zeros and are simply never written back.
-///
-/// # Panics
-///
-/// Panics if `bt.len() != n * k`.
-pub fn pack_rhs_t(pack: &mut Vec<f32>, bt: &[f32], n: usize, k: usize) {
-    assert_eq!(bt.len(), n * k, "Bᵀ must be n*k = {}x{}", n, k);
-    pack.resize(packed_rhs_len(n, k), 0.0);
-    let panels = n.div_ceil(NR);
-    for p in 0..panels {
-        let j0 = p * NR;
-        let cols = NR.min(n - j0);
-        let dst = &mut pack[p * NR * k..(p + 1) * NR * k];
-        if cols < NR {
-            // `resize` only zero-fills growth; a reused buffer may hold
-            // stale values in the padded lanes of the tail panel.
-            dst.fill(0.0);
-        }
-        for j in 0..cols {
-            let src = &bt[(j0 + j) * k..(j0 + j + 1) * k];
-            for (kk, &v) in src.iter().enumerate() {
-                dst[kk * NR + j] = v;
-            }
-        }
-    }
-}
-
-/// `C += A · B` with the right operand pre-packed by [`pack_rhs_t`]:
-/// `A: [m, k]` row-major (the activations), `pack: [k, ⌈n/NR⌉·NR]`
-/// panel-major, `C: [m, n]` row-major — the fully connected shape
-/// (`y = x Wᵀ` with `W` packed once and reused across batches).
-///
-/// Each `MR × NR` output tile accumulates in registers: per depth step the
-/// packed panel provides one contiguous `NR`-wide load and the `A` rows
-/// `MR` scalar broadcasts. Row tails fall back to a runtime-bounded lane
-/// loop; column tails are handled by the zero-padded pack (the padded
-/// accumulator columns stay zero and are not written back).
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with its dimensions.
-pub fn matmul_packed_rhs(c: &mut [f32], a: &[f32], pack: &[f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "A must be m*k = {}x{}", m, k);
-    assert_eq!(pack.len(), packed_rhs_len(n, k), "pack must cover {}x{} in NR panels", n, k);
-    assert_eq!(c.len(), m * n, "C must be m*n = {}x{}", m, n);
-    let panels = n.div_ceil(NR);
-    for p in 0..panels {
-        let jb = p * NR;
-        let nr = NR.min(n - jb);
-        let panel = &pack[p * NR * k..(p + 1) * NR * k];
-        for ib in (0..m).step_by(MR) {
-            let rows = MR.min(m - ib);
-            let mut acc = [[0.0f32; NR]; MR];
-            for kk in 0..k {
-                let brow: &[f32; NR] = panel[kk * NR..kk * NR + NR].try_into().expect("NR columns");
-                for (i, acc_i) in acc.iter_mut().enumerate().take(rows) {
-                    let av = a[(ib + i) * k + kk];
-                    for (av_j, &bv) in acc_i.iter_mut().zip(brow.iter()) {
-                        *av_j = fmadd(av, bv, *av_j);
-                    }
-                }
-            }
-            for (i, acc_i) in acc.iter().enumerate().take(rows) {
-                let crow = &mut c[(ib + i) * n + jb..(ib + i) * n + jb + nr];
-                for (cv, &av) in crow.iter_mut().zip(acc_i.iter()) {
-                    *cv += av;
-                }
-            }
-        }
     }
 }
 
@@ -309,8 +43,7 @@ pub const QK: usize = 256;
 /// Both operands are `i16` so the reduction is the x86 `vpmaddwd` idiom
 /// (pairwise i16 multiply-add); the constant trip count lets LLVM fully
 /// unroll and vectorise it with no scalar epilogue (~1.5–2× the throughput
-/// of the runtime-length loop, and ~2× the f32 FMA GEMM at the network's
-/// fan-ins — the reason the quantised path beats the `f32` kernels).
+/// of the runtime-length loop).
 /// Overflow-free for `K ≤ QK` when one operand holds i8-range codes
 /// (|v| ≤ 127, the widened weight blocks of
 /// [`crate::quant::QuantizedGemm::data16`]).
@@ -537,77 +270,9 @@ pub fn matmul_q8_reference(a: &[i16], b: &[i16], m: usize, k: usize, n: usize) -
     c
 }
 
-/// Reference (naive triple-loop) product `C = A · B`, kept for parity tests.
-pub fn matmul_reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut c = vec![0.0f32; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for kk in 0..k {
-                acc += a[i * k + kk] * b[kk * n + j];
-            }
-            c[i * n + j] = acc;
-        }
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::init;
-
-    fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
-        a.iter().zip(b.iter()).map(|(x, y)| (x - y).abs()).fold(0.0, f32::max)
-    }
-
-    #[test]
-    fn matmul_matches_reference_across_shapes() {
-        for &(m, k, n) in
-            &[(1usize, 1usize, 1usize), (3, 4, 5), (7, 13, 11), (16, 64, 128), (2, 300, 600)]
-        {
-            let a = init::uniform(&[m, k], -1.0, 1.0, 1).data().to_vec();
-            let b = init::uniform(&[k, n], -1.0, 1.0, 2).data().to_vec();
-            let expect = matmul_reference(&a, &b, m, k, n);
-            let mut c = vec![0.0f32; m * n];
-            matmul(&mut c, &a, &b, m, k, n);
-            assert!(max_abs_diff(&c, &expect) < 1e-4, "matmul {m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn matmul_at_b_matches_reference() {
-        let (r, m, n) = (6usize, 4usize, 8usize);
-        let at = init::uniform(&[r, m], -1.0, 1.0, 5).data().to_vec();
-        let b = init::uniform(&[r, n], -1.0, 1.0, 6).data().to_vec();
-        // Build A = (Aᵀ)ᵀ row-major [m, r] for the reference.
-        let mut a = vec![0.0f32; m * r];
-        for row in 0..r {
-            for i in 0..m {
-                a[i * r + row] = at[row * m + i];
-            }
-        }
-        let expect = matmul_reference(&a, &b, m, r, n);
-        let mut c = vec![0.0f32; m * n];
-        matmul_at_b(&mut c, &at, &b, r, m, n);
-        assert!(max_abs_diff(&c, &expect) < 1e-4);
-    }
-
-    #[test]
-    fn accumulates_instead_of_overwriting() {
-        let a = vec![1.0f32, 0.0, 0.0, 1.0];
-        let b = vec![2.0f32, 3.0, 4.0, 5.0];
-        let mut c = vec![10.0f32; 4];
-        matmul(&mut c, &a, &b, 2, 2, 2);
-        assert_eq!(c, vec![12.0, 13.0, 14.0, 15.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "A must be")]
-    fn dimension_mismatch_panics() {
-        let mut c = vec![0.0f32; 4];
-        matmul(&mut c, &[1.0; 3], &[1.0; 4], 2, 2, 2);
-    }
 
     /// Deterministic pseudo-random quantised operands for kernel tests:
     /// `a` holds i8-range codes (the weight side), `b` full i16 codes.

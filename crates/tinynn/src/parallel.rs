@@ -48,16 +48,6 @@ pub fn max_threads() -> usize {
     })
 }
 
-/// Picks a thread count for a loop of `items` units costing `flops` total:
-/// `1` (sequential) unless the work exceeds `min_flops` and there is more
-/// than one item and one core.
-pub fn thread_count_for(items: usize, flops: usize, min_flops: usize) -> usize {
-    if flops < min_flops {
-        return 1;
-    }
-    max_threads().min(items).max(1)
-}
-
 /// Splits `items` into items of `item_len` elements and hands contiguous
 /// runs of whole items to up to `threads` threads.
 ///
@@ -142,12 +132,6 @@ mod tests {
             // The calling thread runs the first run on its own scratch.
             assert_eq!(caller_items, 4usize.div_ceil(threads.min(4)), "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn thread_count_gates_on_flops() {
-        assert_eq!(thread_count_for(8, 10, 1000), 1);
-        assert!(thread_count_for(8, 10_000, 1000) >= 1);
     }
 
     #[test]

@@ -16,15 +16,15 @@
 //!   inference chain, one layer's for `Conv1d`'s layer forward); the layer
 //!   chain's convolution-backward scratch (`conv`: one item's output
 //!   gradient, transposed and zero-padded, and its input-gradient sums);
-//!   the fully connected layer's packed weight panels (`pack`); the fused
-//!   chain's per-window staging and channels-last activations (`item`);
-//!   and the fixed-point chain's `i16` codes and `i64` pooling sums of one
-//!   window (`qitem`, see [`crate::qlayers::pooled_features`]) — reused
-//!   across layers, windows and calls, so steady-state inference performs
-//!   no allocation and the chains' scratch does not grow with the batch;
+//!   the fused chain's per-window staging and channels-last activations
+//!   (`item`); and the fixed-point chain's `i16` codes and `i64` pooling
+//!   sums of one window (`qitem`, see [`crate::qlayers::pooled_features`])
+//!   — reused across layers, windows and calls, so steady-state inference
+//!   performs no allocation and the chains' scratch does not grow with the
+//!   batch;
 //! * an **output-activation arena**: a small free list of recycled tensor
 //!   storage. Layers draw their outputs (and, in training, their input
-//!   gradients and larger caches) from [`Workspace::uninit_tensor`], and
+//!   gradients and cached tensors) from [`Workspace::uninit_tensor`], and
 //!   containers hand dead intermediates back through
 //!   [`Workspace::recycle`], so after warm-up a full inference forward pass
 //!   performs **zero heap allocations** — [`Workspace::arena_misses`]
@@ -59,10 +59,6 @@ pub struct Workspace {
     /// The layer chain's convolution-backward scratch, reused across the
     /// items and layers of a pass.
     pub(crate) conv: ConvScratch,
-    /// `Linear`'s packed weight panels ([`crate::matmul::pack_rhs_t`]),
-    /// rebuilt per layer call (weights may change between calls during
-    /// training) into this one reused buffer.
-    pub(crate) pack: Vec<f32>,
     /// The `f32` convolutions' per-call weight packing: a backbone's for
     /// [`crate::fused::pooled_features`], one layer's for `Conv1d`'s
     /// forward.
@@ -153,7 +149,7 @@ impl Workspace {
     /// (lowering/packing buffers, the inference chains' per-window buffers
     /// and the arena). Stable across steady-state passes once warm.
     pub fn retained_bytes(&self) -> usize {
-        let f32s = self.conv.capacity() + self.pack.capacity() + self.item.capacity();
+        let f32s = self.conv.capacity() + self.item.capacity();
         let arena: usize = self
             .arena
             .iter()
@@ -180,6 +176,14 @@ impl Workspace {
         self.stack.push(cache);
     }
 
+    /// Records an arena copy of a layer's input as its cache
+    /// ([`LayerCache::Input`]); the layer's backward recycles it.
+    pub(crate) fn push_input(&mut self, input: &Tensor) {
+        let mut copy = self.uninit_tensor(input.shape());
+        copy.data_mut().copy_from_slice(input.data());
+        self.push(LayerCache::Input(copy));
+    }
+
     /// Pops the most recent layer cache during backward.
     ///
     /// # Panics
@@ -196,13 +200,11 @@ impl Workspace {
 /// One layer's backward cache, pushed during a training forward.
 #[derive(Debug, Clone)]
 pub(crate) enum LayerCache {
-    /// The layer input (Linear).
+    /// A copy of the layer input (`Relu`, `Linear`).
     Input(Tensor),
     /// A convolution's input as its forward staged it, item by item:
     /// `[batch, in_c, row]`, each row zero-padded for "same" padding.
     Staged(Tensor),
-    /// The positive-input mask of a ReLU.
-    Mask(Vec<bool>),
     /// Batch-normalisation statistics of one training batch.
     Bn {
         /// Normalised activations.
@@ -226,7 +228,6 @@ impl LayerCache {
         match self {
             LayerCache::Input(_) => "Input",
             LayerCache::Staged(_) => "Staged",
-            LayerCache::Mask(_) => "Mask",
             LayerCache::Bn { .. } => "Bn",
             LayerCache::Shape(_) => "Shape",
         }
@@ -241,9 +242,9 @@ mod tests {
     fn push_pop_is_lifo() {
         let mut ws = Workspace::new();
         ws.push(LayerCache::Shape(vec![1]));
-        ws.push(LayerCache::Mask(vec![true]));
+        ws.push_input(&Tensor::zeros(&[1]));
         assert_eq!(ws.cache_depth(), 2);
-        assert_eq!(ws.pop("test").kind(), "Mask");
+        assert_eq!(ws.pop("test").kind(), "Input");
         assert_eq!(ws.pop("test").kind(), "Shape");
         assert_eq!(ws.cache_depth(), 0);
     }

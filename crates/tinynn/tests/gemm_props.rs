@@ -1,4 +1,4 @@
-//! Property tests of the register-tiled kernels.
+//! Property tests of the register-tiled kernels and of `Linear`.
 //!
 //! The `f32` forward convolution has one kernel, the direct register tile
 //! behind `Conv1d::forward` (and the fused inference chain). Its outputs
@@ -9,19 +9,20 @@
 //! `out_c`, position tiles that do not divide the length, the depth-block
 //! edges, kernels longer than the window, and batches of many items.
 //!
-//! The other kernels carry three kinds of shape hazard: row strips that do
-//! not divide `m`, column blocks that do not divide `n` (zero-padded pack
-//! lanes) and deep panels. Their tests sweep randomly drawn *odd* shapes
-//! plus an explicit edge list (`k = 0`, `n = 1`, single rows, exact tile
-//! multiples, one-off remainders) against the naive references —
-//! [`matmul_reference`] for the fully connected forward (relative
-//! tolerance: the tiled kernel contracts to FMA) and the exact integer
-//! [`matmul_q8_reference`] for the quantised path (bit-exact, with code
-//! magnitudes kept small enough that every dot fits the `i16` output grid
-//! of a unit requantiser).
+//! The quantised convolution and `Linear` are swept over randomly drawn
+//! *odd* shapes plus an explicit edge list (`k = 0`, `n = 1`, single rows,
+//! multiples of 4 rows and 16 columns, one-off remainders). The quantised
+//! path is checked against the exact integer [`matmul_q8_reference`]
+//! (bit-exact, with code magnitudes kept small enough that every dot fits
+//! the `i16` output grid of a unit requantiser). `Linear` is checked bit for
+//! bit against scalar loops of the orders its deleted GEMM kernels had:
+//! each output the bias plus a dot summed from zero with fused
+//! multiply-adds; the input gradient summed from zero over output features
+//! and the weight gradient over batch rows, each product rounded before its
+//! add and a zero output gradient skipped.
 //!
-//! `Conv1d::backward` and the training kernel [`matmul_at_b`] must instead
-//! match plain scalar loops bit for bit; those loops live here as oracles.
+//! `Conv1d::backward` must match plain scalar loops bit for bit too; those
+//! loops live here as oracles.
 //! The backward is pinned to the sequence it had when it lowered every item
 //! to im2col: the oracle composes an im2col and a col2im written here with
 //! the scalar loops of the two GEMMs it ran (the weight gradient summed per
@@ -29,11 +30,8 @@
 //! channels, skipping zero weights), the per-item partials added onto the
 //! gradients in item order.
 
-use tinynn::matmul::{
-    conv_q8_requant, matmul_at_b, matmul_packed_rhs, matmul_q8_reference, matmul_reference,
-    pack_rhs_t, packed_rhs_len,
-};
-use tinynn::{Conv1d, Layer, Requantizer, Tensor, Workspace};
+use tinynn::matmul::{conv_q8_requant, matmul_q8_reference};
+use tinynn::{Conv1d, Layer, Linear, Requantizer, Tensor, Workspace};
 
 /// Small deterministic LCG (same recipe as the quantisation property tests).
 struct Rng(u64);
@@ -57,9 +55,10 @@ impl Rng {
     }
 }
 
-/// Edge shapes every kernel must survive: empty depth, single columns and
-/// rows, exact tile multiples (`MR = 4`, `NR = 16`) and one-off remainders
-/// on each side, plus depths beyond one `QK = 256` quantised panel.
+/// Edge shapes `(m, k, n)` every kernel must survive (for `Linear`, batch
+/// rows, input and output features): empty depth, single columns and rows,
+/// multiples of 4 rows and 16 columns and one-off remainders on each side,
+/// plus depths beyond one `QK = 256` quantised panel.
 const EDGE_SHAPES: &[(usize, usize, usize)] = &[
     (1, 0, 1),
     (3, 0, 5),
@@ -82,38 +81,6 @@ fn random_shape(rng: &mut Rng) -> (usize, usize, usize) {
     // Odd-leaning draws: every dimension is frequently a non-multiple of
     // its tile constant.
     (rng.usize_in(1, 21), rng.usize_in(0, 90), rng.usize_in(1, 70))
-}
-
-fn assert_f32_close(got: &[f32], want: &[f32], what: &str) {
-    assert_eq!(got.len(), want.len(), "{what}: length");
-    for (i, (&g, &w)) in got.iter().zip(want.iter()).enumerate() {
-        assert!((g - w).abs() <= 1e-5 * (1.0 + w.abs()), "{what} at {i}: {g} vs {w}");
-    }
-}
-
-#[test]
-fn packed_rhs_matches_reference_over_shape_sweep() {
-    let mut rng = Rng::new(43);
-    let shapes: Vec<_> =
-        EDGE_SHAPES.iter().copied().chain((0..60).map(|_| random_shape(&mut rng))).collect();
-    let mut pack = Vec::new();
-    for (m, k, n) in shapes {
-        let a: Vec<f32> = (0..m * k).map(|_| rng.uniform(1.0)).collect();
-        let bt: Vec<f32> = (0..n * k).map(|_| rng.uniform(1.0)).collect();
-        // Reference expects B row-major [k, n]; transpose Bᵀ once.
-        let mut b = vec![0.0f32; k * n];
-        for j in 0..n {
-            for kk in 0..k {
-                b[kk * n + j] = bt[j * k + kk];
-            }
-        }
-        let expect = matmul_reference(&a, &b, m, k, n);
-        pack_rhs_t(&mut pack, &bt, n, k);
-        assert_eq!(pack.len(), packed_rhs_len(n, k), "{n}x{k}");
-        let mut c = vec![0.0f32; m * n];
-        matmul_packed_rhs(&mut c, &a, &pack, m, k, n);
-        assert_f32_close(&c, &expect, &format!("packed_rhs {m}x{k}x{n}"));
-    }
 }
 
 /// Draws quantised operands with code magnitudes small enough that every
@@ -231,9 +198,9 @@ fn weight_grad_oracle(c: &mut [f32], a: &[f32], b: &[f32], m: usize, p: usize, n
     }
 }
 
-/// Oracle of [`matmul_at_b`] (and of the convolution's column gradient):
-/// the plain sum of row outer products, added straight into `C`, skipping
-/// zero `A` entries.
+/// `C[m,n] += A[r,m]ᵀ · B[r,n]` as the plain sum of row outer products,
+/// added straight into `C`, skipping zero `A` entries: the oracle of
+/// `Linear`'s weight gradient and of the convolution's column gradient.
 fn at_b_oracle(c: &mut [f32], a: &[f32], b: &[f32], r: usize, m: usize, n: usize) {
     for row in 0..r {
         let a_row = &a[row * m..(row + 1) * m];
@@ -268,64 +235,6 @@ fn assert_same_bits_or_nan(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
-/// Column counts (`in_c · k` of the served, paper and small networks, and
-/// every tail of the 16-, 8- and 1-wide tiles), position counts (fewer
-/// than the 8-wide tile up to past one 256-block) and row counts 1–17.
-const GRAD_COLS: &[usize] = &[1, 7, 8, 9, 17, 72, 144, 1024];
-const GRAD_POSITIONS: &[usize] = &[1, 2, 31, 230, 256, 300];
-
-/// `(rows, positions, columns)` of the gradient-kernel sweep: every column
-/// and position count pairs with a rotating row count, and every row count
-/// 1–17 runs at the served network's widest shape.
-fn grad_shapes() -> Vec<(usize, usize, usize)> {
-    let mut shapes = Vec::new();
-    for (idx, (&p, &n)) in
-        GRAD_POSITIONS.iter().flat_map(|p| GRAD_COLS.iter().map(move |n| (p, n))).enumerate()
-    {
-        shapes.push((1 + idx % 17, p, n));
-    }
-    shapes.extend((1..=17).map(|m| (m, 230, 144)));
-    shapes
-}
-
-#[test]
-fn at_b_matches_the_scalar_loop_bit_for_bit() {
-    let mut rng = Rng::new(67);
-    // As `matmul_at_b(dcol, W, dY, out_c, in_c·k, len)`: rows r are output
-    // channels, m the im2col depth and n positions.
-    for (r, n, m) in grad_shapes() {
-        // Once without zeros in A (the kernel drops the skip's branches),
-        // once with them.
-        for zeros in [false, true] {
-            let mut a: Vec<f32> = (0..r * m)
-                .map(|i| if zeros && i % 7 == 3 { 0.0 } else { rng.uniform(1.0) })
-                .collect();
-            let mut b: Vec<f32> = (0..r * n).map(|_| rng.uniform(1.0)).collect();
-            if zeros && r > 1 {
-                // A zero row of A meets an infinite row of B: only the zero
-                // skip keeps the products out of C.
-                a[..m].fill(0.0);
-                b[..n].fill(f32::INFINITY);
-            }
-            let c0: Vec<f32> = (0..m * n).map(|_| rng.uniform(4.0)).collect();
-            let mut want = c0.clone();
-            at_b_oracle(&mut want, &a, &b, r, m, n);
-            let mut got = c0;
-            matmul_at_b(&mut got, &a, &b, r, m, n);
-            assert!(want.iter().all(|v| v.is_finite()), "the oracle skips the infinite row");
-            let what = format!("matmul_at_b r={r} m={m} n={n} zeros={zeros}");
-            assert_same_bits(&got, &want, &what);
-        }
-    }
-}
-
-#[test]
-fn gradient_kernels_leave_c_alone_for_empty_products() {
-    let mut c = vec![1.5f32; 6];
-    matmul_at_b(&mut c, &[], &[], 0, 2, 3);
-    assert_eq!(c, vec![1.5; 6]);
-}
-
 /// The fused multiply-add of the `f32` tiles: one rounding where the
 /// target has hardware FMA, a rounded product and then an add where not.
 fn fmadd(a: f32, b: f32, acc: f32) -> f32 {
@@ -334,6 +243,121 @@ fn fmadd(a: f32, b: f32, acc: f32) -> f32 {
     } else {
         acc + a * b
     }
+}
+
+/// Oracle of `Linear::forward`, `[batch, out]`: each output is the bias
+/// plus the dot of the input row with the weight row, summed from zero in
+/// input order with fused multiply-adds.
+fn linear_forward_oracle(lin: &Linear, x: &[f32], batch: usize) -> Vec<f32> {
+    let (in_f, out_f) = (lin.in_features(), lin.out_features());
+    let (w, bias) = (lin.weight().data(), lin.bias().data());
+    let mut out = Vec::with_capacity(batch * out_f);
+    for b in 0..batch {
+        for o in 0..out_f {
+            let mut acc = 0.0f32;
+            for i in 0..in_f {
+                acc = fmadd(x[b * in_f + i], w[o * in_f + i], acc);
+            }
+            out.push(bias[o] + acc);
+        }
+    }
+    out
+}
+
+/// Oracle of one `Linear::backward` call on `[batch, in]` inputs: the bias
+/// gradient gains the output-gradient rows in turn, the weight gradient
+/// the row outer products `dY[b]ᵀ · X[b]` ([`at_b_oracle`]), and the input
+/// gradient, from zero, `dY[b,o] · W[o]` over `o` in order; both products
+/// skip a zero `dY[b,o]`. Returns the input gradient.
+fn linear_backward_oracle(
+    w: &[f32],
+    (grad_w, grad_b): (&mut [f32], &mut [f32]),
+    x: &[f32],
+    dy: &[f32],
+    (batch, in_f): (usize, usize),
+) -> Vec<f32> {
+    let out_f = grad_b.len();
+    for row in dy.chunks_exact(out_f) {
+        for (g, &d) in grad_b.iter_mut().zip(row) {
+            *g += d;
+        }
+    }
+    at_b_oracle(grad_w, dy, x, batch, out_f, in_f);
+    let mut dx = vec![0.0f32; batch * in_f];
+    for b in 0..batch {
+        for o in 0..out_f {
+            let d = dy[b * out_f + o];
+            if d == 0.0 {
+                continue;
+            }
+            for i in 0..in_f {
+                dx[b * in_f + i] += d * w[o * in_f + i];
+            }
+        }
+    }
+    dx
+}
+
+#[test]
+fn linear_matches_the_scalar_loops_bit_for_bit_over_shape_sweep() {
+    // `(batch, in, out)` shapes. Each runs twice, with dense output
+    // gradients and with exact zeros: every fifth entry, and in the last
+    // step the whole first row, whose input row is infinite (only the zero
+    // skip keeps the weight gradient finite). Each run takes an empty step
+    // and then two of different batch sizes, accumulating onto non-zero
+    // gradients.
+    let mut rng = Rng::new(79);
+    let shapes: Vec<_> =
+        EDGE_SHAPES.iter().copied().chain((0..60).map(|_| random_shape(&mut rng))).collect();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut runs = 0;
+    for &(batch, in_f, out_f) in &shapes {
+        for zeros in [false, true] {
+            let mut lin = Linear::new(in_f, out_f, runs as u64);
+            let mut params = lin.params_mut();
+            for b in params[1].value.data_mut() {
+                *b = rng.uniform(1.0);
+            }
+            for g in params.iter_mut().flat_map(|p| p.grad.data_mut()) {
+                *g = rng.uniform(0.5);
+            }
+            let w = lin.weight().data().to_vec();
+            let mut grad_w = lin.params()[0].grad.data().to_vec();
+            let mut grad_b = lin.params()[1].grad.data().to_vec();
+            let mut ws = Workspace::new();
+            for (step, rows) in [0, batch, batch + 1].into_iter().enumerate() {
+                let mut x: Vec<f32> = (0..rows * in_f).map(|_| rng.uniform(2.0)).collect();
+                let mut dy: Vec<f32> = (0..rows * out_f)
+                    .map(|i| if zeros && i % 5 == 0 { 0.0 } else { rng.uniform(1.0) })
+                    .collect();
+                if zeros && step == 2 {
+                    x[..in_f].fill(f32::INFINITY);
+                    dy[..out_f].fill(0.0);
+                }
+                let what = format!("batch={rows} in={in_f} out={out_f} zeros={zeros} step={step}");
+                let want = linear_forward_oracle(&lin, &x, rows);
+                let x = Tensor::from_vec(x, &[rows, in_f]);
+                let y = lin.forward(&x, &mut ws, true);
+                assert_same_bits_or_nan(y.data(), &want, &format!("{what}: output"));
+                let grads = (&mut grad_w[..], &mut grad_b[..]);
+                let want = linear_backward_oracle(&w, grads, x.data(), &dy, (rows, in_f));
+                let got = lin.backward(&Tensor::from_vec(dy, &[rows, out_f]), &mut ws);
+                assert_same_bits(got.data(), &want, &format!("{what}: input gradient"));
+                fold_bits(&mut hash, y.data());
+                fold_bits(&mut hash, got.data());
+            }
+            assert!(grad_w.iter().all(|v| v.is_finite()), "the oracle skips the infinite row");
+            let what = format!("batch={batch} in={in_f} out={out_f} zeros={zeros}");
+            let grads = lin.params();
+            assert_same_bits(grads[0].grad.data(), &grad_w, &format!("{what}: dW"));
+            assert_same_bits(grads[1].grad.data(), &grad_b, &format!("{what}: db"));
+            fold_bits(&mut hash, grads[0].grad.data());
+            fold_bits(&mut hash, grads[1].grad.data());
+            runs += 1;
+        }
+    }
+    assert_eq!(runs, 2 * shapes.len());
+    println!("linear sweep: {runs} runs, output bits FNV-1a {hash:016x}");
 }
 
 /// Oracle of `Conv1d::forward`, `[batch, out_c, len]`: every output is the

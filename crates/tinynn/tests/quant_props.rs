@@ -7,7 +7,7 @@
 //! The offline build has no `proptest`, so cases are generated from a seeded
 //! xorshift generator — every run exercises the identical case set.
 
-use tinynn::matmul::{conv_q8_requant, matmul_q8_reference, matmul_reference};
+use tinynn::matmul::{conv_q8_requant, matmul_q8_reference};
 use tinynn::qlayers::pooled_features;
 use tinynn::quant::{
     quantize_activations_into, QuantActs, QuantPlan, QuantizedGemm, Requantizer, ACT_QMAX,
@@ -44,6 +44,22 @@ impl Rng {
     fn usize_in(&mut self, lo: usize, hi: usize) -> usize {
         lo + (self.next_u64() as usize) % (hi - lo + 1)
     }
+}
+
+/// Naive triple-loop product `C = A · B` of row-major `A: [m, k]` and
+/// `B: [k, n]`: the `f32` reference of the quantisation error bound.
+fn matmul_reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut c = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for kk in 0..k {
+                acc += a[i * k + kk] * b[kk * n + j];
+            }
+            c[i * n + j] = acc;
+        }
+    }
+    c
 }
 
 #[test]

@@ -1,10 +1,10 @@
 //! Fleet serving with the engine API: train a locator once, persist it, and
-//! stream a whole batch of captured traces through one shared weight set with
-//! [`LocatorEngine::locate_batch`].
+//! run a whole fleet of captured traces through one shared weight set with
+//! [`LocatorEngine::locate`].
 //!
 //! This is the profile-once / score-many workflow of the paper's evaluation
 //! (one trained CNN per cipher applied to entire trace sets): the engine is
-//! `&self`-callable, so the batch path shares a single copy of the weights
+//! `&self`-callable, so every trace shares a single copy of the weights
 //! across every scoring thread instead of cloning the CNN per shard.
 //!
 //! Run with: `cargo run --example engine_fleet --release`
@@ -39,13 +39,13 @@ fn main() {
     let engine = LocatorEngine::load(&model_path).expect("load model");
     std::fs::remove_file(&model_path).ok();
 
-    // 3. Serve: capture a fleet of target traces and score them in one call.
+    // 3. Serve: capture a fleet of target traces and locate each in turn.
     let results: Vec<_> =
         (0..6).map(|i| sim.run_scenario(&Scenario::interleaved(cipher, 4 + i % 3))).collect();
     let traces: Vec<_> = results.iter().map(|r| r.trace.clone()).collect();
     let total_samples: usize = traces.iter().map(|t| t.len()).sum();
     let t0 = Instant::now();
-    let located = engine.locate_batch(&traces);
+    let located: Vec<Vec<usize>> = traces.iter().map(|t| engine.locate(t)).collect();
     let elapsed = t0.elapsed();
     println!(
         "scored {} traces ({} samples) in {:.2?} ({:.2} traces/s)",

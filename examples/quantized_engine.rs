@@ -16,7 +16,7 @@ fn main() {
     );
 
     // One call: per-channel symmetric i8 weights, batch norms folded into
-    // the convolutions, same `locate`/`locate_batch` API.
+    // the convolutions, same `locate`/`locate_streamed` API.
     let quantized = engine.quantize();
     assert!(quantized.is_quantized());
 

@@ -87,15 +87,13 @@ fn trained_engine_roundtrips_and_batches_identically() {
     let expected: Vec<Vec<usize>> = traces.iter().map(|t| engine.locate(t)).collect();
     assert!(expected.iter().any(|starts| !starts.is_empty()), "locator found nothing at all");
 
-    assert_eq!(engine.locate_batch(&traces), expected, "locate_batch must match per-trace locate");
-
     let path = std::env::temp_dir().join(format!("e2e_engine_{}.model", std::process::id()));
     engine.save(&path).expect("save trained engine");
     let restored = LocatorEngine::load(&path).expect("load trained engine");
     std::fs::remove_file(&path).ok();
+    let located: Vec<Vec<usize>> = traces.iter().map(|t| restored.locate(t)).collect();
     assert_eq!(
-        restored.locate_batch(&traces),
-        expected,
+        located, expected,
         "a save/load roundtrip must reproduce the located starts exactly"
     );
 }
@@ -106,7 +104,7 @@ fn quantised_engine_matches_f32_engine_on_consecutive_aes() {
     // AES, derive the i8 engine, and check the full parity contract on the
     // consecutive-AES scenario — bounded per-window score divergence,
     // identical predicted CO starts, a bit-exact v2 save/load roundtrip,
-    // and locate_batch invariant under the thread count.
+    // and located starts invariant under the thread count.
     let (engine, _profile, mut sim) = small_locator(CipherId::Aes128, 2, 42);
     let result = sim.run_scenario(&Scenario::consecutive(CipherId::Aes128, 6));
     let qengine = engine.quantize();
@@ -138,15 +136,16 @@ fn quantised_engine_matches_f32_engine_on_consecutive_aes() {
         assert_eq!(a.to_bits(), b.to_bits(), "v2 roundtrip must reproduce scores bit-exactly");
     }
 
-    // locate_batch across 1/2/4 threads must be bit-identical to itself
+    // locate across 1/2/4 threads must be bit-identical to itself
     // (per-window scores are independent of sharding and batching).
     let traces: Vec<Trace> = (0..3)
         .map(|i| sim.run_scenario(&Scenario::consecutive(CipherId::Aes128, 3 + i % 2)).trace)
         .collect();
-    let base = restored.locate_batch(&traces);
+    let base: Vec<Vec<usize>> = traces.iter().map(|t| restored.locate(t)).collect();
     for threads in [1usize, 2, 4] {
         let engine_t = restored.clone().with_threads(threads);
-        assert_eq!(engine_t.locate_batch(&traces), base, "threads = {threads}");
+        let located: Vec<Vec<usize>> = traces.iter().map(|t| engine_t.locate(t)).collect();
+        assert_eq!(located, base, "threads = {threads}");
         for (trace, expected) in traces.iter().zip(base.iter()) {
             let (scores_a, starts_a) = engine_t.locate_detailed(trace);
             let (scores_b, _) = restored.locate_detailed(trace);
