@@ -26,8 +26,17 @@ fn main() {
             100.0 * setup.report.best_validation_accuracy()
         );
         println!("{}", setup.confusion);
+        let epochs = setup.report.train_losses.len();
+        let fit_windows = epochs * setup.report.train_windows;
         println!(
-            "test accuracy: {:.2}%  ({} test windows, trained in {:.1}s)\n",
+            "fit: {:.2}s for {} epochs x {} training windows = {:.1} us per training window",
+            setup.fit_s,
+            epochs,
+            setup.report.train_windows,
+            1e6 * setup.fit_s / fit_windows.max(1) as f64
+        );
+        println!(
+            "test accuracy: {:.2}%  ({} test windows, acquired and trained in {:.1}s)\n",
             100.0 * setup.confusion.accuracy(),
             setup.confusion.total(),
             start.elapsed().as_secs_f64()

@@ -24,6 +24,9 @@ pub struct TrainedSetup {
     pub mean_co_len: f64,
     /// Training metrics.
     pub report: TrainingReport,
+    /// Wall time of `LocatorBuilder::fit` (dataset building and training),
+    /// in seconds.
+    pub fit_s: f64,
     /// Test confusion matrix of the underlying CNN (Figure 3).
     pub confusion: ConfusionMatrix,
 }
@@ -69,7 +72,9 @@ pub fn train_locator(cipher: CipherId, cfg: &ExperimentConfig) -> TrainedSetup {
     let noise_trace = sim.capture_noise_trace(noise_ops);
 
     let builder = LocatorBuilder::from_profile(&profile).seed(cfg.seed);
+    let fit_start = std::time::Instant::now();
     let (locator, report) = builder.fit(&cipher_traces, &noise_trace);
+    let fit_s = fit_start.elapsed().as_secs_f64();
 
     // Figure 3: confusion matrix on the held-out test split of the same dataset.
     let dataset = DatasetBuilder::new(profile.n_train)
@@ -85,7 +90,7 @@ pub fn train_locator(cipher: CipherId, cfg: &ExperimentConfig) -> TrainedSetup {
     let cnn = locator.cnn().expect("LocatorBuilder::fit returns an f32 engine");
     let confusion = trainer.confusion_matrix(cnn, &split.test);
 
-    TrainedSetup { locator, profile, mean_co_len, report, confusion }
+    TrainedSetup { locator, profile, mean_co_len, report, fit_s, confusion }
 }
 
 /// Simulates an evaluation scenario for `cipher` under the experiment's

@@ -190,8 +190,10 @@ impl CoLocatorCnn {
     }
 
     /// Backward pass for a batch previously run through [`Self::forward`]
-    /// with `training == true` on the same workspace.
-    pub fn backward(&mut self, grad_logits: &Tensor, ws: &mut Workspace) -> Tensor {
+    /// with `training == true` on the same workspace: accumulates every
+    /// parameter gradient. The windows themselves get no gradient, so the
+    /// first convolution computes only its weight and bias gradients.
+    pub fn backward(&mut self, grad_logits: &Tensor, ws: &mut Workspace) {
         // Each dead gradient returns to the workspace arena as soon as the
         // next layer has consumed it (`backward_consuming`).
         let g = self.fc2.backward(grad_logits, ws);
@@ -202,7 +204,8 @@ impl CoLocatorCnn {
         let g = backward_consuming(&mut self.res1, g, ws);
         let g = backward_consuming(&mut self.relu, g, ws);
         let g = backward_consuming(&mut self.bn, g, ws);
-        backward_consuming(&mut self.conv, g, ws)
+        self.conv.backward_params(&g, ws);
+        ws.recycle(g);
     }
 
     /// Shared access to every trainable parameter, in a fixed architecture
@@ -423,9 +426,7 @@ mod tests {
         let x = CoLocatorCnn::stack_windows(&[vec![0.3; 16], vec![-0.3; 16]]);
         let logits = cnn.forward(&x, &mut ws, true);
         cnn.zero_grad();
-        let grad =
-            cnn.backward(&Tensor::from_vec(vec![1.0, -1.0, 0.5, -0.5], logits.shape()), &mut ws);
-        assert_eq!(grad.shape(), x.shape());
+        cnn.backward(&Tensor::from_vec(vec![1.0, -1.0, 0.5, -0.5], logits.shape()), &mut ws);
         assert_eq!(ws.cache_depth(), 0, "backward must consume every layer cache");
         // Some parameter gradient must be non-zero.
         let any_nonzero = cnn.params().iter().any(|p| p.grad.max_abs() > 0.0);
@@ -499,6 +500,36 @@ mod tests {
             assert_eq!(ws.arena_misses(), misses, "steady-state forward must not allocate");
             assert_eq!(ws.retained_bytes(), retained, "steady-state forward must not grow scratch");
         }
+    }
+
+    #[test]
+    fn training_step_is_allocation_free_after_the_first() {
+        // The trainer's step (forward, loss gradient, backward, Adam, the
+        // logits back to the arena) on the served shape: once the first
+        // step has filled the arena, it serves every activation, cache and
+        // gradient of the later steps.
+        let mut cnn = CoLocatorCnn::new(CnnConfig::scaled());
+        let (batch, len) = (32, 256);
+        let windows: Vec<Vec<f32>> = (0..batch)
+            .map(|b| (0..len).map(|j| ((b * 7 + j) % 13) as f32 * 0.1 - 0.6).collect())
+            .collect();
+        let x = CoLocatorCnn::stack_windows(&windows);
+        let labels: Vec<usize> = (0..batch).map(|b| b % 2).collect();
+        let loss_fn = tinynn::CrossEntropyLoss::new();
+        let mut optim = tinynn::Adam::new(1e-3);
+        let mut ws = Workspace::new();
+        let mut misses = Vec::new();
+        for _ in 0..4 {
+            let logits = cnn.forward(&x, &mut ws, true);
+            let (_, grad) = loss_fn.loss_and_grad(&logits, &labels);
+            ws.recycle(logits);
+            cnn.zero_grad();
+            cnn.backward(&grad, &mut ws);
+            optim.step(&mut cnn.params_mut());
+            misses.push(ws.arena_misses());
+        }
+        assert!(misses[0] > 0, "the first step fills the arena");
+        assert!(misses.iter().all(|&m| m == misses[0]), "arena misses after each step: {misses:?}");
     }
 
     #[test]

@@ -51,6 +51,10 @@ pub struct TrainingReport {
     pub validation_accuracies: Vec<f64>,
     /// Index of the epoch whose weights were retained (lowest validation loss).
     pub best_epoch: usize,
+    /// Training windows each epoch runs through forward and backward: the
+    /// size of the train split. A fit's cost per window is its wall time
+    /// over `epochs · train_windows`.
+    pub train_windows: usize,
 }
 
 impl TrainingReport {
@@ -95,7 +99,7 @@ impl Trainer {
         let loss_fn = CrossEntropyLoss::new();
         let mut optim = Adam::new(self.config.learning_rate);
         let train_loader = Self::loader(&split.train, self.config.batch_size);
-        let mut report = TrainingReport::default();
+        let mut report = TrainingReport { train_windows: split.train.len(), ..Default::default() };
         let mut best: Option<(f32, CoLocatorCnn)> = None;
         // One workspace serves every forward/backward pair of the run; its
         // buffers grow once to the high-water mark and are then reused.
@@ -107,9 +111,9 @@ impl Trainer {
             for batch in train_loader.epoch(self.config.seed.wrapping_add(epoch as u64)) {
                 let logits = cnn.forward(&batch.inputs, &mut ws, true);
                 let (loss, grad) = loss_fn.loss_and_grad(&logits, &batch.labels);
+                ws.recycle(logits);
                 cnn.zero_grad();
-                let grad_input = cnn.backward(&grad, &mut ws);
-                ws.recycle(grad_input);
+                cnn.backward(&grad, &mut ws);
                 optim.step(&mut cnn.params_mut());
                 epoch_loss += loss as f64;
                 batches += 1;
@@ -198,6 +202,7 @@ mod tests {
             Trainer::new(TrainingConfig { epochs: 3, batch_size: 8, learning_rate: 5e-3, seed: 1 });
         let report = trainer.train(&mut cnn, &split);
         assert_eq!(report.train_losses.len(), 3);
+        assert_eq!(report.train_windows, split.train.len());
         assert!(report.best_validation_accuracy() > 0.9, "report: {report:?}");
         // The loss must decrease from the first to the best epoch.
         assert!(report.validation_losses[report.best_epoch] <= report.validation_losses[0] + 1e-6);

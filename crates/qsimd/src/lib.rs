@@ -1,8 +1,11 @@
 //! # qsimd
 //!
 //! Arch-specific SIMD micro-kernels for the quantised fixed-point inference
-//! chain. This is the **one** crate in the workspace allowed to contain
-//! `unsafe` code. Every unsafe block is a bounds-asserted pointer load or
+//! chain and for training: batch norm's per-channel `f64` sums
+//! ([`channel_sums`]) and the `f32` transpose of a convolution backward
+//! ([`transpose`]), each bit for bit equal to the scalar loop it replaces
+//! (see the training kernels' section below). This is the **one** crate in
+//! the workspace allowed to contain `unsafe` code. Every unsafe block is a bounds-asserted pointer load or
 //! store, or a `core::arch` intrinsic whose target feature is statically
 //! enabled (the workspace builds with `-C target-cpu=x86-64-v3`, see
 //! `.cargo/config.toml`), with one exception: the AVX-VNNI body of the
@@ -55,9 +58,28 @@
 //! exact in any order, and the epilogue reimplements
 //! `tinynn::quant::Requantizer::apply` operation for operation (verified by
 //! the parity tests here and the property suite in `tinynn`).
+//!
+//! ## Training kernels
+//!
+//! `tinynn` calls these the way it calls [`conv_requant`]: a kernel returns
+//! `false` when it is not compiled in, and the caller runs its scalar loop.
+//! [`channel_sums`] forms batch norm's sums (`Σv`, `Σ(v − mean)²`, and
+//! `Σdy` with `Σdy·x̂`) with each channel in one `f64` lane: register
+//! transposes in 128-bit lanes turn four channels' rows of eight positions
+//! into position vectors, staged on the stack and widened by `vcvtps2pd`
+//! from memory. Each lane adds its terms from `0.0` in batch-then-position
+//! order with the scalar loop's operations (no fused multiply-add), so every
+//! sum keeps its bits. [`transpose`] moves whole 8×8 blocks through
+//! registers. The parity tests compare both with scalar loops of the
+//! fallbacks' order over 1 to 17 channels or rows, every block tail, and
+//! values chosen to expose any change of order.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
+
+mod train;
+
+pub use train::{channel_sums, transpose, Dims, SumTerms};
 
 /// Depth bound under which an `i32` accumulator cannot overflow (mirrors
 /// `tinynn::matmul::QK`): every i8-range × i16 product is below `2²²` and at
@@ -77,9 +99,9 @@ pub const BIAS_BOUND: i32 = 1 << 30;
 pub const LANES: usize = 8;
 
 /// Whether the accelerated kernels are compiled in (x86-64 with AVX2
-/// statically enabled). When `false`, [`conv_requant`] and
-/// [`requantize_add`] always return `false` and callers use their scalar
-/// paths.
+/// statically enabled). When `false`, every kernel ([`conv_requant`],
+/// [`requantize_add`], [`channel_sums`] and [`transpose`]) returns `false`
+/// and callers use their scalar paths.
 ///
 /// Under Miri this is `false` even when AVX2 is statically enabled: the
 /// interpreter cannot execute the vendor intrinsics, so the dispatchers

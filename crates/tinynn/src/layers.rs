@@ -36,12 +36,14 @@
 //! item's gradients straight from that stage and `dY`, item by item: the
 //! weight-gradient partial in register tiles with output channels in lanes
 //! (a staged row read from offset `t` is row `c·k + t` of the im2col this
-//! replaces), and the input gradient tap by tap in register tiles of
-//! channels by positions. `BatchNorm1d` forms its training sums (batch
-//! statistics, `Σdy`, `Σdy·x̂`) several channels at a time. Both keep every
-//! gradient element's floating-point operations and their order exactly as
-//! in a plain sequential loop (and as the im2col backward had them), so
-//! trained weights are the same bits whatever the thread count.
+//! replaces, and `qsimd::transpose` puts `dY`'s channels side by side), and
+//! the input gradient tap by tap in register tiles of channels by
+//! positions. `BatchNorm1d` forms its training sums (batch statistics,
+//! `Σdy`, `Σdy·x̂`) with `qsimd::channel_sums`, each channel in one vector
+//! lane. Both keep every gradient element's floating-point operations and
+//! their order exactly as in a plain sequential loop (and as the im2col
+//! backward had them), so trained weights are the same bits whatever the
+//! thread count and whether or not the `qsimd` kernels are compiled in.
 //!
 //! The layer chain serves training. A convolutional backbone built from
 //! these layers scores windows through the fused channels-last chain of
@@ -51,6 +53,7 @@
 //! `*_reference` methods so parity tests can pin the optimised kernels
 //! against them.
 
+use qsimd::SumTerms;
 use serde::{Deserialize, Serialize};
 
 use crate::fused;
@@ -378,9 +381,14 @@ impl ConvScratch {
     }
 }
 
-/// Writes the `[len, rows]` transpose of a row-major `[rows, len]` block.
+/// Writes the `[len, rows]` transpose of a row-major `[rows, len]` block:
+/// `qsimd::transpose`'s register blocks, or, where that kernel is not
+/// compiled in, one strided store per element.
 fn transpose_into(dst: &mut Vec<f32>, src: &[f32], rows: usize, len: usize) {
     dst.resize(rows * len, 0.0);
+    if qsimd::transpose(dst, src, rows, len) {
+        return;
+    }
     for (r, src_row) in src.chunks_exact(len).enumerate() {
         for (j, &v) in src_row.iter().enumerate() {
             dst[j * rows + r] = v;
@@ -759,6 +767,68 @@ impl Conv1d {
         }
         (grad_input, grad_weight, grad_bias)
     }
+
+    /// Back-propagates `grad_output` into the weight and bias gradients
+    /// only: [`Layer::backward`] without the input gradient, for a
+    /// network's first layer, whose input has no gradient to take. Pops the
+    /// layer's cache like `backward`.
+    pub fn backward_params(&mut self, grad_output: &Tensor, ws: &mut Workspace) {
+        self.backward_items(grad_output, ws, None);
+    }
+
+    /// The backward's item loop: each item's weight- and bias-gradient
+    /// partials, and its input gradient into `grad_input` when given.
+    fn backward_items(
+        &mut self,
+        grad_output: &Tensor,
+        ws: &mut Workspace,
+        mut grad_input: Option<&mut Tensor>,
+    ) {
+        let staged = match ws.pop("Conv1d") {
+            LayerCache::Staged(staged) => staged,
+            other => cache_mismatch("Conv1d", &other),
+        };
+        let row = staged.shape()[2];
+        let (in_c, out_c, k) = (self.in_channels, self.out_channels, self.kernel_size);
+        let len = grad_output.shape()[2];
+        let shape = ItemShape {
+            out_c,
+            depth: in_c * k,
+            kernel: k,
+            len,
+            pad: self.pad_left(),
+            row,
+            dy_row: len.next_multiple_of(STRIP) + k - 1,
+        };
+        let ConvScratch { dy_t, dy_pad, sums } = &mut ws.conv;
+        let dy_pad = fused::sized(dy_pad, out_c * shape.dy_row);
+        let w = self.weight.value.data();
+        let skip_zeros = w.contains(&0.0);
+        let (grad_w, grad_b) = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
+        let items = staged
+            .data()
+            .chunks_exact(in_c * row)
+            .zip(grad_output.data().chunks_exact(out_c * len));
+        // Items in order: each one's weight- and bias-gradient partials are
+        // summed from zero and added onto the gradients once, so every
+        // gradient element receives exactly the adds of a sequential loop.
+        for (item, (stage, dy)) in items.enumerate() {
+            transpose_into(dy_t, dy, out_c, len);
+            bias_grad(grad_b, dy_t);
+            weight_grad(grad_w, dy_t, stage, shape);
+            let Some(grad_input) = grad_input.as_deref_mut() else {
+                continue;
+            };
+            let dx = &mut grad_input.data_mut()[item * in_c * len..][..in_c * len];
+            fused::stage_channel_major(dy_pad, dy, (len, k - 1 - shape.pad, shape.dy_row));
+            if skip_zeros {
+                input_grad::<true>(dx, sums, w, dy_pad, shape);
+            } else {
+                input_grad::<false>(dx, sums, w, dy_pad, shape);
+            }
+        }
+        ws.recycle(staged);
+    }
 }
 
 impl Layer for Conv1d {
@@ -793,48 +863,9 @@ impl Layer for Conv1d {
     }
 
     fn backward(&mut self, grad_output: &Tensor, ws: &mut Workspace) -> Tensor {
-        let staged = match ws.pop("Conv1d") {
-            LayerCache::Staged(staged) => staged,
-            other => cache_mismatch("Conv1d", &other),
-        };
-        let (batch, row) = (staged.shape()[0], staged.shape()[2]);
-        let (in_c, out_c, k) = (self.in_channels, self.out_channels, self.kernel_size);
-        let len = grad_output.shape()[2];
-        let shape = ItemShape {
-            out_c,
-            depth: in_c * k,
-            kernel: k,
-            len,
-            pad: self.pad_left(),
-            row,
-            dy_row: len.next_multiple_of(STRIP) + k - 1,
-        };
-        let mut grad_input = ws.uninit_tensor(&[batch, in_c, len]);
-        let ConvScratch { dy_t, dy_pad, sums } = &mut ws.conv;
-        let dy_pad = fused::sized(dy_pad, out_c * shape.dy_row);
-        let w = self.weight.value.data();
-        let skip_zeros = w.contains(&0.0);
-        let (grad_w, grad_b) = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
-        let items = staged
-            .data()
-            .chunks_exact(in_c * row)
-            .zip(grad_output.data().chunks_exact(out_c * len))
-            .zip(grad_input.data_mut().chunks_exact_mut(in_c * len));
-        // Items in order: each one's weight- and bias-gradient partials are
-        // summed from zero and added onto the gradients once, so every
-        // gradient element receives exactly the adds of a sequential loop.
-        for ((stage, dy), dx) in items {
-            transpose_into(dy_t, dy, out_c, len);
-            bias_grad(grad_b, dy_t);
-            weight_grad(grad_w, dy_t, stage, shape);
-            fused::stage_channel_major(dy_pad, dy, (len, k - 1 - shape.pad, shape.dy_row));
-            if skip_zeros {
-                input_grad::<true>(dx, sums, w, dy_pad, shape);
-            } else {
-                input_grad::<false>(dx, sums, w, dy_pad, shape);
-            }
-        }
-        ws.recycle(staged);
+        let (batch, len) = (grad_output.shape()[0], grad_output.shape()[2]);
+        let mut grad_input = ws.uninit_tensor(&[batch, self.in_channels, len]);
+        self.backward_items(grad_output, ws, Some(&mut grad_input));
         grad_input
     }
 
@@ -909,15 +940,42 @@ impl BatchNorm1d {
     }
 }
 
+/// Batch norm's per-channel `f64` sums of `terms` over a `[batch, channels,
+/// len]` tensor `x` (see [`qsimd::SumTerms`]): `qsimd::channel_sums`, with
+/// every channel in one vector lane, or, where that kernel is not compiled
+/// in, the scalar loop of [`channel_sums`]. Both add each channel's terms
+/// from `0.0` in batch-then-position order, so they agree bit for bit.
+fn bn_sums(x: &[f32], terms: SumTerms, dims: (usize, usize, usize)) -> Vec<[f64; 2]> {
+    let mut sums = vec![[0.0; 2]; dims.1];
+    if qsimd::channel_sums(&mut sums, x, terms, dims) {
+        return sums;
+    }
+    let one = |[sum]: [f64; 1]| [sum, 0.0];
+    match terms {
+        SumTerms::Value => {
+            channel_sums(x, x, dims, |_, v, _| [v as f64]).into_iter().map(one).collect()
+        }
+        SumTerms::SquaredDeviation(mean) => {
+            channel_sums(x, x, dims, |c, v, _| [((v - mean[c]) as f64).powi(2)])
+                .into_iter()
+                .map(one)
+                .collect()
+        }
+        SumTerms::ValueAndProduct(w) => {
+            channel_sums(x, w, dims, |_, d, h| [d as f64, d as f64 * h as f64])
+        }
+    }
+}
+
 /// Channels whose batch-norm sums run side by side in [`channel_sums`].
 const BN_LANES: usize = 4;
 
-/// Per-channel `f64` sums of `S` terms over two `[batch, channels, len]`
-/// tensors `a` and `b` (`b` may be `a`): `term(c, a_i, b_i)` gives channel
-/// `c`'s terms at each element, and each channel's sums add them in
-/// batch-then-position order from `0.0` — the order of a plain loop over
-/// one channel at a time. [`BN_LANES`] channels are summed at once, so
-/// their serial add chains overlap.
+/// The scalar fallback of [`bn_sums`]: per-channel `f64` sums of `S` terms
+/// over two `[batch, channels, len]` tensors `a` and `b` (`b` may be `a`):
+/// `term(c, a_i, b_i)` gives channel `c`'s terms at each element, and each
+/// channel's sums add them in batch-then-position order from `0.0` — the
+/// order of a plain loop over one channel at a time. [`BN_LANES`] channels
+/// are summed at once, so their serial add chains overlap.
 fn channel_sums<const S: usize>(
     a: &[f32],
     b: &[f32],
@@ -993,13 +1051,13 @@ impl Layer for BatchNorm1d {
         // an f64 sum over the channel's [b, c] slices in batch order.
         let (mean_c, var_c): (Vec<f32>, Vec<f32>) = if training {
             let dims = (batch, channels, len);
-            let mean_c: Vec<f32> = channel_sums(x, x, dims, |_, v, _| [v as f64])
+            let mean_c: Vec<f32> = bn_sums(x, SumTerms::Value, dims)
                 .iter()
-                .map(|[sum]| (sum / m as f64) as f32)
+                .map(|[sum, _]| (sum / m as f64) as f32)
                 .collect();
-            let var_c = channel_sums(x, x, dims, |c, v, _| [((v - mean_c[c]) as f64).powi(2)])
+            let var_c = bn_sums(x, SumTerms::SquaredDeviation(&mean_c), dims)
                 .iter()
-                .map(|[var_sum]| (var_sum / m as f64) as f32)
+                .map(|[var_sum, _]| (var_sum / m as f64) as f32)
                 .collect();
             (mean_c, var_c)
         } else {
@@ -1064,9 +1122,7 @@ impl Layer for BatchNorm1d {
         let dy = grad_output.data();
         let hat = x_hat.data();
         let mut grad_input = ws.uninit_tensor(grad_output.shape());
-        let sums = channel_sums(dy, hat, (batch, channels, len), |_, d, h| {
-            [d as f64, d as f64 * h as f64]
-        });
+        let sums = bn_sums(dy, SumTerms::ValueAndProduct(hat), (batch, channels, len));
         // Per channel: `(gamma · inv, mean of dy, mean of dy·x̂)`.
         let mut coef = Vec::with_capacity(channels);
         for (c, (&inv, &[sum_dy, sum_dy_xhat])) in std_inv.iter().zip(&sums).enumerate() {

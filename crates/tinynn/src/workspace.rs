@@ -43,9 +43,13 @@ use crate::layers::ConvScratch;
 use crate::qlayers::ItemCodes;
 use crate::tensor::Tensor;
 
-/// Upper bound on the number of buffers the arena retains; beyond it the
-/// smallest buffer is evicted, so a workspace never hoards more storage
-/// than the widest pass it served needs.
+/// Buffers the arena may always retain. It retains more when its passes
+/// need more: as many as it has allocated ([`Workspace::arena_misses`]), so
+/// a pass that holds many buffers at once (a training step caches a tensor
+/// per layer and recycles them all in its backward) finds every one of them
+/// again in its next step. Beyond that bound the smallest buffer is
+/// evicted, so a workspace never hoards more storage than the widest pass
+/// it served needs.
 const ARENA_SLOTS: usize = 16;
 
 /// Per-call (and per-thread) scratch for forward/backward passes: the
@@ -113,15 +117,16 @@ impl Workspace {
     }
 
     /// Returns a dead tensor's storage to the output-activation arena so a
-    /// later [`Self::uninit_tensor`] can reuse it. When the arena is full,
-    /// the smallest retained buffer is evicted (or the incoming one dropped
-    /// if it is smaller still).
+    /// later [`Self::uninit_tensor`] can reuse it. When the arena is full
+    /// (it holds 16 buffers, or as many as it has allocated if that is
+    /// more), the smallest retained buffer is evicted (or the incoming one
+    /// dropped if it is smaller still).
     pub fn recycle(&mut self, tensor: Tensor) {
         let (data, shape) = tensor.into_parts();
         if data.capacity() == 0 {
             return;
         }
-        if self.arena.len() >= ARENA_SLOTS {
+        if self.arena.len() >= ARENA_SLOTS.max(self.arena_misses) {
             let (smallest, cap) = self
                 .arena
                 .iter()

@@ -12,7 +12,7 @@
 //! The quantised convolution and `Linear` are swept over randomly drawn
 //! *odd* shapes plus an explicit edge list (`k = 0`, `n = 1`, single rows,
 //! multiples of 4 rows and 16 columns, one-off remainders). The quantised
-//! path is checked against the exact integer [`matmul_q8_reference`]
+//! path is checked against the exact integer `matmul_q8_reference`
 //! (bit-exact, with code magnitudes kept small enough that every dot fits
 //! the `i16` output grid of a unit requantiser). `Linear` is checked bit for
 //! bit against scalar loops of the orders its deleted GEMM kernels had:
@@ -30,7 +30,10 @@
 //! channels, skipping zero weights), the per-item partials added onto the
 //! gradients in item order.
 
-use tinynn::matmul::{conv_q8_requant, matmul_q8_reference};
+mod common;
+
+use common::matmul_q8_reference;
+use tinynn::matmul::conv_q8_requant;
 use tinynn::{Conv1d, Layer, Linear, Requantizer, Tensor, Workspace};
 
 /// Small deterministic LCG (same recipe as the quantisation property tests).

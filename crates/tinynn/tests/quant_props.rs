@@ -7,7 +7,10 @@
 //! The offline build has no `proptest`, so cases are generated from a seeded
 //! xorshift generator — every run exercises the identical case set.
 
-use tinynn::matmul::{conv_q8_requant, matmul_q8_reference};
+mod common;
+
+use common::matmul_q8_reference;
+use tinynn::matmul::conv_q8_requant;
 use tinynn::qlayers::pooled_features;
 use tinynn::quant::{
     quantize_activations_into, QuantActs, QuantPlan, QuantizedGemm, Requantizer, ACT_QMAX,

@@ -9,17 +9,23 @@
 #         claim cursor under the scheduler lock, the per-request output
 #         state the workers scatter scores into, and the fault-injection
 #         counters shared across workers.
-#   asan  AddressSanitizer over the qsimd kernel tests, the tinynn
-#         quantisation property tests and the locator's bit pins — the
-#         code with raw-pointer SIMD. The property tests drive whole
-#         windows through the convolution at lengths around every tile
-#         boundary, and the bit pins drive the golden, served and paper
-#         shapes: every tile reads and writes the slack rows past a
+#   asan  AddressSanitizer over the qsimd kernel tests, tinynn's unit
+#         tests and quantisation property tests, and the locator's bit
+#         pins — the code with raw-pointer SIMD. The property tests drive
+#         whole windows through the convolution at lengths around every
+#         tile boundary, and the bit pins drive the golden, served and
+#         paper shapes: every tile reads and writes the slack rows past a
 #         buffer's body, so these are the runs that reach its edges.
+#         tinynn's unit tests reach the training kernels through the
+#         layers: the batch-norm scalar-oracle test drives the channel
+#         sums at 5, 8 and 16 channels and 13 positions (a tail of
+#         channels and of positions), and the convolution tests drive the
+#         transpose.
 #   miri  Miri over qsimd. The AVX2 and AVX-VNNI dispatch report
 #         unavailable under the interpreter (see `qsimd::available()` and
-#         `qsimd::vnni()`), so this pass covers the scalar fallbacks,
-#         where Miri's UB detection is strongest.
+#         `qsimd::vnni()`), so this pass covers the scalar fallbacks and
+#         the declines of every kernel, where Miri's UB detection is
+#         strongest.
 #
 # Sanitizers need a nightly toolchain (-Zsanitizer, -Zbuild-std) plus
 # the rust-src component; Miri needs the miri component. A missing
@@ -113,13 +119,13 @@ run_asan() {
         skip asan "nightly lacks rust-src (-Zbuild-std needs it)"
         return 0
     fi
-    note "asan: qsimd kernel tests + tinynn quant_props + sca-locator f32_bit_pin"
+    note "asan: qsimd kernel tests + tinynn lib and quant_props + sca-locator f32_bit_pin"
     status=0
     RUSTFLAGS="$cpu -Z sanitizer=address" \
         CARGO_TARGET_DIR=target/sanitize/asan \
         cargo +nightly test -Z build-std --target "$triple" \
         -p qsimd \
-        -p tinynn --test quant_props \
+        -p tinynn --lib --test quant_props \
         -p sca-locator --test f32_bit_pin || status=$?
     ran asan "$status"
 }
